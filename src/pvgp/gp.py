@@ -1,29 +1,37 @@
 """Exact Gaussian-process inference.
 
-Prior sampling, posterior mean/covariance, log marginal likelihood, and
-multi-restart hyperparameter fitting, all against the composite kernels of
-:mod:`pvgp.kernels`.  Targets are centred on the training mean and scaled
-by the training standard deviation internally; kernel hyperparameters stay
-in target units (watts), so specs written by hand and specs returned by
-the fitter are directly comparable.
+Prior sampling, posterior mean/covariance, log marginal likelihood and its
+analytic gradient, and multi-restart hyperparameter fitting, all against
+the composite kernels of :mod:`pvgp.kernels`.  Targets are centred on the
+training mean and scaled by the training standard deviation internally;
+kernel hyperparameters stay in target units (watts), so specs written by
+hand and specs returned by the fitter are directly comparable.
 
 Linear algebra goes through a Cholesky factorisation of the jittered Gram
-matrix, never an explicit inverse.  Jitter starts at ``1e-10 * mean(diag)``
-and escalates tenfold up to ``1e-4`` before a :class:`ConditioningError`
-is raised naming the kernel.
+matrix; only the likelihood gradient forms ``K^-1``, from that factor,
+because its trace terms need every entry.  Jitter starts at
+``1e-10 * mean(diag)`` and escalates tenfold up to ``1e-4`` before a
+:class:`ConditioningError` is raised naming the kernel.  Noise and jitter
+are added on the diagonal only, and the factor is computed in its own
+buffer, so a posterior peaks near two n x n arrays.
+
+The fitter's objective costs one factorisation per evaluation: the same
+factor gives the likelihood and, through :class:`LmlGradient`, its exact
+gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
+every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
 from . import kernels
-from .kernels import PERIODIC, RATIONAL_QUADRATIC, WHITE_NOISE, KernelSpec
+from .kernels import PERIODIC, RATIONAL_QUADRATIC, WHITE_NOISE, Hyperparameter, KernelSpec
 
 __all__ = [
     "TrainingSet",
@@ -36,6 +44,7 @@ __all__ = [
     "fit_hyperparameters",
     "sample_prior",
     "fd_gradient",
+    "LmlGradient",
 ]
 
 JITTER_INITIAL = 1e-10
@@ -131,25 +140,42 @@ def build_covariance(A, B, spec: KernelSpec, with_noise: bool = False) -> np.nda
     set and A and B are the same sample list, i.e. the same array object;
     cross-covariance blocks never carry it, even between equal-valued
     inputs, because the delta keys on sample identity rather than values.
+    The noise is added on the diagonal of the kernel block in place.
     """
     same = A is B
     A2 = np.atleast_2d(np.asarray(A, dtype=float))
     B2 = A2 if same else np.atleast_2d(np.asarray(B, dtype=float))
     K = kernels.main_matrix(spec, A2, B2, same_samples=same)
     if with_noise and same and spec.noise_variance > 0:
-        K = K + spec.noise_variance * np.eye(A2.shape[0])
+        _diagonal(K)[...] += spec.noise_variance
     return K
 
 
+def _diagonal(K: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a square matrix."""
+    return np.einsum("ii->i", K)
+
+
 def _cholesky_with_jitter(K: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Lower Cholesky factor of K plus escalating jitter."""
-    scale = float(np.mean(np.diag(K))) if K.shape[0] else 1.0
+    """Lower Cholesky factor of the symmetric K plus escalating jitter.
+
+    Each attempt copies K into the factor's own Fortran-ordered buffer,
+    adds the jitter on its diagonal and factorises it in place, so K is
+    left unchanged and no identity or shifted copy of K is built.
+    """
+    n = K.shape[0]
+    diag = K.diagonal()
+    scale = float(np.mean(diag)) if n else 1.0
     if scale <= 0 or not math.isfinite(scale):
         scale = 1.0
+    # K is symmetric, so its transpose is the Fortran-ordered copy of itself
+    L = np.empty((n, n), order="F")
     eps = JITTER_INITIAL
     while eps <= JITTER_MAX * (1 + 1e-12):
+        np.copyto(L, K.T)
+        _diagonal(L)[...] = diag + eps * scale
         try:
-            return scipy.linalg.cholesky(K + eps * scale * np.eye(K.shape[0]), lower=True)
+            return scipy.linalg.cholesky(L, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError:
             eps *= 10.0
     raise ConditioningError(
@@ -177,11 +203,14 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
         return PosteriorPrediction(mean=mean, cov=_tidy_cov(Kss))
 
     s2 = train.target_scale**2
-    K = build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2
+    K = build_covariance(train.inputs, train.inputs, spec, with_noise=True)
+    K /= s2
     L = _cholesky_with_jitter(K, spec)
+    del K  # the factor has its own buffer; free the Gram before the cross block
     y = train.scaled_targets()
     alpha = scipy.linalg.cho_solve((L, True), y)
-    Ks = build_covariance(query_X, train.inputs, spec) / s2
+    Ks = build_covariance(query_X, train.inputs, spec)
+    Ks /= s2
     mean = train.target_mean + train.target_scale * (Ks @ alpha)
     V = scipy.linalg.solve_triangular(L, Ks.T, lower=True)
     cov = Kss - s2 * (V.T @ V)
@@ -195,20 +224,82 @@ def _tidy_cov(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec) -> float:
+class LmlGradient:
+    """Log-marginal-likelihood gradient over one training set's cached geometry.
+
+    Built once per training set for a list of free
+    :class:`~pvgp.kernels.Hyperparameter`.  Passed to
+    :func:`log_marginal_likelihood`, it builds the training Gram from its
+    :class:`~pvgp.kernels.GramEvaluator` into reused buffers and fills
+    :attr:`value` with ``d LML / d log theta`` from the same Cholesky factor
+    as the likelihood itself:
+    ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` (Rasmussen & Williams
+    2006, section 5.4.1).  The jitter is treated as a constant.
+    """
+
+    def __init__(self, train: TrainingSet, params):
+        self.params = list(params)
+        self.value = np.zeros(len(self.params))
+        self._evaluator = kernels.GramEvaluator(train.inputs, train.inputs, same_samples=True)
+        self._K = np.empty((train.n, train.n))
+        self._W = np.empty((train.n, train.n))
+
+    def covariance(self, spec: KernelSpec, s2: float) -> np.ndarray:
+        """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer."""
+        K = self._K
+        np.copyto(K, self._evaluator.gram(spec))
+        _diagonal(K)[...] += spec.noise_variance
+        K /= s2
+        return K
+
+    def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray, s2: float) -> None:
+        """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``."""
+        # K^-1 in the lower triangle; L's upper triangle of zeros is kept
+        inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
+        if info:
+            raise ConditioningError(f"covariance inverse failed (info {info}) for kernel {spec.to_text()}")
+        # every derivative block G is symmetric, so sum((alpha alpha^T - K^-1) * G)
+        # = sum(W * G) with W = alpha alpha^T - 2 tril(K^-1) + diag(K^-1)
+        W = np.multiply(alpha[:, None], alpha, out=self._W)
+        diag = inv.diagonal().copy()
+        inv *= 2.0
+        W -= inv
+        _diagonal(W)[...] += diag
+        trace = float(np.trace(W))
+        # dK/dlog theta = (K_main / s2) * log_derivative(theta)
+        W *= self._evaluator.K
+        W /= s2
+        for k, p in enumerate(self.params):
+            if p.field == "noise_variance":
+                self.value[k] = 0.5 * spec.noise_variance / s2 * trace
+            else:
+                self.value[k] = 0.5 * np.einsum("ij,ij->", W, self._evaluator.log_derivative(p))
+
+
+def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlGradient | None = None) -> float:
     """Exact-GP log marginal likelihood of the centred/scaled targets.
 
     ``-1/2 y^T K^-1 y - 1/2 log|K| - (n/2) log 2pi`` with K the training
-    Gram including the noise term.
+    Gram including the noise term.  With ``gradient`` (an
+    :class:`LmlGradient` built for ``train``), the Gram comes from its cached
+    geometry and ``gradient.value`` is filled from the same factorisation.
     """
     spec.validate(ndim=train.ndim)
     if train.n == 0:
+        if gradient is not None:
+            gradient.value[:] = 0.0
         return 0.0
     s2 = train.target_scale**2
-    K = build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2
+    if gradient is None:
+        K = build_covariance(train.inputs, train.inputs, spec, with_noise=True)
+        K /= s2
+    else:
+        K = gradient.covariance(spec, s2)
     L = _cholesky_with_jitter(K, spec)
     y = train.scaled_targets()
     alpha = scipy.linalg.cho_solve((L, True), y)
+    if gradient is not None:
+        gradient.fill(spec, L, alpha, s2)
     return float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
 
 
@@ -232,8 +323,9 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
 def fd_gradient(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Central finite-difference gradient of a scalar function.
 
-    This is the gradient the optimiser consumes; its agreement with a
-    higher-order stencil is part of the numerical contract.
+    A test oracle: the fit takes its gradient from :class:`LmlGradient`,
+    and this second-order estimate is checked against a higher-order
+    stencil as part of the numerical contract.
     """
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
@@ -253,42 +345,10 @@ class _Param:
     instead of degenerating into a quasi-stationary kernel.
     """
 
-    name: str
+    where: Hyperparameter
     lo: float
     hi: float
     box_margin: float = 100.0
-
-    def get(self, spec: KernelSpec) -> float:
-        if self.name == "amplitude":
-            return spec.amplitude
-        if self.name == "noise_variance":
-            return spec.noise_variance
-        if self.name == "roughness":
-            return spec.roughness
-        if self.name == "period":
-            return spec.period
-        if self.name == "alpha":
-            return spec.alpha if spec.family == RATIONAL_QUADRATIC else spec.base.alpha
-        d = int(self.name[2:])  # lsD
-        return spec.lengthscales[d]
-
-    def put(self, spec: KernelSpec, value: float) -> KernelSpec:
-        if self.name == "amplitude":
-            return replace(spec, amplitude=value)
-        if self.name == "noise_variance":
-            return replace(spec, noise_variance=value)
-        if self.name == "roughness":
-            return replace(spec, roughness=value)
-        if self.name == "period":
-            return replace(spec, period=value)
-        if self.name == "alpha":
-            if spec.family == RATIONAL_QUADRATIC:
-                return replace(spec, alpha=value)
-            return replace(spec, base=replace(spec.base, alpha=value))
-        d = int(self.name[2:])
-        ls = list(spec.lengthscales)
-        ls[d] = value
-        return replace(spec, lengthscales=tuple(ls))
 
 
 # init range for the periodic roughness w (warped distance is in [0, 2])
@@ -298,7 +358,7 @@ _ROUGHNESS_INIT = (0.1, 10.0)
 def _free_parameters(train: TrainingSet, spec: KernelSpec, optimize_period: bool) -> list[_Param]:
     params: list[_Param] = []
     scale = train.target_scale
-    params.append(_Param("amplitude", 0.01 * scale, 10.0 * scale))
+    params.append(_Param(Hyperparameter("amplitude"), 0.01 * scale, 10.0 * scale))
 
     if train.n:
         ranges = np.ptp(train.inputs, axis=0)
@@ -307,29 +367,26 @@ def _free_parameters(train: TrainingSet, spec: KernelSpec, optimize_period: bool
     ls_bounds = [(1.0, max(10.0 * float(r), 2.0)) for r in ranges]
 
     if spec.family == PERIODIC:
-        params.append(_Param("roughness", *_ROUGHNESS_INIT))
+        params.append(_Param(Hyperparameter("roughness"), *_ROUGHNESS_INIT))
         for d in range(1, train.ndim):
-            params.append(_Param(f"ls{d}", *ls_bounds[d]))
+            params.append(_Param(Hyperparameter("lengthscales", d), *ls_bounds[d]))
         if spec.base.family == RATIONAL_QUADRATIC:
-            params.append(_Param("alpha", 0.1, 100.0))
+            params.append(_Param(Hyperparameter("alpha", on_base=True), 0.1, 100.0))
         if optimize_period:
-            params.append(_Param("period", 0.5 * spec.period, 2.0 * spec.period, box_margin=1.0))
+            params.append(_Param(Hyperparameter("period"), 0.5 * spec.period, 2.0 * spec.period, box_margin=1.0))
     elif spec.family != WHITE_NOISE:
         for d in range(train.ndim):
-            params.append(_Param(f"ls{d}", *ls_bounds[d]))
+            params.append(_Param(Hyperparameter("lengthscales", d), *ls_bounds[d]))
         if spec.family == RATIONAL_QUADRATIC:
-            params.append(_Param("alpha", 0.1, 100.0))
+            params.append(_Param(Hyperparameter("alpha"), 0.1, 100.0))
 
     var = scale**2
-    params.append(_Param("noise_variance", 1e-6 * var, 1.0 * var))
+    params.append(_Param(Hyperparameter("noise_variance"), 1e-6 * var, 1.0 * var))
     return params
 
 
-def _spec_from_logs(template: KernelSpec, params: list[_Param], x: np.ndarray) -> KernelSpec:
-    spec = template
-    for p, v in zip(params, x):
-        spec = p.put(spec, math.exp(v))
-    return spec
+def _spec_from_logs(template: KernelSpec, params: list[Hyperparameter], x: np.ndarray) -> KernelSpec:
+    return kernels.with_hyperparameters(template, params, [math.exp(v) for v in x])
 
 
 def fit_hyperparameters(
@@ -342,12 +399,14 @@ def fit_hyperparameters(
 ) -> KernelSpec:
     """Maximise the log marginal likelihood over positive hyperparameters.
 
-    Works in log space with L-BFGS-B; gradients come from central finite
-    differences of the objective (:func:`fd_gradient`).  Restart 0 starts
-    from the template's own hyperparameter values; every further restart
-    starts from a log-uniform draw within the documented init bounds.
-    Results are merged by best objective, ties broken by lowest restart
-    index.  Deterministic given ``seed``.
+    Works in log space with L-BFGS-B.  Each objective evaluation is one
+    Cholesky factorisation, which yields both the likelihood and its
+    analytic gradient (:class:`LmlGradient`); the input geometry is built
+    once per call and shared by every restart.  Restart 0 starts from the
+    template's own hyperparameter values; every further restart starts from
+    a log-uniform draw within the documented init bounds.  Results are
+    merged by best objective, ties broken by lowest restart index.
+    Deterministic given ``seed``.
 
     The period T is held fixed unless ``optimize_period`` is set: the
     daily cycle is physically known, and the likelihood over T is sharply
@@ -361,13 +420,18 @@ def fit_hyperparameters(
     params = _free_parameters(train, spec_template, optimize_period)
     if not params:
         return spec_template
+    where = [p.where for p in params]
+    gradient = LmlGradient(train, where)
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            value = -log_marginal_likelihood(train, _spec_from_logs(spec_template, params, x))
+            value = -log_marginal_likelihood(train, _spec_from_logs(spec_template, where, x), gradient)
         except (ConditioningError, FloatingPointError, kernels.KernelSpecError):
-            return 1e25
-        return value if math.isfinite(value) else 1e25
+            return 1e25, np.zeros(x.size)
+        jac = -gradient.value
+        if not (math.isfinite(value) and np.isfinite(jac).all()):
+            return 1e25, np.zeros(x.size)
+        return value, jac
 
     lo = np.log([p.lo for p in params])
     hi = np.log([p.hi for p in params])
@@ -376,7 +440,7 @@ def fit_hyperparameters(
     box = list(zip(box_lo, box_hi))
     rng = np.random.default_rng(seed)
 
-    template_values = np.array([max(p.get(spec_template), 1e-300) for p in params])
+    template_values = np.array([max(p.get(spec_template), 1e-300) for p in where])
     template_start = np.clip(np.log(template_values), box_lo, box_hi)
 
     best: tuple[float, int, np.ndarray] | None = None
@@ -385,7 +449,7 @@ def fit_hyperparameters(
         result = scipy.optimize.minimize(
             objective,
             x0,
-            jac=lambda x: fd_gradient(objective, x),
+            jac=True,
             method="L-BFGS-B",
             bounds=box,
             options={"maxiter": max_iter, "ftol": 1e-8},
@@ -395,4 +459,4 @@ def fit_hyperparameters(
             best = (f, r, result.x.copy())
     if best is None:
         raise FitError(f"all {restarts} restart(s) failed to produce a finite objective")
-    return _spec_from_logs(spec_template, params, best[2])
+    return _spec_from_logs(spec_template, where, best[2])

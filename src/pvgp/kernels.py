@@ -1,8 +1,16 @@
 """Covariance kernels for the PV power Gaussian-process model.
 
 A kernel is described declaratively by :class:`KernelSpec` and evaluated
-either point-wise (``eval_composite``) or as a full Gram block
-(``main_matrix``, used by :mod:`pvgp.gp`).  Five families are supported:
+either point-wise (``eval_composite``) or as a Gram block.  Gram blocks
+have one evaluator, :class:`GramEvaluator`: it computes the input geometry
+of a block once -- the per-axis distances ``|x_d - x'_d|`` and the periodic
+chord ``2|sin(pi*dt/T)|``, the chord rebuilt only when T changes -- and
+evaluates ``K_main`` and each ``d log K_main / d log theta`` element-wise
+from it into buffers reused across calls, which is what the fitter in
+:mod:`pvgp.gp` runs on.  ``main_matrix`` is the one-shot form used for
+posteriors: it runs the evaluator over row blocks written straight into
+the result.  :class:`Hyperparameter` addresses one positive scalar of a
+spec by field.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
 * ``se``           -- squared exponential, ``h^2 * exp(-r2)``
@@ -68,6 +76,9 @@ __all__ = [
     "eval_periodic",
     "eval_composite",
     "main_matrix",
+    "GramEvaluator",
+    "Hyperparameter",
+    "with_hyperparameters",
     "parse",
 ]
 
@@ -431,7 +442,256 @@ def _main_value(xi, xj, i, j, spec: KernelSpec) -> float:
     return spec.amplitude**2 * float(_stationary_correlation(r2, spec.family, spec.alpha, spec.nu))
 
 
-# -- vectorised Gram blocks ----------------------------------------------
+# -- Gram evaluation ---------------------------------------------------------
+#
+# Every stationary shape is a function of one distance variable x: the scaled
+# squared distance for se/rq, the scaled distance for matern.  The periodic
+# warp feeds its base shape x = s^2/2 (se/rq) or x = s (matern), where
+# s = chord / w.  A derivative with respect to a log-hyperparameter is then
+# (d log shape / dx) * (dx / d log theta), so every derivative block is K_main
+# times an element-wise factor.
+
+# elements per row block of main_matrix: bounds its temporaries
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _distance_power(shape: KernelSpec) -> int:
+    """How the distance variable scales with distance: 2 for se/rq, 1 for matern."""
+    return 1 if shape.family == MATERN else 2
+
+
+def _shape_value(shape: KernelSpec, x):
+    """Unit-amplitude shape of a stationary family at distance variable ``x``."""
+    if shape.family == SQUARED_EXPONENTIAL:
+        return np.exp(-x)
+    if shape.family == RATIONAL_QUADRATIC:
+        return (1.0 + x / shape.alpha) ** (-shape.alpha)
+    return _matern_profile(x, shape.nu)
+
+
+def _shape_dlog(shape: KernelSpec, x):
+    """``d log shape / dx`` of a stationary family."""
+    if shape.family == SQUARED_EXPONENTIAL or shape.nu == 0.5:
+        return -1.0
+    if shape.family == RATIONAL_QUADRATIC:
+        return -1.0 / (1.0 + x / shape.alpha)
+    if shape.nu == 1.5:
+        return -3.0 * x / (1.0 + _SQRT3 * x)
+    return -(5.0 / 3.0) * x * (1.0 + _SQRT5 * x) / (1.0 + _SQRT5 * x + (5.0 / 3.0) * x * x)
+
+
+def _shape_dlog_alpha(alpha: float, x):
+    """``d log shape / d log alpha`` of the rational quadratic."""
+    return x / (1.0 + x / alpha) - alpha * np.log1p(x / alpha)
+
+
+@dataclass(frozen=True)
+class Hyperparameter:
+    """One positive scalar of a :class:`KernelSpec`, addressed by field.
+
+    ``index`` picks an entry of ``lengthscales``; ``on_base`` marks the
+    rational-quadratic ``alpha`` of a periodic spec, which lives on its base.
+    """
+
+    field: str
+    index: int | None = None
+    on_base: bool = False
+
+    def get(self, spec: KernelSpec) -> float:
+        value = getattr(spec.base if self.on_base else spec, self.field)
+        return value if self.index is None else value[self.index]
+
+    def put(self, spec: KernelSpec, value: float) -> KernelSpec:
+        if self.index is not None:
+            ls = list(spec.lengthscales)
+            ls[self.index] = value
+            value = tuple(ls)
+        if self.on_base:
+            return replace(spec, base=replace(spec.base, **{self.field: value}))
+        return replace(spec, **{self.field: value})
+
+
+def with_hyperparameters(spec: KernelSpec, params, values) -> KernelSpec:
+    """``spec`` with each :class:`Hyperparameter` in ``params`` set to its value."""
+    for p, v in zip(params, values):
+        spec = p.put(spec, v)
+    return spec
+
+
+class GramEvaluator:
+    """Main-kernel block ``K_main(A, B)`` and its log-hyperparameter derivatives.
+
+    The input geometry of the block -- the per-axis distances ``|x_d - x'_d|``
+    and the periodic chord ``2|sin(pi*dt/T)|`` -- is computed on first use
+    and kept; the chord is rebuilt only when T changes.  :meth:`gram` writes
+    ``K_main`` into one buffer (``out``, when given) that every call reuses,
+    and :meth:`log_derivative` writes ``d log K_main / d log theta`` for one
+    hyperparameter of the spec last passed to :meth:`gram` into another, so
+    ``dK_main / d log theta = K_main * log_derivative``.
+
+    ``same_samples`` marks A and B as the same ordered sample list, A
+    starting ``row_offset`` samples in, which is what lets the index-keyed
+    ``whitenoise`` family contribute its diagonal.
+    """
+
+    def __init__(self, A: np.ndarray, B: np.ndarray, same_samples: bool = False, row_offset: int = 0, out=None):
+        self.A, self.B = A, B
+        self.same_samples = same_samples
+        self.row_offset = row_offset
+        self.K = np.empty((A.shape[0], B.shape[0])) if out is None else out
+        self._buffers: dict[str, np.ndarray] = {}
+        self._absdiff: dict[int, np.ndarray] = {}
+        self._chord_period: float | None = None
+        self._spec: KernelSpec | None = None
+
+    def _buffer(self, name: str) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None:
+            buf = self._buffers[name] = np.empty(self.K.shape)
+        return buf
+
+    # -- geometry ---------------------------------------------------------
+
+    def absdiff(self, axis: int) -> np.ndarray:
+        """``|A[:, axis] - B[:, axis]^T|``, computed once."""
+        d = self._absdiff.get(axis)
+        if d is None:
+            d = self._absdiff[axis] = np.abs(self.A[:, axis : axis + 1] - self.B[:, axis : axis + 1].T)
+        return d
+
+    def chord(self, period: float) -> np.ndarray:
+        """Chord ``2|sin(pi*dt/T)|`` of the time axis on the circle, rebuilt when T changes.
+
+        Expanded as ``sin(a)cos(b) - cos(a)sin(b)`` so that only 2(n + m)
+        trigonometric values are evaluated, not n*m.
+        """
+        u = self._buffer("chord")
+        if self._chord_period != period:
+            a = self.A[:, 0:1] * (np.pi / period)
+            b = self.B[:, 0] * (np.pi / period)
+            np.multiply(np.sin(a), np.cos(b), out=u)
+            u -= np.cos(a) * np.sin(b)
+            np.abs(u, out=u)
+            u *= 2.0
+            self._chord_period = period
+        return u
+
+    # -- evaluation -------------------------------------------------------
+
+    def gram(self, spec: KernelSpec) -> np.ndarray:
+        """``K_main`` under ``spec``, written into the reused output buffer."""
+        self._spec = spec
+        K = self.K
+        h2 = spec.amplitude**2
+        if spec.family == WHITE_NOISE:
+            K.fill(0.0)
+            if self.same_samples:
+                rows = np.arange(max(0, min(K.shape[0], K.shape[1] - self.row_offset)))
+                K[rows, rows + self.row_offset] = h2
+            return K
+        if spec.family == PERIODIC:
+            shape, axes = spec.base, range(1, self.A.shape[1])
+            xw = np.divide(self.chord(spec.period), spec.roughness, out=self._buffer("warp"))
+            if _distance_power(shape) == 2:
+                xw *= xw
+                xw *= 0.5
+            K[...] = _shape_value(shape, xw)
+            K *= h2
+        else:
+            shape, axes = spec, range(self.A.shape[1])
+            K.fill(h2)
+        if len(axes):
+            K *= _shape_value(shape, self._stationary_variable(shape, axes, spec.lengthscales))
+        return K
+
+    def _stationary_variable(self, shape: KernelSpec, axes, lengthscales) -> np.ndarray:
+        """Distance variable of the stationary factor, accumulated one axis at a time."""
+        x = self._buffer("stationary")
+        squared = _distance_power(shape) == 2 or len(axes) > 1
+        for k, axis in enumerate(axes):
+            r = np.divide(self.absdiff(axis), lengthscales[axis], out=x if k == 0 else None)
+            if squared:
+                r *= r
+            if k:
+                x += r
+        if squared and _distance_power(shape) == 1:
+            np.sqrt(x, out=x)
+        return x
+
+    def log_derivative(self, param: Hyperparameter) -> np.ndarray:
+        """``d log K_main / d log value`` of ``param`` at the spec of the last :meth:`gram`."""
+        return _LOG_DERIVATIVES[param.field](self, self._spec, param)
+
+    def _d_amplitude(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
+        g = self._buffer("derivative")
+        g.fill(2.0)
+        return g
+
+    def _d_roughness(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
+        # x scales as w^-power
+        xw = self._buffers["warp"]
+        g = np.multiply(xw, -_distance_power(spec.base), out=self._buffer("derivative"))
+        g *= _shape_dlog(spec.base, xw)
+        return g
+
+    def _d_period(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
+        # ds/dlog T = -(2/w) (pi dt/T) cos(pi dt/T) sign(sin(pi dt/T));
+        # dx/ds = s for se/rq, 1 for matern
+        phase = self.absdiff(0) * (np.pi / spec.period)
+        g = np.sin(phase, out=self._buffer("derivative"))
+        np.sign(g, out=g)
+        g *= phase
+        g *= np.cos(phase, out=phase)
+        g *= -2.0 / spec.roughness
+        if _distance_power(spec.base) == 2:
+            g *= self.chord(spec.period)
+            g /= spec.roughness
+        g *= _shape_dlog(spec.base, self._buffers["warp"])
+        return g
+
+    def _d_lengthscale(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
+        periodic = spec.family == PERIODIC
+        shape = spec.base if periodic else spec
+        power = _distance_power(shape)
+        x = self._buffers["stationary"]
+        g = self._buffer("derivative")
+        if self.A.shape[1] - periodic == 1:
+            # a single stationary axis: x scales as ls^-power
+            np.multiply(x, -power, out=g)
+        else:
+            # dx/dlog ls_d = -2 q_d (se/rq) or -q_d / x (matern), q_d = (dx_d / ls_d)^2;
+            # q_d is 0 wherever x is
+            np.divide(self.absdiff(param.index), spec.lengthscales[param.index], out=g)
+            g *= g
+            if power == 2:
+                g *= -2.0
+            else:
+                np.divide(g, x, out=g, where=x > 0)
+                np.negative(g, out=g)
+        g *= _shape_dlog(shape, x)
+        return g
+
+    def _d_alpha(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
+        periodic = spec.family == PERIODIC
+        alpha = spec.base.alpha if periodic else spec.alpha
+        g = self._buffer("derivative")
+        g.fill(0.0)
+        if periodic:
+            g += _shape_dlog_alpha(alpha, self._buffers["warp"])
+        if self.A.shape[1] > periodic:
+            g += _shape_dlog_alpha(alpha, self._buffers["stationary"])
+        return g
+
+
+# hyperparameter field -> its block of d log K_main / d log value; the noise
+# variance is not a main-kernel hyperparameter (see pvgp.gp)
+_LOG_DERIVATIVES = {
+    "amplitude": GramEvaluator._d_amplitude,
+    "roughness": GramEvaluator._d_roughness,
+    "period": GramEvaluator._d_period,
+    "lengthscales": GramEvaluator._d_lengthscale,
+    "alpha": GramEvaluator._d_alpha,
+}
 
 
 def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bool = False) -> np.ndarray:
@@ -440,34 +700,18 @@ def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bo
     ``same_samples`` marks A and B as the same ordered sample list, which
     is what lets the index-keyed ``whitenoise`` family contribute its
     diagonal.  The composite noise term is handled by the caller
-    (:func:`pvgp.gp.build_covariance`).
+    (:func:`pvgp.gp.build_covariance`).  The block is evaluated by
+    :class:`GramEvaluator` in row blocks written straight into the result,
+    so the only full-size array is the result itself.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"input dimensionality mismatch: {A.shape[1]} vs {B.shape[1]}")
     spec.validate(ndim=A.shape[1])
-
-    if spec.family == WHITE_NOISE:
-        K = np.zeros((A.shape[0], B.shape[0]))
-        if same_samples:
-            np.fill_diagonal(K, spec.amplitude**2)
-        return K
-
-    if spec.family == PERIODIC:
-        dt = A[:, 0:1] - B[:, 0:1].T
-        u = 2.0 * np.abs(np.sin(np.pi * dt / spec.period))
-        K = spec.amplitude**2 * _warp_profile(u, spec.roughness, spec.base.family, spec.base.alpha, spec.base.nu)
-        if A.shape[1] > 1:
-            r2 = _scaled_sqdist(A[:, 1:], B[:, 1:], spec.lengthscales[1:])
-            K = K * _stationary_correlation(r2, spec.base.family, spec.base.alpha, spec.base.nu)
-        return K
-
-    r2 = _scaled_sqdist(A, B, spec.lengthscales)
-    return spec.amplitude**2 * _stationary_correlation(r2, spec.family, spec.alpha, spec.nu)
-
-
-def _scaled_sqdist(A: np.ndarray, B: np.ndarray, lengthscales) -> np.ndarray:
-    ls = np.asarray(lengthscales, dtype=float)
-    diff = A[:, None, :] / ls - B[None, :, :] / ls
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    K = np.empty((A.shape[0], B.shape[0]))
+    rows = max(1, _BLOCK_ELEMENTS // max(B.shape[0], 1))
+    for start in range(0, A.shape[0], rows):
+        stop = start + rows
+        GramEvaluator(A[start:stop], B, same_samples, row_offset=start, out=K[start:stop]).gram(spec)
+    return K

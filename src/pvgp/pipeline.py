@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,7 +122,11 @@ UK_BOUNDARY = BoundaryBox(0.0, 0.0, 700_000.0, 1_300_000.0)
 
 @dataclass
 class HrvRasterStack:
-    """Time-stacked georeferenced cloud-brightness rasters."""
+    """Time-stacked georeferenced cloud-brightness rasters.
+
+    A stack from :func:`read_hrv` maps its ``frames`` read-only from the
+    file; it cannot be written to.
+    """
 
     origin_easting: float
     origin_northing: float
@@ -381,51 +386,65 @@ _FRAME_TIME = struct.Struct("<q")
 
 
 def write_hrv(path, stack: HrvRasterStack) -> None:
-    """Write the binary raster container."""
+    """Write the binary raster container.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so rewriting a path never truncates a file
+    that a stack from :func:`read_hrv` still maps.
+    """
     path = Path(path)
     epoch_s = int(stack.epoch_utc.timestamp())
-    with path.open("wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                HRV_MAGIC,
-                stack.origin_easting,
-                stack.origin_northing,
-                stack.pixel_size,
-                stack.width,
-                stack.height,
-                stack.frame_indices.size,
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(
+                _HEADER.pack(
+                    HRV_MAGIC,
+                    stack.origin_easting,
+                    stack.origin_northing,
+                    stack.pixel_size,
+                    stack.width,
+                    stack.height,
+                    stack.frame_indices.size,
+                )
             )
-        )
-        for k, t in enumerate(stack.frame_indices):
-            fh.write(_FRAME_TIME.pack(epoch_s + int(t) * geotime.STEP_SECONDS))
-            fh.write(np.ascontiguousarray(stack.frames[k], dtype="<f4").tobytes())
+            for k, t in enumerate(stack.frame_indices):
+                fh.write(_FRAME_TIME.pack(epoch_s + int(t) * geotime.STEP_SECONDS))
+                fh.write(np.ascontiguousarray(stack.frames[k], dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_hrv(path, epoch: dt.datetime) -> HrvRasterStack:
-    """Read the binary raster container, indexing frames against ``epoch``."""
+    """Read the binary raster container, indexing frames against ``epoch``.
+
+    The frames are memory-mapped read-only from the file rather than
+    copied, so the returned stack's ``frames`` cannot be written to.
+    """
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated HRV header")
-        magic, oe, on, ps, width, height, count = _HEADER.unpack(header)
-        if magic != HRV_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {HRV_MAGIC!r}")
-        indices = np.empty(count, dtype=np.int64)
-        frames = np.empty((count, height, width), dtype=np.float32)
-        grid_bytes = width * height * 4
-        epoch_s = int(epoch.timestamp())
-        for k in range(count):
-            tbuf = fh.read(_FRAME_TIME.size)
-            gbuf = fh.read(grid_bytes)
-            if len(tbuf) != _FRAME_TIME.size or len(gbuf) != grid_bytes:
-                raise ValueError(f"{path}: truncated frame {k}")
-            (t_s,) = _FRAME_TIME.unpack(tbuf)
-            offset = t_s - epoch_s
-            if offset % geotime.STEP_SECONDS:
-                raise AlignmentError(f"{path}: frame {k} at {t_s}s is off the 5-minute grid")
-            indices[k] = offset // geotime.STEP_SECONDS
-            frames[k] = np.frombuffer(gbuf, dtype="<f4").reshape(height, width)
+    if len(header) != _HEADER.size:
+        raise ValueError(f"{path}: truncated HRV header")
+    magic, oe, on, ps, width, height, count = _HEADER.unpack(header)
+    if magic != HRV_MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}, expected {HRV_MAGIC!r}")
+    record = np.dtype([("t", "<i8"), ("grid", "<f4", (height, width))])  # one frame
+    complete = min(count, (path.stat().st_size - _HEADER.size) // record.itemsize)
+    if complete:
+        records = np.memmap(path, dtype=record, mode="r", offset=_HEADER.size, shape=(complete,))
+    else:
+        records = np.zeros(0, dtype=record)
+    offsets = records["t"] - int(epoch.timestamp())
+    # errors name the first bad frame in file order, as a sequential read would
+    off_grid = np.flatnonzero(offsets % geotime.STEP_SECONDS)
+    if off_grid.size:
+        k = int(off_grid[0])
+        raise AlignmentError(f"{path}: frame {k} at {int(records['t'][k])}s is off the 5-minute grid")
+    if complete < count:
+        raise ValueError(f"{path}: truncated frame {complete}")
     return HrvRasterStack(
         origin_easting=oe,
         origin_northing=on,
@@ -433,8 +452,8 @@ def read_hrv(path, epoch: dt.datetime) -> HrvRasterStack:
         width=width,
         height=height,
         epoch_utc=epoch,
-        frame_indices=indices,
-        frames=frames,
+        frame_indices=offsets // geotime.STEP_SECONDS,
+        frames=records["grid"],
     )
 
 

@@ -133,6 +133,47 @@ def test_optimizer_gradient_agrees_with_stencil():
         err = np.linalg.norm(g2 - g5) / max(np.linalg.norm(g5), 1.0)
         assert err <= 1e-4, f"trial {trial}: gradient rel err {err}"
 
+    # the analytic gradient the optimiser consumes, over every parameter the
+    # fit can free (a freed period included), for all families in 1-D and 2-D
+    bases = [KernelSpec(SQUARED_EXPONENTIAL), KernelSpec(RATIONAL_QUADRATIC, alpha=1.7)]
+    bases += [KernelSpec(MATERN, nu=nu) for nu in (0.5, 1.5, 2.5)]
+    for trial in range(60):
+        family = ALL_FAMILIES[trial % len(ALL_FAMILIES)]
+        ndim = 1 + (trial // len(ALL_FAMILIES)) % 2
+        spec = random_family_spec(rng, ndim, family)
+        n = int(rng.integers(6, 12))
+        t = np.sort(rng.choice(np.arange(100), size=n, replace=False)).astype(float)
+        if family == PERIODIC:
+            spec = replace(spec, base=bases[trial % len(bases)], period=_period_clear_of_kinks(rng, t))
+        X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
+        train = TrainingSet.from_arrays(X, rng.normal(0.0, 1.0, size=n))
+        params = [p.where for p in gp._free_parameters(train, spec, optimize_period=True)]
+
+        def objective(x):
+            return -gp.log_marginal_likelihood(train, kernels.with_hyperparameters(spec, params, np.exp(x)))
+
+        gradient = gp.LmlGradient(train, params)
+        gp.log_marginal_likelihood(train, spec, gradient)
+        g5 = stencil_gradient(objective, np.log([p.get(spec) for p in params]))
+        err = np.linalg.norm(-gradient.value - g5) / max(np.linalg.norm(g5), 1.0)
+        assert err <= 1e-4, f"analytic trial {trial} ({spec.to_text()}): gradient rel err {err}"
+
+
+def _period_clear_of_kinks(rng, t):
+    """A period T such that no time difference lies near a nonzero multiple of T.
+
+    The chord ``2|sin(pi*dt/T)|`` has a kink in T wherever dt is such a
+    multiple, and a stencil straddling it measures no derivative.  T is also
+    long enough that the stencil's steps in log T move no phase pi*dt/T by
+    more than 0.03 rad, which keeps its truncation error small.
+    """
+    dt = np.abs(t[:, None] - t[None, :])
+    while True:
+        period = float(rng.uniform(20.0, 60.0))
+        k = np.round(dt / period)
+        if np.all((k == 0) | (np.abs(dt - k * period) > 0.25)):
+            return period
+
 
 @criterion(4, "hyperparameter-recovery")
 def test_generate_and_recover_se_hyperparameters():

@@ -88,7 +88,8 @@ def test_ingest_reports_removed_and_skipped(tmp_path, capsys):
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", paths={"metadata": str(tmp_path / "nope.csv"), "power": "x", "hrv": "y"})
+    paths = {"metadata": str(tmp_path / "nope.csv"), "power": "x", "hrv": "y", "output_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path / "c.json", paths=paths)
     assert main(["ingest", "--config", cfg]) == 2
     assert "nope.csv" in capsys.readouterr().err
 

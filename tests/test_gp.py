@@ -1,10 +1,12 @@
 """Exact-GP inference against brute-force oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from pvgp import gp, kernels
 from pvgp.gp import TrainingSet
@@ -167,6 +169,22 @@ def test_posterior_cov_is_symmetric_with_clamped_diagonal():
     assert np.all(np.diag(pred.cov) >= 0.0)
 
 
+def test_posterior_peak_memory_is_at_most_four_grams():
+    n = 1000
+    rng = np.random.default_rng(22)
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
+    query = np.column_stack([np.arange(float(n), n + 48.0), rng.uniform(0, 1, 48)])
+    spec = kernels.parse("periodic(matern12; h=850.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=4.0)")
+    tracemalloc.start()
+    try:
+        gp.posterior(train, query, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n * n
+
+
 def test_training_set_validation():
     with pytest.raises(ValueError):
         TrainingSet.from_arrays([[0.0], [0.0]], [1.0, 2.0])  # non-increasing time
@@ -289,6 +307,31 @@ def test_fit_constant_zero_targets_drives_noise_down():
     template = KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.0, lengthscales=(2.0,), noise_variance=0.1)
     fitted = gp.fit_hyperparameters(train, template, restarts=2, seed=0)
     assert fitted.noise_variance < 1e-4 * train.target_scale**2
+
+
+def test_fit_factorises_once_per_objective_evaluation(monkeypatch):
+    train, truth = make_se_data(2, n=30)
+    counts = {"cholesky": 0, "nfev": 0}
+    cholesky, minimize = gp._cholesky_with_jitter, scipy.optimize.minimize
+
+    def counted_cholesky(K, spec):
+        counts["cholesky"] += 1
+        return cholesky(K, spec)
+
+    def counted_minimize(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        counts["nfev"] += result.nfev
+        return result
+
+    def no_fd_gradient(*args, **kwargs):
+        raise AssertionError("the fit must not take finite differences")
+
+    monkeypatch.setattr(gp, "_cholesky_with_jitter", counted_cholesky)
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    monkeypatch.setattr(gp, "fd_gradient", no_fd_gradient)
+    gp.fit_hyperparameters(train, truth, restarts=2, seed=5)
+    assert counts["nfev"] > 0
+    assert counts["cholesky"] == counts["nfev"]
 
 
 def test_fit_rejects_zero_restarts():

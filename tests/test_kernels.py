@@ -1,6 +1,7 @@
 """Kernel evaluation, composition, properties, and the text form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.special
 from pvgp import kernels
 from pvgp.kernels import (
     MATERN,
+    MATERN_NUS,
     PERIODIC,
     RATIONAL_QUADRATIC,
     SQUARED_EXPONENTIAL,
@@ -246,6 +248,66 @@ def test_main_matrix_matches_pointwise_loop():
                 # distinct index spaces: cross blocks carry no delta term
                 want = kernels.eval_composite(A[i], B[j], i, 4 + j, spec)
                 assert K[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+PERIODIC_2D = KernelSpec(
+    PERIODIC, amplitude=850.0, lengthscales=(1.0, 8.0), roughness=10.0, period=288.0, base=KernelSpec(MATERN, nu=0.5)
+)
+
+
+def test_main_matrix_peak_memory_is_at_most_three_grams():
+    n = 1000
+    rng = np.random.default_rng(8)
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    tracemalloc.start()
+    try:
+        kernels.main_matrix(PERIODIC_2D, X, X, same_samples=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * n
+
+
+def test_main_matrix_row_blocks_match_one_block():
+    rng = np.random.default_rng(9)
+    n = 700  # several row blocks
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    for spec in family_specs(ndim=2) + [PERIODIC_2D]:
+        K = kernels.main_matrix(spec, X, X, same_samples=True)
+        whole = kernels.GramEvaluator(X, X, same_samples=True).gram(spec)
+        assert np.array_equal(K, whole)
+        assert np.array_equal(K, K.T)
+
+
+def test_gram_evaluator_log_derivatives_match_finite_differences():
+    rng = np.random.default_rng(10)
+    X = np.column_stack([np.sort(rng.uniform(0, 60, 9)), rng.uniform(0, 1, 9)])
+    bases = [KernelSpec(SQUARED_EXPONENTIAL), KernelSpec(RATIONAL_QUADRATIC, alpha=1.3)]
+    bases += [KernelSpec(MATERN, nu=nu) for nu in MATERN_NUS]
+    specs = family_specs(ndim=2) + [KernelSpec(MATERN, amplitude=1.1, lengthscales=(2.0, 0.5), nu=nu) for nu in (0.5, 2.5)]
+    specs += [
+        KernelSpec(PERIODIC, amplitude=1.2, lengthscales=(1.0, 0.7), roughness=0.8, period=23.3, base=b) for b in bases
+    ]
+    for spec in specs:
+        params = [kernels.Hyperparameter("amplitude")]
+        if spec.family == PERIODIC:
+            params += [kernels.Hyperparameter(f) for f in ("roughness", "period")]
+            params.append(kernels.Hyperparameter("lengthscales", 1))
+            if spec.base.family == RATIONAL_QUADRATIC:
+                params.append(kernels.Hyperparameter("alpha", on_base=True))
+        elif spec.family != WHITE_NOISE:
+            params += [kernels.Hyperparameter("lengthscales", d) for d in (0, 1)]
+            if spec.family == RATIONAL_QUADRATIC:
+                params.append(kernels.Hyperparameter("alpha"))
+        ev = kernels.GramEvaluator(X, X, same_samples=True)
+        K = ev.gram(spec).copy()
+        for p in params:
+            block = K * ev.log_derivative(p)
+            step = 1e-6
+            up = kernels.main_matrix(p.put(spec, p.get(spec) * math.exp(step)), X, X, same_samples=True)
+            down = kernels.main_matrix(p.put(spec, p.get(spec) * math.exp(-step)), X, X, same_samples=True)
+            fd = (up - down) / (2 * step)
+            assert np.allclose(block, fd, rtol=1e-6, atol=1e-8 * np.abs(K).max()), (spec.to_text(), p)
 
 
 # -- text form ---------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pvgp import pipeline
-from pvgp.geotime import GeoPoint, latlon_to_tm
+from pvgp.geotime import AlignmentError, GeoPoint, latlon_to_tm
 from pvgp.pipeline import (
     CoverageError,
     EmptyDatasetError,
@@ -322,3 +322,76 @@ def test_hrv_csv_fallback(tmp_path):
     assert stack.frames[0, 0, 0] == 100.0
     assert stack.frames[0, 0, 1] == 200.0
     assert stack.frames[1, 1, 0] == 300.0
+
+
+def random_stack(seed=3):
+    rng = np.random.default_rng(seed)
+    return make_stack(rng.uniform(0, 1023, size=(5, 8, 8)).astype(np.float32), [0, 1, 2, 5, 9])
+
+
+def test_hrv_binary_read_write_read_round_trips_exactly(tmp_path):
+    path = tmp_path / "stack.hrv"
+    write_hrv(path, random_stack())
+    first = read_hrv(path, EPOCH)
+    copy = tmp_path / "copy.hrv"
+    write_hrv(copy, first)
+    assert copy.read_bytes() == path.read_bytes()
+    second = read_hrv(copy, EPOCH)
+    assert np.array_equal(second.frame_indices, first.frame_indices)
+    assert np.array_equal(second.frames, first.frames)
+    assert (second.origin_easting, second.origin_northing, second.pixel_size) == (
+        first.origin_easting,
+        first.origin_northing,
+        first.pixel_size,
+    )
+
+
+def test_hrv_read_stack_survives_rewrite_of_its_path(tmp_path):
+    path = tmp_path / "stack.hrv"
+    original = random_stack(3)
+    write_hrv(path, original)
+    live = read_hrv(path, EPOCH)
+    write_hrv(path, make_stack(np.zeros((1, 2, 2), dtype=np.float32), [0]))
+    assert np.array_equal(live.frames, original.frames)
+    assert np.array_equal(live.frame_indices, original.frame_indices)
+    assert read_hrv(path, EPOCH).frames.shape == (1, 2, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stack.hrv"]
+
+
+def test_hrv_frames_are_read_only(tmp_path):
+    path = tmp_path / "stack.hrv"
+    write_hrv(path, random_stack())
+    stack = read_hrv(path, EPOCH)
+    with pytest.raises(ValueError):
+        stack.frames[0, 0, 0] = 1.0
+
+
+def test_hrv_binary_truncation_names_first_missing_frame(tmp_path):
+    path = tmp_path / "stack.hrv"
+    write_hrv(path, random_stack())
+    record = 8 + 8 * 8 * 4
+    data = path.read_bytes()
+    for keep, missing in ((5 * record - 1, 4), (3 * record, 3), (3 * record + 4, 3), (0, 0)):
+        path.write_bytes(data[: len(data) - 5 * record + keep])
+        with pytest.raises(ValueError, match=f"truncated frame {missing}$"):
+            read_hrv(path, EPOCH)
+    path.write_bytes(data[:20])
+    with pytest.raises(ValueError, match="truncated HRV header"):
+        read_hrv(path, EPOCH)
+
+
+def test_hrv_binary_off_grid_frame_names_first_bad_frame(tmp_path):
+    path = tmp_path / "stack.hrv"
+    write_hrv(path, random_stack())
+    record = 8 + 8 * 8 * 4
+    data = bytearray(path.read_bytes())
+    header = len(data) - 5 * record
+    t_s = int(EPOCH.timestamp()) + 5 * 300 + 7  # frame 3 moved off the 5-minute grid
+    data[header + 3 * record : header + 3 * record + 8] = t_s.to_bytes(8, "little", signed=True)
+    path.write_bytes(bytes(data))
+    with pytest.raises(AlignmentError, match=f"frame 3 at {t_s}s is off the 5-minute grid"):
+        read_hrv(path, EPOCH)
+    # an off-grid frame before the truncation point is reported first, as before
+    path.write_bytes(bytes(data[: header + 4 * record + 10]))
+    with pytest.raises(AlignmentError, match="frame 3 at"):
+        read_hrv(path, EPOCH)
