@@ -26,7 +26,7 @@ import numpy as np
 from . import experiments as ex
 from . import geotime, gp, kernels, pipeline
 from .geotime import AlignmentError, ProjectionDomainError, TransverseMercator
-from .gp import ConditioningError, FitError, TrainingSet
+from .gp import ConditioningError, FitError
 from .kernels import KernelSpecError
 from .pipeline import BoundaryBox, EmptyDatasetError
 
@@ -135,11 +135,16 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def _write_effective_config(cfg: dict, outdir: Path) -> Path:
+def _write_effective_config(cfg: dict) -> Path:
+    """Write ``effective_config.json`` into the output directory and return the directory.
+
+    Called once a command's inputs have loaded, so a run rejected for its
+    inputs leaves no output behind.
+    """
+    outdir = Path(cfg["paths"]["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "effective_config.json"
-    path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    (outdir / "effective_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return outdir
 
 
 def _require_path(cfg: dict, key: str) -> Path:
@@ -204,9 +209,8 @@ def _print_filter_summary(meta, result, out) -> None:
 
 
 def cmd_ingest(cfg: dict, args) -> int:
-    outdir = Path(cfg["paths"]["output_dir"])
-    _write_effective_config(cfg, outdir)
     meta, power, stack, result = _load_bundle(cfg)
+    outdir = _write_effective_config(cfg)
     _print_filter_summary(meta, result, sys.stdout)
     patch = cfg["hrv"]["patch_px"]
     datasets = _assemble_kept(cfg, power, stack, result.kept, patch)
@@ -214,16 +218,13 @@ def cmd_ingest(cfg: dict, args) -> int:
         path = outdir / f"assembled_{sid}_{patch}px.csv"
         lines = ["time_index,timestamp_utc,hrv_mean,power_w"]
         for t, h, p in zip(series.time_index.tolist(), series.hrv_mean.tolist(), series.power_w.tolist()):
-            stamp = geotime.index_to_timestamp(t, series.epoch_utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-            lines.append(f"{t},{stamp},{h!r},{p!r}")
+            lines.append(f"{t},{geotime.index_to_iso(t, series.epoch_utc)},{h!r},{p!r}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"assembled system {sid}: {series.n} rows, {series.gaps} gaps -> {path}", file=sys.stdout)
     return 0
 
 
 def cmd_synth(cfg: dict, args) -> int:
-    outdir = Path(cfg["paths"]["output_dir"])
-    _write_effective_config(cfg, outdir)
     s = cfg["synth"]
     projection = TransverseMercator.from_mapping(cfg["projection"])
     location = geotime.GeoPoint.from_latlon(s["latitude"], s["longitude"], projection)
@@ -243,26 +244,13 @@ def cmd_synth(cfg: dict, args) -> int:
         clear_sky_hrv=s["clear_sky_hrv"],
         overcast_hrv=s["overcast_hrv"],
     )
-    paths = bundle.write(outdir)
+    paths = bundle.write(_write_effective_config(cfg))
     for kind, path in paths.items():
         print(f"{kind}: {path}", file=sys.stdout)
     return 0
 
 
-def _training_set_for(cfg, series, end_index: int):
-    fc = cfg["forecast"]
-    lo = end_index - fc["training_days"] * geotime.STEPS_PER_DAY
-    rows = series.window(lo, end_index)
-    if rows.n < 2:
-        raise EmptyDatasetError(f"training window [{lo}, {end_index}) holds {rows.n} rows")
-    mask = (rows.time_index - lo) % fc["training_stride"] == 0
-    X = np.column_stack([rows.time_index[mask].astype(float), rows.hrv_mean[mask]])
-    return TrainingSet.from_arrays(X, rows.power_w[mask])
-
-
 def cmd_fit(cfg: dict, args) -> int:
-    outdir = Path(cfg["paths"]["output_dir"])
-    _write_effective_config(cfg, outdir)
     meta, power, stack, result = _load_bundle(cfg)
     series_map = _assemble_kept(cfg, power, stack, result.kept, cfg["hrv"]["patch_px"])
     key = (args.system, cfg["hrv"]["patch_px"])
@@ -270,8 +258,10 @@ def cmd_fit(cfg: dict, args) -> int:
         raise ConfigError(f"unknown or filtered system {args.system}")
     series = series_map[key]
     end = int(series.time_index.max()) + 1
-    train = _training_set_for(cfg, series, end)
+    fc = cfg["forecast"]
+    train, _ = ex.training_set(series, end, fc["training_days"], fc["training_stride"])
     template = kernels.parse(cfg["kernel"])
+    outdir = _write_effective_config(cfg)
     fit_cfg = cfg["fit"]
     fitted = gp.fit_hyperparameters(
         train,
@@ -290,8 +280,6 @@ def cmd_fit(cfg: dict, args) -> int:
 
 
 def cmd_forecast(cfg: dict, args) -> int:
-    outdir = Path(cfg["paths"]["output_dir"])
-    _write_effective_config(cfg, outdir)
     meta, power, stack, result = _load_bundle(cfg)
     patch = cfg["hrv"]["patch_px"]
     series_map = _assemble_kept(cfg, power, stack, result.kept, patch)
@@ -318,13 +306,13 @@ def cmd_forecast(cfg: dict, args) -> int:
     fit_cfg = cfg["fit"]
     options = ex.FitOptions(restarts=fit_cfg["restarts"], max_iter=fit_cfg["max_iter"], optimize_period=fit_cfg["optimize_period"])
     runner = ex.forecast_48h if horizon == ex.STEPS_48H else ex.forecast_4h
+    outdir = _write_effective_config(cfg)
     outcome = runner(series, config, seed=cfg["seed"], fit_options=options)
 
     path = outdir / f"forecast_{args.system}_{start}.csv"
     lines = ["time_index,timestamp_utc,mean_w,sd_w"]
     for t, m, s in zip(outcome.time_index.tolist(), outcome.mean_clamped.tolist(), outcome.sd.tolist()):
-        stamp = geotime.index_to_timestamp(t, power.epoch_utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        lines.append(f"{t},{stamp},{m!r},{s!r}")
+        lines.append(f"{t},{geotime.index_to_iso(t, power.epoch_utc)},{m!r},{s!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"forecast written to {path} (MAE vs held-out truth: {outcome.mae:.2f} W)", file=sys.stdout)
     return 0
@@ -409,8 +397,6 @@ def _build_grid(cfg: dict, kept_ids: list[int]):
 
 
 def cmd_experiment(cfg: dict, args) -> int:
-    outdir = Path(cfg["paths"]["output_dir"])
-    _write_effective_config(cfg, outdir)
     meta, power, stack, result = _load_bundle(cfg)
     kept_ids = sorted(s.system_id for s in result.kept)
     configs = _build_grid(cfg, kept_ids)
@@ -424,6 +410,7 @@ def cmd_experiment(cfg: dict, args) -> int:
 
     fit_cfg = cfg["fit"]
     options = ex.FitOptions(restarts=fit_cfg["restarts"], max_iter=fit_cfg["max_iter"], optimize_period=fit_cfg["optimize_period"])
+    outdir = _write_effective_config(cfg)
     report = ex.run_grid(configs, datasets, seed=cfg["seed"], jobs=cfg["jobs"], fit_options=options)
 
     _write_report_files(report, outdir)
@@ -435,7 +422,6 @@ def cmd_experiment(cfg: dict, args) -> int:
 
 
 def _write_report_files(report: ex.ExperimentReport, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (outdir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     (outdir / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -444,13 +430,11 @@ def _write_report_files(report: ex.ExperimentReport, outdir: Path) -> None:
 
 
 def cmd_report(cfg: dict, args) -> int:
-    outdir = Path(cfg["paths"]["output_dir"])
-    _write_effective_config(cfg, outdir)
     report_path = Path(args.report)
     if not report_path.exists():
         raise FileNotFoundError(f"no such report: {report_path}")
     report = ex.ExperimentReport.from_json(report_path.read_text(encoding="utf-8"))
-    _write_report_files(report, outdir)
+    _write_report_files(report, _write_effective_config(cfg))
     print(report.to_text(), file=sys.stdout)
     return 0
 

@@ -54,6 +54,7 @@ __all__ = [
     "set_one_configs",
     "set_two_configs",
     "default_kernel",
+    "training_set",
 ]
 
 CLOUD_GIVEN = "given"
@@ -128,14 +129,9 @@ class ExperimentConfig:
 
     def kernel_label(self) -> str:
         k = self.kernel
-        if k.family == PERIODIC:
-            base = {SQUARED_EXPONENTIAL: "se", RATIONAL_QUADRATIC: "rq"}.get(k.base.family)
-            if base is None:
-                base = {0.5: "matern12", 1.5: "matern32", 2.5: "matern52"}[k.base.nu]
-            return f"periodic({base})"
-        if k.family == MATERN:
-            return {0.5: "matern12", 1.5: "matern32", 2.5: "matern52"}[k.nu]
-        return k.family
+        shape = k.base if k.family == PERIODIC else k
+        name = kernels._matern_name(shape.nu) if shape.family == MATERN else shape.family
+        return f"periodic({name})" if k.family == PERIODIC else name
 
     def key(self) -> str:
         return "|".join(
@@ -218,6 +214,23 @@ def _anchor_template(template: KernelSpec, train: TrainingSet) -> KernelSpec:
     return replace(template, amplitude=train.target_scale, noise_variance=0.05 * train.target_scale**2)
 
 
+def training_set(series: AssembledSeries, end: int, training_days: int, stride: int) -> tuple[TrainingSet, AssembledSeries]:
+    """Training set from the ``training_days`` of rows ending before ``end``.
+
+    Keeps every ``stride``-th step counted from the window's start and
+    returns it with the window's rows before thinning.  Raises
+    :class:`~pvgp.pipeline.CoverageError` naming the window when it holds
+    fewer than two rows.
+    """
+    lo = end - training_days * geotime.STEPS_PER_DAY
+    rows = series.window(lo, end)
+    if rows.n < 2:
+        raise CoverageError(f"training window [{lo}, {end}) holds {rows.n} rows")
+    mask = (rows.time_index - lo) % stride == 0
+    X = np.column_stack([rows.time_index[mask].astype(float), rows.hrv_mean[mask]])
+    return TrainingSet.from_arrays(X, rows.power_w[mask]), rows
+
+
 def _forecast_once(
     series: AssembledSeries,
     cfg: ExperimentConfig,
@@ -226,14 +239,7 @@ def _forecast_once(
     fit_options: FitOptions,
 ) -> ForecastResult:
     start = cfg.forecast_start + day * geotime.STEPS_PER_DAY
-    lo = start - cfg.training_days * geotime.STEPS_PER_DAY
-
-    train_rows = series.window(lo, start)
-    if train_rows.n < 2:
-        raise CoverageError(f"training window [{lo}, {start}) holds {train_rows.n} rows")
-    stride_mask = (train_rows.time_index - lo) % cfg.training_stride == 0
-    X = np.column_stack([train_rows.time_index[stride_mask].astype(float), train_rows.hrv_mean[stride_mask]])
-    train = TrainingSet.from_arrays(X, train_rows.power_w[stride_mask])
+    train, train_rows = training_set(series, start, cfg.training_days, cfg.training_stride)
 
     horizon = series.window(start, start + cfg.horizon_steps)
     wanted = np.arange(start, start + cfg.horizon_steps)
@@ -549,8 +555,7 @@ class SyntheticBundle:
         idx, watts = self.power.series[self.system.system_id]
         lines = ["timestamp_utc,system_id,power_w"]
         for t, p in zip(idx.tolist(), watts.tolist()):
-            stamp = geotime.index_to_timestamp(t, self.power.epoch_utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-            lines.append(f"{stamp},{self.system.system_id},{p!r}")
+            lines.append(f"{geotime.index_to_iso(t, self.power.epoch_utc)},{self.system.system_id},{p!r}")
         power_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         hrv_path = outdir / "hrv.bin"
         pipeline.write_hrv(hrv_path, self.stack)

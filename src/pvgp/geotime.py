@@ -28,6 +28,7 @@ __all__ = [
     "solar_elevation_deg",
     "timestamp_to_index",
     "index_to_timestamp",
+    "index_to_iso",
     "STEP_SECONDS",
     "STEPS_PER_DAY",
     "NIGHT_ELEVATION_DEG",
@@ -309,3 +310,8 @@ def timestamp_to_index(t: dt.datetime, epoch: dt.datetime) -> int:
 def index_to_timestamp(index: int, epoch: dt.datetime) -> dt.datetime:
     """UTC timestamp of a 5-minute index; exact inverse of timestamp_to_index."""
     return _as_utc(epoch) + dt.timedelta(seconds=int(index) * STEP_SECONDS)
+
+
+def index_to_iso(index: int, epoch: dt.datetime) -> str:
+    """``YYYY-MM-DDTHH:MM:SSZ`` form of a 5-minute index, as the CSV files write it."""
+    return index_to_timestamp(index, epoch).strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -12,8 +12,10 @@ matrix; only the likelihood gradient forms ``K^-1``, from that factor,
 because its trace terms need every entry.  Jitter starts at
 ``1e-10 * mean(diag)`` and escalates tenfold up to ``1e-4`` before a
 :class:`ConditioningError` is raised naming the kernel.  Noise and jitter
-are added on the diagonal only, and the factor is computed in its own
-buffer, so a posterior peaks near two n x n arrays.
+are added on the diagonal only, and one n x n buffer carries each
+factorisation: the Gram is built into it, factorised in place, and the
+factor is solved against (and, for the gradient, inverted) in that same
+memory, so a posterior peaks near one n x n array.
 
 The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
@@ -23,6 +25,7 @@ every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,8 +136,8 @@ class PosteriorPrediction:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
 
 
-def build_covariance(A, B, spec: KernelSpec, with_noise: bool = False) -> np.ndarray:
-    """Covariance block ``K(A, B)`` under ``spec``.
+def build_covariance(A, B, spec: KernelSpec, with_noise: bool = False, out=None) -> np.ndarray:
+    """Covariance block ``K(A, B)`` under ``spec``, written into ``out`` when given.
 
     The Kronecker-delta noise term contributes only when ``with_noise`` is
     set and A and B are the same sample list, i.e. the same array object;
@@ -145,7 +148,7 @@ def build_covariance(A, B, spec: KernelSpec, with_noise: bool = False) -> np.nda
     same = A is B
     A2 = np.atleast_2d(np.asarray(A, dtype=float))
     B2 = A2 if same else np.atleast_2d(np.asarray(B, dtype=float))
-    K = kernels.main_matrix(spec, A2, B2, same_samples=same)
+    K = kernels.main_matrix(spec, A2, B2, same_samples=same, out=out)
     if with_noise and same and spec.noise_variance > 0:
         _diagonal(K)[...] += spec.noise_variance
     return K
@@ -156,31 +159,48 @@ def _diagonal(K: np.ndarray) -> np.ndarray:
     return np.einsum("ii->i", K)
 
 
-def _cholesky_with_jitter(K: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric K plus escalating jitter.
+def _gram_builder(X: np.ndarray, spec: KernelSpec, s2: float):
+    """``build()`` for :func:`_cholesky_with_jitter`: ``(K(X, X) + sigma^2 I) / s2`` in one n x n buffer."""
+    buffer = np.empty((X.shape[0], X.shape[0]))
 
-    Each attempt copies K into the factor's own Fortran-ordered buffer,
-    adds the jitter on its diagonal and factorises it in place, so K is
-    left unchanged and no identity or shifted copy of K is built.
+    def build() -> np.ndarray:
+        K = build_covariance(X, X, spec, with_noise=True, out=buffer)
+        K /= s2
+        return K
+
+    return build
+
+
+def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric Gram plus escalating jitter, in the Gram's buffer.
+
+    ``build()`` fills a C-ordered n x n buffer with the symmetric Gram and
+    returns it.  Its transpose ``K.T`` is a Fortran-ordered view of the
+    same matrix, which each attempt factorises in place after putting the
+    jitter on its diagonal; the factor returned is that view, with its
+    upper triangle zeroed, so the buffer that held the Gram holds the
+    factor and no second n x n array is made.  A failed attempt has
+    overwritten the buffer, so ``build()`` refills it before the next one.
+    The jitter is ``eps * mean(diag)`` of the Gram as first built.
     """
+    K = build()
     n = K.shape[0]
-    diag = K.diagonal()
+    diag = K.diagonal().copy()
     scale = float(np.mean(diag)) if n else 1.0
     if scale <= 0 or not math.isfinite(scale):
         scale = 1.0
-    # K is symmetric, so its transpose is the Fortran-ordered copy of itself
-    L = np.empty((n, n), order="F")
     eps = JITTER_INITIAL
-    while eps <= JITTER_MAX * (1 + 1e-12):
-        np.copyto(L, K.T)
-        _diagonal(L)[...] = diag + eps * scale
+    while True:
+        _diagonal(K)[...] = diag + eps * scale
         try:
-            return scipy.linalg.cholesky(L, lower=True, overwrite_a=True)
+            return scipy.linalg.cholesky(K.T, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError:
             eps *= 10.0
-    raise ConditioningError(
-        f"covariance factorisation failed at jitter {JITTER_MAX:g} for kernel {spec.to_text()}"
-    )
+        if eps > JITTER_MAX * (1 + 1e-12):
+            raise ConditioningError(
+                f"covariance factorisation failed at jitter {JITTER_MAX:g} for kernel {spec.to_text()}"
+            )
+        K = build()
 
 
 def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPrediction:
@@ -203,16 +223,14 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
         return PosteriorPrediction(mean=mean, cov=_tidy_cov(Kss))
 
     s2 = train.target_scale**2
-    K = build_covariance(train.inputs, train.inputs, spec, with_noise=True)
-    K /= s2
-    L = _cholesky_with_jitter(K, spec)
-    del K  # the factor has its own buffer; free the Gram before the cross block
+    L = _cholesky_with_jitter(_gram_builder(train.inputs, spec, s2), spec)
     y = train.scaled_targets()
     alpha = scipy.linalg.cho_solve((L, True), y)
     Ks = build_covariance(query_X, train.inputs, spec)
     Ks /= s2
     mean = train.target_mean + train.target_scale * (Ks @ alpha)
-    V = scipy.linalg.solve_triangular(L, Ks.T, lower=True)
+    # Ks.T is Fortran-ordered, so the solve overwrites the cross block
+    V = scipy.linalg.solve_triangular(L, Ks.T, lower=True, overwrite_b=True)
     cov = Kss - s2 * (V.T @ V)
     return PosteriorPrediction(mean=mean, cov=_tidy_cov(cov))
 
@@ -230,9 +248,10 @@ class LmlGradient:
     Built once per training set for a list of free
     :class:`~pvgp.kernels.Hyperparameter`.  Passed to
     :func:`log_marginal_likelihood`, it builds the training Gram from its
-    :class:`~pvgp.kernels.GramEvaluator` into reused buffers and fills
-    :attr:`value` with ``d LML / d log theta`` from the same Cholesky factor
-    as the likelihood itself:
+    :class:`~pvgp.kernels.GramEvaluator` into one reused buffer, where the
+    Gram is factorised and then inverted in place, and fills :attr:`value`
+    with ``d LML / d log theta`` from the same Cholesky factor as the
+    likelihood itself:
     ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` (Rasmussen & Williams
     2006, section 5.4.1).  The jitter is treated as a constant.
     """
@@ -253,9 +272,12 @@ class LmlGradient:
         return K
 
     def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray, s2: float) -> None:
-        """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``."""
+        """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``.
+
+        L is overwritten with ``K^-1``.
+        """
         # K^-1 in the lower triangle; L's upper triangle of zeros is kept
-        inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
+        inv, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
         if info:
             raise ConditioningError(f"covariance inverse failed (info {info}) for kernel {spec.to_text()}")
         # every derivative block G is symmetric, so sum((alpha alpha^T - K^-1) * G)
@@ -291,16 +313,16 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
         return 0.0
     s2 = train.target_scale**2
     if gradient is None:
-        K = build_covariance(train.inputs, train.inputs, spec, with_noise=True)
-        K /= s2
+        build = _gram_builder(train.inputs, spec, s2)
     else:
-        K = gradient.covariance(spec, s2)
-    L = _cholesky_with_jitter(K, spec)
+        build = functools.partial(gradient.covariance, spec, s2)
+    L = _cholesky_with_jitter(build, spec)
     y = train.scaled_targets()
     alpha = scipy.linalg.cho_solve((L, True), y)
+    value = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
     if gradient is not None:
         gradient.fill(spec, L, alpha, s2)
-    return float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
+    return value
 
 
 def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray:
@@ -311,8 +333,7 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     query_X = np.atleast_2d(np.asarray(query_X, dtype=float))
-    K = build_covariance(query_X, query_X, spec, with_noise=True)
-    L = _cholesky_with_jitter(K, spec)
+    L = _cholesky_with_jitter(_gram_builder(query_X, spec, 1.0), spec)
     z = np.random.default_rng(seed).standard_normal((query_X.shape[0], count))
     return (L @ z).T
 

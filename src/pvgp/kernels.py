@@ -9,7 +9,9 @@ evaluates ``K_main`` and each ``d log K_main / d log theta`` element-wise
 from it into buffers reused across calls, which is what the fitter in
 :mod:`pvgp.gp` runs on.  ``main_matrix`` is the one-shot form used for
 posteriors: it runs the evaluator over row blocks written straight into
-the result.  :class:`Hyperparameter` addresses one positive scalar of a
+the result, which may be a buffer the caller owns (``out``), so that
+:mod:`pvgp.gp` can factorise the Gram in the memory it was built in.
+:class:`Hyperparameter` addresses one positive scalar of a
 spec by field.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
@@ -694,7 +696,7 @@ _LOG_DERIVATIVES = {
 }
 
 
-def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bool = False) -> np.ndarray:
+def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bool = False, out=None) -> np.ndarray:
     """Main-kernel block ``K_main(A, B)`` without the composite noise term.
 
     ``same_samples`` marks A and B as the same ordered sample list, which
@@ -702,14 +704,18 @@ def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bo
     diagonal.  The composite noise term is handled by the caller
     (:func:`pvgp.gp.build_covariance`).  The block is evaluated by
     :class:`GramEvaluator` in row blocks written straight into the result,
-    so the only full-size array is the result itself.
+    so the only full-size array is the result itself: ``out``, when given,
+    else a new array.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"input dimensionality mismatch: {A.shape[1]} vs {B.shape[1]}")
     spec.validate(ndim=A.shape[1])
-    K = np.empty((A.shape[0], B.shape[0]))
+    shape = (A.shape[0], B.shape[0])
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the block is {shape}")
+    K = np.empty(shape) if out is None else out
     rows = max(1, _BLOCK_ELEMENTS // max(B.shape[0], 1))
     for start in range(0, A.shape[0], rows):
         stop = start + rows

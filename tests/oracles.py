@@ -9,7 +9,9 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg
 
+from pvgp.gp import build_covariance
 from pvgp.kernels import PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, WHITE_NOISE
 
 # the library's documented jitter floor, shared so oracles factor the same matrix
@@ -80,6 +82,39 @@ def posterior_oracle(train, Q, spec):
     mu = train.target_mean
     mean = mu + Ks @ Kinv @ (train.targets - mu)
     cov = Kqq - Ks @ Kinv @ Ks.T
+    return mean, cov
+
+
+def jittered_factor_out_of_place(K):
+    """Lower Cholesky factor of a fresh ``K + eps * mean(diag) * I``, escalating eps tenfold."""
+    shift = float(np.mean(np.diag(K))) * np.eye(K.shape[0])
+    eps = JITTER0
+    while True:
+        try:
+            return scipy.linalg.cholesky(K + eps * shift, lower=True)
+        except scipy.linalg.LinAlgError:
+            eps *= 10.0
+
+
+def posterior_out_of_place(train, Q, spec):
+    """Posterior mean/cov with every factorisation and solve writing a new array.
+
+    The reference for the library's in-place linear algebra.  The Gram
+    blocks come from the library's own builder, and the arithmetic is the
+    library's step for step, so the two must agree bit for bit; only where
+    the factor and the solve are stored differs.
+    """
+    Q = np.array(Q, dtype=float, ndmin=2)
+    s2 = train.target_scale**2
+    Kss = build_covariance(Q, Q, spec)
+    L = jittered_factor_out_of_place(build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2)
+    alpha = scipy.linalg.cho_solve((L, True), train.scaled_targets())
+    Ks = build_covariance(Q, train.inputs, spec) / s2
+    mean = train.target_mean + train.target_scale * (Ks @ alpha)
+    V = scipy.linalg.solve_triangular(L, Ks.T, lower=True)
+    cov = Kss - s2 * (V.T @ V)
+    cov = (cov + cov.T) / 2.0
+    np.fill_diagonal(cov, np.clip(np.diag(cov).copy(), 0.0, None))
     return mean, cov
 
 

@@ -94,6 +94,14 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_failed_ingest_leaves_no_output(tmp_path, capsys):
+    paths = {"metadata": str(tmp_path / "nope.csv"), "power": "x", "hrv": "y", "output_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path / "c.json", paths=paths)
+    assert main(["ingest", "--config", cfg]) == 2
+    assert not (tmp_path / "out" / "effective_config.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", wibble=1)
     assert main(["ingest", "--config", cfg]) == 2

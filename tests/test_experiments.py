@@ -133,6 +133,18 @@ def test_forecast_horizon_mismatch_rejected():
         forecast_48h(series, make_config(horizon_steps=STEPS_4H, refit=False))
 
 
+def test_training_set_thins_from_window_start_and_names_an_empty_window():
+    _, series = scattered_series(days=3)
+    end = 2 * STEPS_PER_DAY + 7
+    train, rows = ex.training_set(series, end, training_days=1, stride=5)
+    lo = end - STEPS_PER_DAY
+    assert np.array_equal(rows.time_index, np.arange(lo, end))
+    assert np.array_equal(train.inputs[:, 0], np.arange(lo, end, 5.0))
+    assert np.array_equal(train.targets, rows.power_w[::5])
+    with pytest.raises(pipeline.CoverageError, match=r"training window \[-288, 0\) holds 0 rows"):
+        ex.training_set(series, 0, training_days=1, stride=1)
+
+
 def test_forecast_insufficient_coverage():
     _, series = scattered_series(days=2)
     cfg = make_config(forecast_start=2 * STEPS_PER_DAY - 10, refit=False)  # horizon leaves the data

@@ -1,18 +1,20 @@
 """Exact-GP inference against brute-force oracles."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from pvgp import gp, kernels
 from pvgp.gp import TrainingSet
 from pvgp.kernels import MATERN, PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, KernelSpec
 
-from oracles import gram_oracle, lml_oracle, posterior_oracle, stencil_gradient
+from oracles import gram_oracle, lml_oracle, posterior_oracle, posterior_out_of_place, stencil_gradient
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -183,6 +185,100 @@ def test_posterior_peak_memory_is_at_most_four_grams():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * n * n
+
+
+def test_posterior_peak_memory_is_near_one_gram():
+    # the Gram is factorised and solved against in the buffer it is built in
+    n = 1000
+    rng = np.random.default_rng(22)
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
+    query = np.column_stack([np.arange(float(n), n + 48.0), rng.uniform(0, 1, 48)])
+    spec = kernels.parse("periodic(matern12; h=850.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=4.0)")
+    tracemalloc.start()
+    try:
+        gp.posterior(train, query, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
+
+
+def test_posterior_bitwise_equals_out_of_place_factorisation():
+    rng = np.random.default_rng(31)
+    n = 300
+    for ndim in (1, 2):
+        for family in (SQUARED_EXPONENTIAL, RATIONAL_QUADRATIC, MATERN, PERIODIC):
+            spec = random_spec(rng, ndim, family)
+            t = np.arange(float(n))
+            X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
+            train = TrainingSet.from_arrays(X, rng.normal(5.0, 3.0, n))
+            Q = np.column_stack([np.arange(n, n + 24.0), rng.uniform(0, 1, 24)])[:, :ndim]
+            pred = gp.posterior(train, Q, spec)
+            mean, cov = posterior_out_of_place(train, Q, spec)
+            assert np.array_equal(pred.mean, mean), spec.to_text()
+            assert np.array_equal(pred.cov, cov), spec.to_text()
+
+
+def _record_cholesky_attempts(monkeypatch) -> list[str]:
+    """Wrap ``scipy.linalg.cholesky`` and record each call's outcome, as a tracer would."""
+    attempts: list[str] = []
+    cholesky = scipy.linalg.cholesky
+
+    def recorded(*args, **kwargs):
+        try:
+            factor = cholesky(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            attempts.append("failed")
+            raise
+        attempts.append("ok")
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", recorded)
+    return attempts
+
+
+def _lowered_duplicate_row_gram(spec: KernelSpec, shift: float):
+    """``build()`` of the zero-noise Gram of duplicated rows, diagonal lowered by ``shift * mean(diag)``.
+
+    The Gram itself factorises at the first jitter; the lowered diagonal
+    makes it indefinite until the jitter exceeds ``shift``.
+    """
+    gram = gp._gram_builder(np.repeat(np.arange(10.0), 2)[:, None], spec, 1.0)
+    builds: list[int] = []
+
+    def build():
+        K = gram()
+        K[np.diag_indices_from(K)] -= shift * np.mean(np.diag(K))
+        builds.append(1)
+        return K
+
+    return build, builds
+
+
+def test_cholesky_retry_refills_the_buffer_and_escalates_jitter(monkeypatch):
+    spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,))
+    build, builds = _lowered_duplicate_row_gram(spec, 3e-9)
+    attempts = _record_cholesky_attempts(monkeypatch)
+    L = gp._cholesky_with_jitter(build, spec)
+    monkeypatch.undo()
+    # the failures at eps 1e-10 and 1e-9 raise through scipy.linalg.cholesky,
+    # and each failed attempt's wiped buffer is rebuilt
+    assert attempts == ["failed", "failed", "ok"]
+    assert len(builds) == 3
+    K = _lowered_duplicate_row_gram(spec, 3e-9)[0]()  # a fresh buffer: L is a view of build's
+    eps = gp.JITTER_INITIAL * 10.0 * 10.0
+    want = scipy.linalg.cholesky(K + eps * np.mean(np.diag(K)) * np.eye(K.shape[0]), lower=True)
+    assert np.array_equal(L, want)
+
+
+def test_cholesky_failure_at_max_jitter_names_the_kernel(monkeypatch):
+    spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,))
+    build, _ = _lowered_duplicate_row_gram(spec, 1e-2)
+    attempts = _record_cholesky_attempts(monkeypatch)
+    with pytest.raises(gp.ConditioningError, match=re.escape(spec.to_text())):
+        gp._cholesky_with_jitter(build, spec)
+    assert attempts == ["failed"] * 7  # eps = 1e-10, 1e-9, ..., 1e-4
 
 
 def test_training_set_validation():
