@@ -26,12 +26,13 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import geotime, gp, kernels, pipeline
 from .gp import ConditioningError, FitError, TrainingSet
-from .kernels import MATERN, PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, KernelSpec
+from .kernels import MATERN, PERIODIC, RATIONAL_QUADRATIC, KernelSpec
 from .pipeline import AssembledSeries, CoverageError, EmptyDatasetError, HrvRasterStack, PowerData, PvSystem
 
 __all__ = [
@@ -186,14 +187,10 @@ class ForecastResult:
 
 def default_kernel(base: str = "matern12", ndim: int = 2) -> KernelSpec:
     """Periodic daily-cycle kernel template around a stationary base."""
-    if base == "se":
-        inner = KernelSpec(SQUARED_EXPONENTIAL)
-    elif base == "rq":
-        inner = KernelSpec(RATIONAL_QUADRATIC, alpha=2.0)
-    elif base in ("matern12", "matern32", "matern52"):
-        inner = KernelSpec(MATERN, nu={"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}[base])
-    else:
+    if base not in kernels._NAME_TO_FAMILY:
         raise ValueError(f"unknown base kernel {base!r}")
+    family, nu = kernels._NAME_TO_FAMILY[base]
+    inner = KernelSpec(family, alpha=2.0 if family == RATIONAL_QUADRATIC else None, nu=nu)
     return KernelSpec(
         PERIODIC,
         amplitude=1.0,
@@ -491,9 +488,6 @@ def export_boxplot_data(report: ExperimentReport, group_by: str, path=None) -> l
     rows = []
     for key in sorted(groups):
         values = np.sort(np.asarray(groups[key], dtype=float))
-        if values.size < 1:
-            warnings.warn(f"group {key} has no samples; omitted", stacklevel=2)
-            continue
         q1, median, q3 = (float(v) for v in np.percentile(values, [25, 50, 75]))
         iqr = q3 - q1
         lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -518,8 +512,6 @@ def export_boxplot_data(report: ExperimentReport, group_by: str, path=None) -> l
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
-        from pathlib import Path
-
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return rows
 
@@ -540,8 +532,6 @@ class SyntheticBundle:
     clear_power: np.ndarray
 
     def write(self, outdir) -> dict[str, str]:
-        from pathlib import Path
-
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         meta = outdir / "metadata.csv"

@@ -1,17 +1,16 @@
 """Covariance kernels for the PV power Gaussian-process model.
 
 A kernel is described declaratively by :class:`KernelSpec` and evaluated
-either point-wise (``eval_composite``) or as a Gram block.  Gram blocks
-have one evaluator, :class:`GramEvaluator`: it computes the input geometry
-of a block once -- the per-axis distances ``|x_d - x'_d|`` and the periodic
-chord ``2|sin(pi*dt/T)|``, the chord rebuilt only when T changes -- and
-evaluates ``K_main`` and each ``d log K_main / d log theta`` element-wise
-from it into buffers reused across calls, which is what the fitter in
-:mod:`pvgp.gp` runs on.  ``main_matrix`` is the one-shot form used for
-posteriors: it runs the evaluator over row blocks written straight into
-the result, which may be a buffer the caller owns (``out``), so that
-:mod:`pvgp.gp` can factorise the Gram in the memory it was built in.
-:class:`Hyperparameter` addresses one positive scalar of a
+as a Gram block by one evaluator, :class:`GramEvaluator`: it computes the
+input geometry of a block once -- the per-axis distances ``|x_d - x'_d|``
+and the periodic chord ``2|sin(pi*dt/T)|``, the chord rebuilt only when T
+changes -- and evaluates ``K_main`` and each ``d log K_main / d log
+theta`` element-wise from it into buffers reused across calls, which is
+what the fitter in :mod:`pvgp.gp` runs on.  ``main_matrix`` is the
+one-shot form used for posteriors: it runs the evaluator over row blocks
+written straight into the result, which may be a buffer the caller owns
+(``out``), so that :mod:`pvgp.gp` can factorise the Gram in the memory it
+was built in.  :class:`Hyperparameter` addresses one positive scalar of a
 spec by field.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
@@ -48,7 +47,10 @@ Every spec has a canonical textual serialisation::
                  [", w=" FLOAT ", T=" FLOAT]   ; periodic only
 
 Floats are written with ``repr`` so that ``parse(to_text(s)) == s``
-round-trips exactly.  Example::
+round-trips exactly.  ``parse`` rejects an argument its term does not take
+(``alpha`` off rq, ``w``/``T`` off periodic, ``sigma2`` off the noise
+term, any other key), a repeated argument, and a list where a number
+belongs.  Example::
 
     periodic(matern12; h=1.0, ls=[1.0, 0.3], w=1.0, T=288.0) + whitenoise(sigma2=0.01)
 """
@@ -71,12 +73,6 @@ __all__ = [
     "MATERN_NUS",
     "KernelSpec",
     "KernelSpecError",
-    "eval_white_noise",
-    "eval_se",
-    "eval_rq",
-    "eval_matern",
-    "eval_periodic",
-    "eval_composite",
     "main_matrix",
     "GramEvaluator",
     "Hyperparameter",
@@ -223,39 +219,32 @@ _TERM_RE = re.compile(r"^(\w+)\(\s*(?:(\w+)\s*;\s*)?(.*)\)$")
 
 def parse(text: str) -> KernelSpec:
     """Parse the canonical text form back into a :class:`KernelSpec`."""
-    terms = _split_terms(text)
+    terms = _split_outside(text, " + ", "()")
     if not 1 <= len(terms) <= 2:
         raise KernelSpecError(f"expected 'main' or 'main + whitenoise(...)', got {text!r}")
     spec = _parse_main(terms[0])
     if len(terms) == 2:
-        name, _, args = _parse_term(terms[1])
-        if name != "whitenoise" or set(args) != {"sigma2"}:
+        name, base_name, args = _parse_term(terms[1])
+        if name != "whitenoise" or base_name is not None:
             raise KernelSpecError(f"noise term must be whitenoise(sigma2=...), got {terms[1]!r}")
-        sigma2 = args["sigma2"]
+        _check_keys(args, {"sigma2"}, terms[1])
+        sigma2 = _require_float(args, "sigma2", terms[1])
         if sigma2 < 0:
             raise KernelSpecError(f"sigma2 must be >= 0, got {sigma2}")
         spec = replace(spec, noise_variance=sigma2)
     return spec
 
 
-def _split_terms(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and text[i : i + 3] == " + ":
-            parts.append("".join(cur).strip())
-            cur = []
-            i += 3
-            continue
-        cur.append(ch)
-        i += 1
-    parts.append("".join(cur).strip())
-    return [p for p in parts if p]
+def _split_outside(text: str, sep: str, brackets: str) -> list[str]:
+    """``text`` split at each ``sep`` outside the ``brackets`` pair; pieces stripped, empty ones dropped."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == brackets[0]) - (ch == brackets[1])
+        if depth == 0 and i >= start and text.startswith(sep, i):
+            parts.append(text[start:i])
+            start = i + len(sep)
+    parts.append(text[start:])
+    return [p.strip() for p in parts if p.strip()]
 
 
 def _parse_term(term: str) -> tuple[str, str | None, dict[str, object]]:
@@ -264,184 +253,76 @@ def _parse_term(term: str) -> tuple[str, str | None, dict[str, object]]:
         raise KernelSpecError(f"cannot parse kernel term {term!r}")
     name, base_name, argtext = m.group(1), m.group(2), m.group(3).strip()
     args: dict[str, object] = {}
-    for piece in _split_args(argtext):
+    for piece in _split_outside(argtext, ",", "[]"):
         if "=" not in piece:
             raise KernelSpecError(f"expected key=value in {term!r}, got {piece!r}")
         key, val = (s.strip() for s in piece.split("=", 1))
-        if val.startswith("["):
-            if not val.endswith("]"):
-                raise KernelSpecError(f"unterminated list in {term!r}")
-            args[key] = tuple(float(v) for v in val[1:-1].split(",") if v.strip())
-        else:
-            try:
-                args[key] = float(val)
-            except ValueError as exc:
-                raise KernelSpecError(f"bad number {val!r} in {term!r}") from exc
+        if key in args:
+            raise KernelSpecError(f"repeated argument {key!r} in {term!r}")
+        is_list = val.startswith("[")
+        if is_list and not val.endswith("]"):
+            raise KernelSpecError(f"unterminated list in {term!r}")
+        try:
+            args[key] = tuple(float(v) for v in val[1:-1].split(",") if v.strip()) if is_list else float(val)
+        except ValueError as exc:
+            raise KernelSpecError(f"bad number in {key}={val} in {term!r}") from exc
     return name, base_name, args
-
-
-def _split_args(argtext: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in argtext:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
 
 
 def _parse_main(term: str) -> KernelSpec:
     name, base_name, args = _parse_term(term)
+    periodic = name == "periodic"
+    if base_name is not None and not periodic:
+        raise KernelSpecError(f"only periodic takes a base kernel, got {term!r}")
     if name == "whitenoise":
-        if set(args) != {"h"}:
-            raise KernelSpecError(f"whitenoise main kernel takes h=..., got {term!r}")
-        return KernelSpec(WHITE_NOISE, amplitude=float(args["h"]))  # type: ignore[arg-type]
-    if name == "periodic":
-        if base_name not in _NAME_TO_FAMILY:
-            raise KernelSpecError(f"unknown periodic base {base_name!r}")
-        fam, nu = _NAME_TO_FAMILY[base_name]
-        base = KernelSpec(fam, alpha=args.get("alpha") if fam == RATIONAL_QUADRATIC else None, nu=nu)  # type: ignore[arg-type]
-        return KernelSpec(
-            PERIODIC,
-            amplitude=_require_float(args, "h", term),
-            lengthscales=args.get("ls", (1.0,)),  # type: ignore[arg-type]
-            roughness=_require_float(args, "w", term),
-            period=_require_float(args, "T", term),
-            base=base,
-        )
-    if name in _NAME_TO_FAMILY:
-        fam, nu = _NAME_TO_FAMILY[name]
-        return KernelSpec(
-            fam,
-            amplitude=_require_float(args, "h", term),
-            lengthscales=args.get("ls", (1.0,)),  # type: ignore[arg-type]
-            alpha=args.get("alpha") if fam == RATIONAL_QUADRATIC else None,  # type: ignore[arg-type]
-            nu=nu,
-        )
-    raise KernelSpecError(f"unknown kernel name {name!r}")
+        _check_keys(args, {"h"}, term)
+        return KernelSpec(WHITE_NOISE, amplitude=_require_float(args, "h", term))
+    shape_name = base_name if periodic else name
+    if shape_name not in _NAME_TO_FAMILY:
+        raise KernelSpecError(f"unknown periodic base {base_name!r}" if periodic else f"unknown kernel name {name!r}")
+    fam, nu = _NAME_TO_FAMILY[shape_name]
+    rq = fam == RATIONAL_QUADRATIC
+    _check_keys(args, {"h", "ls"} | ({"alpha"} if rq else set()) | ({"w", "T"} if periodic else set()), term)
+    alpha = _require_float(args, "alpha", term) if rq else None
+    amplitude = _require_float(args, "h", term)
+    lengthscales = args.get("ls", (1.0,))
+    if not periodic:
+        return KernelSpec(fam, amplitude=amplitude, lengthscales=lengthscales, alpha=alpha, nu=nu)  # type: ignore[arg-type]
+    return KernelSpec(
+        PERIODIC,
+        amplitude=amplitude,
+        lengthscales=lengthscales,  # type: ignore[arg-type]
+        roughness=_require_float(args, "w", term),
+        period=_require_float(args, "T", term),
+        base=KernelSpec(fam, alpha=alpha, nu=nu),
+    )
+
+
+def _check_keys(args: dict[str, object], allowed: set[str], term: str) -> None:
+    unexpected = sorted(set(args) - allowed)
+    if unexpected:
+        raise KernelSpecError(f"unexpected argument {', '.join(map(repr, unexpected))} in {term!r}")
 
 
 def _require_float(args: dict[str, object], key: str, term: str) -> float:
-    if key not in args or not isinstance(args[key], float):
+    if key not in args:
         raise KernelSpecError(f"missing scalar argument {key!r} in {term!r}")
+    if not isinstance(args[key], float):
+        raise KernelSpecError(f"argument {key!r} must be one number, not a list, in {term!r}")
     return args[key]  # type: ignore[return-value]
 
 
-# -- point-wise evaluation ----------------------------------------------
-
-
-def eval_white_noise(i: int, j: int, sigma2: float) -> float:
-    """Index-keyed white noise: ``sigma2`` when ``i == j``, else 0."""
-    if sigma2 < 0:
-        raise KernelSpecError(f"sigma2 must be >= 0, got {sigma2}")
-    return float(sigma2) if i == j else 0.0
-
-
-def eval_se(r2, h: float):
-    """Squared exponential on scaled squared distance: ``h^2 * exp(-r2)``."""
-    return h * h * np.exp(-np.asarray(r2, dtype=float))
-
-
-def eval_rq(r2, h: float, alpha: float):
-    """Rational quadratic: ``h^2 * (1 + r2/alpha)^-alpha``."""
-    return h * h * (1.0 + np.asarray(r2, dtype=float) / alpha) ** (-alpha)
-
-
-def eval_matern(r, h: float, nu: float):
-    """Half-integer Matern on scaled distance ``r``.
-
-    nu = 1/2: ``h^2 exp(-r)``;  nu = 3/2: ``h^2 (1 + sqrt(3) r) exp(-sqrt(3) r)``;
-    nu = 5/2: ``h^2 (1 + sqrt(5) r + 5 r^2/3) exp(-sqrt(5) r)``.
-    """
-    if nu not in MATERN_NUS:
-        raise KernelSpecError(f"matern nu must be one of {MATERN_NUS}, got {nu}")
-    return h * h * _matern_profile(np.asarray(r, dtype=float), nu)
-
-
 def _matern_profile(r, nu: float):
+    """Half-integer Matern shape at scaled distance ``r``.
+
+    nu = 1/2: ``exp(-r)``;  nu = 3/2: ``(1 + sqrt(3) r) exp(-sqrt(3) r)``;
+    nu = 5/2: ``(1 + sqrt(5) r + 5 r^2/3) exp(-sqrt(5) r)``.
+    """
     if nu == 0.5:
         return np.exp(-r)
     if nu == 1.5:
         return (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
     return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r * r) * np.exp(-_SQRT5 * r)
-
-
-def _warp_profile(u, w: float, family: str, alpha: float | None, nu: float | None):
-    """Unit-amplitude base profile on the warped chord distance ``u``.
-
-    The warped axis uses the textbook periodic-kernel parameterisation, so
-    the SE profile carries the 1/2 factor here even though the plain SE
-    kernel does not.
-    """
-    u = np.asarray(u, dtype=float)
-    if family == SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * (u / w) ** 2)
-    if family == RATIONAL_QUADRATIC:
-        return (1.0 + (u / w) ** 2 / (2.0 * alpha)) ** (-alpha)
-    return _matern_profile(u / w, nu)
-
-
-def eval_periodic(d_time, h: float, w: float, period: float, base: KernelSpec):
-    """Periodic kernel value for time distance ``d_time``.
-
-    Maps the time axis onto a circle of period ``period``; the chord
-    distance ``u = 2|sin(pi*d/T)|`` is fed to the base family's profile
-    with lengthscale ``w``.  An SE base gives
-    ``h^2 * exp(-2 sin^2(pi*d/T) / w^2)``.
-    """
-    if not (h > 0 and w > 0 and period > 0):
-        raise KernelSpecError("periodic kernel needs h, w, T > 0")
-    if base.family not in STATIONARY_FAMILIES:
-        raise KernelSpecError("periodic base must be a stationary family (se, rq, matern)")
-    u = 2.0 * np.abs(np.sin(np.pi * np.asarray(d_time, dtype=float) / period))
-    return h * h * _warp_profile(u, w, base.family, base.alpha, base.nu)
-
-
-def _stationary_correlation(r2, family: str, alpha: float | None, nu: float | None):
-    """Unit-amplitude stationary kernel on scaled squared distance."""
-    r2 = np.asarray(r2, dtype=float)
-    if family == SQUARED_EXPONENTIAL:
-        return np.exp(-r2)
-    if family == RATIONAL_QUADRATIC:
-        return (1.0 + r2 / alpha) ** (-alpha)
-    return _matern_profile(np.sqrt(r2), nu)
-
-
-def eval_composite(xi, xj, i: int, j: int, spec: KernelSpec) -> float:
-    """Full composite kernel for one input pair: main kernel plus noise.
-
-    ``xi``/``xj`` are input vectors of equal dimensionality; ``i``/``j``
-    are their sample indices (the white-noise term keys on indices, not
-    values, so duplicated rows stay distinguishable).
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    xj = np.atleast_1d(np.asarray(xj, dtype=float))
-    if xi.shape != xj.shape:
-        raise ValueError(f"input dimensionality mismatch: {xi.shape} vs {xj.shape}")
-    spec.validate(ndim=xi.size)
-    return float(_main_value(xi, xj, i, j, spec) + eval_white_noise(i, j, spec.noise_variance))
-
-
-def _main_value(xi, xj, i, j, spec: KernelSpec) -> float:
-    if spec.family == WHITE_NOISE:
-        return spec.amplitude**2 if i == j else 0.0
-    if spec.family == PERIODIC:
-        k = float(eval_periodic(xi[0] - xj[0], spec.amplitude, spec.roughness, spec.period, spec.base))
-        if xi.size > 1:
-            ls = np.asarray(spec.lengthscales[1:])
-            r2 = float(np.sum(((xi[1:] - xj[1:]) / ls) ** 2))
-            k *= float(_stationary_correlation(r2, spec.base.family, spec.base.alpha, spec.base.nu))
-        return k
-    ls = np.asarray(spec.lengthscales)
-    r2 = float(np.sum(((xi - xj) / ls) ** 2))
-    return spec.amplitude**2 * float(_stationary_correlation(r2, spec.family, spec.alpha, spec.nu))
 
 
 # -- Gram evaluation ---------------------------------------------------------

@@ -150,6 +150,20 @@ def test_fit_outputs_parseable_kernel(tmp_path, capsys):
     assert fitted.family == "periodic"
 
 
+def test_fit_bad_kernel_argument_exits_two(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    for kernel, key in [
+        ("periodic(rq; h=1.0, ls=[1.0, 1.0], alpha=[2.0], w=1.0, T=288.0)", "'alpha'"),
+        ("periodic(matern12; h=1.0, lenscales=[1.0, 1.0], w=1.0, T=288.0)", "'lenscales'"),
+    ]:
+        cfg = write_config(tmp_path / "fit.json", paths={**paths, "output_dir": str(tmp_path / "out")}, kernel=kernel)
+        capsys.readouterr()
+        assert main(["fit", "--config", cfg, "--system", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_experiment_deterministic_and_reports_ordering(tmp_path, capsys):
     paths = make_bundle(tmp_path, days=3)
     cfg = experiment_config(tmp_path, paths)

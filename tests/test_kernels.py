@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from pvgp import kernels
+from pvgp import gp, kernels
 from pvgp.kernels import (
     MATERN,
     MATERN_NUS,
@@ -47,62 +47,79 @@ def family_specs(ndim=1):
     ]
 
 
-from oracles import composite_oracle
+from oracles import composite_oracle, cross_oracle
+
+
+def k1(spec, a, b):
+    """``spec``'s main kernel between the 1-D inputs ``a`` and ``b``, by the production Gram code."""
+    return float(kernels.main_matrix(spec, [[a]], [[b]])[0, 0])
+
+
+def duplicated_rows(sigma2, n=7):
+    """Gram with noise of ``n`` copies of one input under a unit SE, whose every main-kernel entry is 1."""
+    X = np.full((n, 1), 3.0)
+    return gp.build_covariance(X, X, spec_se(h=1.0, sigma2=sigma2), with_noise=True)
+
 
 # -- white noise -----------------------------------------------------------
 
 
 def test_white_noise_diagonal():
-    assert kernels.eval_white_noise(3, 3, 0.25) == 0.25
+    assert duplicated_rows(0.25)[3, 3] - 1.0 == 0.25
 
 
 def test_white_noise_off_diagonal():
-    assert kernels.eval_white_noise(3, 4, 0.25) == 0.0
+    assert duplicated_rows(0.25)[3, 4] - 1.0 == 0.0
 
 
 def test_white_noise_zero_variance():
-    assert kernels.eval_white_noise(0, 0, 0.0) == 0.0
+    assert duplicated_rows(0.0)[0, 0] - 1.0 == 0.0
 
 
 def test_white_noise_rejects_negative_variance():
     with pytest.raises(KernelSpecError):
-        kernels.eval_white_noise(0, 0, -1e-3)
+        spec_se(sigma2=-1e-3)
 
 
 # -- squared exponential ----------------------------------------------------
 
 
 def test_se_identity():
-    assert kernels.eval_se(0.0, 2.0) == 4.0
+    assert k1(spec_se(h=2.0), 0.0, 0.0) == 4.0
 
 
 def test_se_unit_distance():
-    assert kernels.eval_se(1.0, 1.0) == pytest.approx(EXP_M1, rel=1e-15)
+    assert k1(spec_se(), 0.0, 1.0) == pytest.approx(EXP_M1, rel=1e-15)
 
 
 def test_se_far_limit():
-    assert kernels.eval_se(40.0, 1.0) < 1e-12
+    assert k1(spec_se(), 0.0, math.sqrt(40.0)) < 1e-12
 
 
 # -- rational quadratic ------------------------------------------------------
 
 
+def spec_rq(alpha, h=1.0):
+    return KernelSpec(RATIONAL_QUADRATIC, amplitude=h, alpha=alpha)
+
+
 def test_rq_identity():
-    assert kernels.eval_rq(0.0, 1.0, 1.0) == 1.0
+    assert k1(spec_rq(1.0), 0.0, 0.0) == 1.0
 
 
 def test_rq_unit():
-    assert kernels.eval_rq(1.0, 1.0, 1.0) == pytest.approx(0.5, abs=0)
+    assert k1(spec_rq(1.0), 0.0, 1.0) == pytest.approx(0.5, abs=0)
 
 
 def test_rq_limits_to_se():
-    assert abs(kernels.eval_rq(1.0, 1.0, 1e6) - kernels.eval_se(1.0, 1.0)) < 1e-4
+    assert abs(k1(spec_rq(1e6), 0.0, 1.0) - k1(spec_se(), 0.0, 1.0)) < 1e-4
 
 
 def test_rq_se_convergence_is_monotone():
-    r2 = np.linspace(0.0, 10.0, 201)
-    se = kernels.eval_se(r2, 1.0)
-    sups = [np.max(np.abs(kernels.eval_rq(r2, 1.0, 2.0**k) - se)) for k in range(21)]
+    # distances whose squares span r2 in [0, 10]
+    r = np.sqrt(np.linspace(0.0, 10.0, 201))[:, None]
+    se = kernels.main_matrix(spec_se(), [[0.0]], r)
+    sups = [np.max(np.abs(kernels.main_matrix(spec_rq(2.0**k), [[0.0]], r) - se)) for k in range(21)]
     assert all(b < a for a, b in zip(sups, sups[1:]))
     assert sups[-1] < 1e-5
 
@@ -110,16 +127,20 @@ def test_rq_se_convergence_is_monotone():
 # -- matern ------------------------------------------------------------------
 
 
+def spec_matern(nu, h=1.0):
+    return KernelSpec(MATERN, amplitude=h, nu=nu)
+
+
 def test_matern_identity():
-    assert kernels.eval_matern(0.0, 3.0, 0.5) == 9.0
+    assert k1(spec_matern(0.5, h=3.0), 0.0, 0.0) == 9.0
 
 
 def test_matern12_unit():
-    assert kernels.eval_matern(1.0, 1.0, 0.5) == pytest.approx(EXP_M1, rel=1e-15)
+    assert k1(spec_matern(0.5), 0.0, 1.0) == pytest.approx(EXP_M1, rel=1e-15)
 
 
 def test_matern32_unit_closed_form():
-    assert kernels.eval_matern(1.0, 1.0, 1.5) == pytest.approx(MATERN32_AT_1, rel=1e-15)
+    assert k1(spec_matern(1.5), 0.0, 1.0) == pytest.approx(MATERN32_AT_1, rel=1e-15)
 
 
 def test_matern_closed_form_matches_bessel_oracle():
@@ -128,46 +149,46 @@ def test_matern_closed_form_matches_bessel_oracle():
         for r in (0.05, 0.3, 1.0, 2.7):
             arg = math.sqrt(2 * nu) * r
             oracle = (2 ** (1 - nu) / math.gamma(nu)) * arg**nu * scipy.special.kv(nu, arg)
-            assert kernels.eval_matern(r, 1.0, nu) == pytest.approx(oracle, rel=1e-10)
+            assert k1(spec_matern(nu), 0.0, r) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_matern_rejects_unsupported_nu():
     with pytest.raises(KernelSpecError):
-        kernels.eval_matern(1.0, 1.0, 2.0)
+        spec_matern(2.0)
 
 
 # -- periodic ----------------------------------------------------------------
 
 
-def se_base():
-    return KernelSpec(SQUARED_EXPONENTIAL)
+def periodic_se(h=1.0, w=1.0, T=288.0):
+    return spec_periodic(base_family=SQUARED_EXPONENTIAL, nu=None, h=h, w=w, T=T)
 
 
 def test_periodic_identity():
-    assert kernels.eval_periodic(0.0, 1.0, 1.0, 288.0, se_base()) == pytest.approx(1.0, abs=0)
+    assert k1(periodic_se(), 0.0, 0.0) == pytest.approx(1.0, abs=0)
 
 
 def test_periodic_full_period():
-    assert kernels.eval_periodic(288.0, 1.0, 1.0, 288.0, se_base()) == pytest.approx(1.0, abs=1e-15)
+    assert k1(periodic_se(), 0.0, 288.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_periodic_antiperiodic_point():
-    k = kernels.eval_periodic(144.0, 1.0, 1.0, 288.0, se_base())
+    k = k1(periodic_se(), 0.0, 144.0)
     assert k == pytest.approx(EXP_M2, rel=1e-14)
 
 
 def test_periodic_is_periodic():
     rng = np.random.default_rng(7)
-    base = se_base()
+    spec = periodic_se(h=1.2, w=0.7)
     for d in rng.uniform(0, 600, size=20):
-        k0 = kernels.eval_periodic(d, 1.2, 0.7, 288.0, base)
+        k0 = k1(spec, 0.0, d)
         for n in (1, 2, 5):
-            assert kernels.eval_periodic(d + n * 288.0, 1.2, 0.7, 288.0, base) == pytest.approx(k0, abs=1e-12)
+            assert k1(spec, 0.0, d + n * 288.0) == pytest.approx(k0, abs=1e-12)
 
 
 def test_periodic_rejects_non_stationary_base():
     with pytest.raises(KernelSpecError):
-        kernels.eval_periodic(1.0, 1.0, 1.0, 288.0, KernelSpec(WHITE_NOISE))
+        KernelSpec(PERIODIC, amplitude=1.0, roughness=1.0, period=288.0, base=KernelSpec(WHITE_NOISE))
 
 
 def test_periodic_base_cannot_be_periodic_or_noise():
@@ -179,37 +200,37 @@ def test_periodic_base_cannot_be_periodic_or_noise():
 
 
 def test_composite_diagonal_includes_noise():
-    spec = spec_se(h=1.0, sigma2=0.1)
-    assert kernels.eval_composite([3.0], [3.0], 5, 5, spec) == pytest.approx(1.1, abs=0)
+    assert duplicated_rows(0.1)[5, 5] == pytest.approx(1.1, abs=0)
 
 
 def test_composite_noise_keys_on_index_not_value():
-    spec = spec_se(h=1.0, sigma2=0.1)
-    assert kernels.eval_composite([3.0], [3.0], 5, 6, spec) == pytest.approx(1.0, abs=0)
+    assert duplicated_rows(0.1)[5, 6] == pytest.approx(1.0, abs=0)
 
 
 def test_composite_matches_scalar_oracle():
     rng = np.random.default_rng(42)
     for spec in family_specs(ndim=2):
         for _ in range(25):
-            xi, xj = rng.normal(size=2), rng.normal(size=2)
-            i, j = rng.integers(0, 4, size=2)
-            got = kernels.eval_composite(xi, xj, int(i), int(j), spec)
-            assert got == pytest.approx(composite_oracle(xi, xj, int(i), int(j), spec), rel=1e-12)
+            X = rng.normal(size=(4, 2))
+            K = gp.build_covariance(X, X, spec, with_noise=True)
+            for i in range(4):
+                for j in range(4):
+                    assert K[i, j] == pytest.approx(composite_oracle(X[i], X[j], i, j, spec), rel=1e-12)
 
 
 def test_composite_dimensionality_mismatch():
     with pytest.raises(ValueError):
-        kernels.eval_composite([1.0, 2.0], [1.0], 0, 1, spec_se())
+        kernels.main_matrix(spec_se(), [[1.0, 2.0]], [[1.0]])
 
 
 def test_composite_symmetry():
     rng = np.random.default_rng(3)
     for spec in family_specs(ndim=2):
         for _ in range(20):
-            xi, xj = rng.normal(size=2), rng.normal(size=2)
-            i, j = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-            assert kernels.eval_composite(xi, xj, i, j, spec) == kernels.eval_composite(xj, xi, j, i, spec)
+            A, B = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+            K = gp.build_covariance(A, A, spec, with_noise=True)
+            assert np.array_equal(K, K.T)
+            assert np.array_equal(kernels.main_matrix(spec, A, B), kernels.main_matrix(spec, B, A).T)
 
 
 def test_boundedness_by_self_covariance():
@@ -218,9 +239,8 @@ def test_boundedness_by_self_covariance():
         if spec.family == WHITE_NOISE:
             continue
         for _ in range(30):
-            xi, xj = rng.normal(size=2) * 3, rng.normal(size=2) * 3
-            self_k = kernels.eval_composite(xi, xi, 0, 1, spec)  # distinct indices: no noise
-            cross = kernels.eval_composite(xi, xj, 0, 1, spec)
+            X = rng.normal(size=(2, 2)) * 3
+            self_k, cross = kernels.main_matrix(spec, X[:1], X)[0]  # a cross block: no noise
             assert abs(cross) <= self_k + 1e-15
 
 
@@ -243,11 +263,11 @@ def test_main_matrix_matches_pointwise_loop():
     B = np.column_stack([np.arange(3.0) + 0.5, rng.uniform(0, 1, 3)])
     for spec in family_specs(ndim=2):
         K = kernels.main_matrix(spec, A, B)
+        # distinct index spaces: cross blocks carry no delta term
+        want = cross_oracle(A, B, spec)
         for i in range(4):
             for j in range(3):
-                # distinct index spaces: cross blocks carry no delta term
-                want = kernels.eval_composite(A[i], B[j], i, 4 + j, spec)
-                assert K[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert K[i, j] == pytest.approx(want[i, j], rel=1e-12, abs=1e-15)
 
 
 PERIODIC_2D = KernelSpec(
@@ -332,9 +352,29 @@ def test_text_form_is_documented_shape():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "se(h=1.0", "wibble(h=1.0)", "se(h=-1.0, ls=[1.0])", "se(h=1.0, ls=[1.0]) + se(h=1.0, ls=[1.0])"]:
+    for bad in [
+        "",
+        "se(h=1.0",
+        "wibble(h=1.0)",
+        "se(h=-1.0, ls=[1.0])",
+        "se(h=1.0, ls=[1.0]) + se(h=1.0, ls=[1.0])",
+        # a list where a number belongs
+        "rq(h=1.0, ls=[1.0], alpha=[2.0])",
+        "se(h=1.0, ls=[1.0]) + whitenoise(sigma2=[0.1])",
+        # an argument the term does not take
+        "se(h=1.0, ls=[1.0], bogus=3.0)",
+        "se(h=1.0, ls=[1.0], w=1.0, T=288.0)",
+        "periodic(se; h=1.0, ls=[1.0], alpha=2.0, w=1.0, T=288.0)",
+        "se(h=1.0, lenscales=[9.0])",
+        "se(h=1.0, ls=[1.0], sigma2=0.1)",
+        "se(h=1.0, ls=[1.0]) + whitenoise(sigma2=0.1, h=1.0)",
+        "se(h=1.0, h=2.0, ls=[1.0])",
+        "se(matern12; h=1.0, ls=[1.0])",
+        "se(h=1.0, ls=[a])",
+    ]:
         with pytest.raises(KernelSpecError):
             kernels.parse(bad)
+
 
 
 def test_spec_validation_rejects_bad_hyperparameters():
