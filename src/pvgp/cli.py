@@ -3,9 +3,19 @@
 One binary, subcommand style; all numerics live in the library modules and
 this stays a thin shell.  Subcommands: ``ingest``, ``synth``, ``fit``,
 ``forecast``, ``experiment``, ``report``.  Every run merges the JSON
-config over documented defaults (unknown keys rejected), applies CLI
-overrides, and writes the resulting effective config next to its outputs
-so the run can be reproduced bit-for-bit from that file and the seed.
+config over the defaults (unknown keys rejected), applies CLI overrides,
+and writes the resulting effective config next to its outputs so the run
+can be reproduced bit-for-bit from that file and the seed.
+
+Defaults the library owns are read from it, not restated: ``fit`` is
+:class:`~pvgp.experiments.FitOptions`, ``kernel`` is
+:func:`~pvgp.experiments.default_kernel`, the generator values and start
+date of ``synth`` are :func:`~pvgp.experiments.generate_synthetic`'s
+keyword defaults, and ``test_days``, ``training_stride`` and ``refit`` are
+:class:`~pvgp.experiments.ExperimentConfig`'s.  Each protocol block under
+``experiment`` (``set_one``, ``set_two``, ``custom``) holds its grid
+builder's keyword defaults under the builder's parameter names, and is
+passed to that builder as it stands.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 internal numerical
 failure.
@@ -17,6 +27,7 @@ import argparse
 import copy
 import csv
 import datetime as dt
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -36,6 +47,23 @@ __all__ = ["main", "DEFAULT_CONFIG", "load_config", "read_forecast_csv"]
 class ConfigError(ValueError):
     """Bad configuration document."""
 
+
+def _keyword_defaults(fn) -> dict:
+    """The keyword defaults of ``fn`` as config values (tuples become lists)."""
+    return {
+        name: list(p.default) if isinstance(p.default, tuple) else p.default
+        for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+_PROTOCOLS = {"set_one": ex.set_one_configs, "set_two": ex.set_two_configs, "custom": ex.custom_configs}
+# the grid cell fields with a default: test_days, training_stride, refit
+_CELL = _keyword_defaults(ex.ExperimentConfig)
+_GENERATOR = _keyword_defaults(ex.generate_synthetic)
+# generator keywords the synth block carries as they are; the start is a
+# date there, and the sensor maximum is hrv.sensor_max
+_SYNTH_KEYS = [key for key in _GENERATOR if key not in ("start_utc", "sensor_max")]
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -64,44 +92,25 @@ DEFAULT_CONFIG = {
         # geometry for the CSV fallback container, which has no header
         "csv_geometry": None,
     },
-    "kernel": "periodic(matern12; h=1.0, ls=[1.0, 1.0], w=1.0, T=288.0) + whitenoise(sigma2=0.01)",
-    "fit": {"restarts": 2, "max_iter": 200, "optimize_period": False},
-    "forecast": {"training_days": 1, "training_stride": 1, "refit": True},
+    "kernel": ex.default_kernel().to_text(),
+    "fit": _keyword_defaults(ex.FitOptions),
+    "forecast": {"training_days": 1, "training_stride": _CELL["training_stride"], "refit": _CELL["refit"]},
     "experiment": {
         "protocol": "set_two",
         "systems": [],
         "forecast_start_index": None,
-        "test_days": 1,
-        "training_stride": 1,
-        "refit": True,
-        "set_one": {
-            "training_days": [7, 14, 21, 30],
-            "patch_px": [2, 6, 12],
-            "kernel_bases": ["se", "rq", "matern12"],
-        },
-        "set_two": {"training_days": 21, "patch_px": [6, 12]},
-        "custom": {
-            "training_days": [1],
-            "patch_px": [6],
-            "kernels": [],
-            "horizon_steps": 48,
-            "cloud_modes": ["given"],
-        },
+        **_CELL,
+        **{name: _keyword_defaults(builder) for name, builder in _PROTOCOLS.items()},
     },
     "synth": {
         "scenario": "scattered",
         "days": 12,
-        "start_date": "2021-06-01",
+        "start_date": _GENERATOR["start_utc"].date().isoformat(),
         "system_id": 1,
         "latitude": 51.5,
         "longitude": -0.12,
         "capacity_w": 3000.0,
-        "cloud_attenuation": 0.9,
-        "overcast_fraction": 1.0,
-        "grid_px": 16,
-        "pixel_size": 1000.0,
-        "clear_sky_hrv": 0.08,
-        "overcast_hrv": 0.85,
+        **{key: _GENERATOR[key] for key in _SYNTH_KEYS},
     },
     "invocation": None,
 }
@@ -194,6 +203,16 @@ def _assemble_kept(cfg: dict, power, stack, kept, patch_px: int):
     return datasets
 
 
+def _load_series(cfg: dict, system_id: int):
+    """Load the bundle and assemble one kept system at ``hrv.patch_px``."""
+    _, power, stack, result = _load_bundle(cfg)
+    kept = [system for system in result.kept if system.system_id == system_id]
+    if not kept:
+        raise ConfigError(f"unknown or filtered system {system_id}")
+    patch = cfg["hrv"]["patch_px"]
+    return _assemble_kept(cfg, power, stack, kept, patch)[(system_id, patch)]
+
+
 def _print_filter_summary(meta, result, out) -> None:
     print(f"kept {len(result.kept)} system(s)", file=out)
     print(f"removed {len(result.removed)} system(s)", file=out)
@@ -229,20 +248,14 @@ def cmd_synth(cfg: dict, args) -> int:
     projection = TransverseMercator.from_mapping(cfg["projection"])
     location = geotime.GeoPoint.from_latlon(s["latitude"], s["longitude"], projection)
     system = pipeline.PvSystem(system_id=s["system_id"], location=location, capacity_w=s["capacity_w"])
-    start = dt.datetime.fromisoformat(s["start_date"]).replace(tzinfo=geotime.UTC)
     bundle = ex.generate_synthetic(
         s["scenario"],
         s["days"],
         system,
         seed=cfg["seed"],
-        start_utc=start,
-        cloud_attenuation=s["cloud_attenuation"],
-        overcast_fraction=s["overcast_fraction"],
-        grid_px=s["grid_px"],
-        pixel_size=s["pixel_size"],
+        start_utc=dt.datetime.fromisoformat(s["start_date"]).replace(tzinfo=geotime.UTC),
         sensor_max=cfg["hrv"]["sensor_max"],
-        clear_sky_hrv=s["clear_sky_hrv"],
-        overcast_hrv=s["overcast_hrv"],
+        **{key: s[key] for key in _SYNTH_KEYS},
     )
     paths = bundle.write(_write_effective_config(cfg))
     for kind, path in paths.items():
@@ -251,26 +264,12 @@ def cmd_synth(cfg: dict, args) -> int:
 
 
 def cmd_fit(cfg: dict, args) -> int:
-    meta, power, stack, result = _load_bundle(cfg)
-    series_map = _assemble_kept(cfg, power, stack, result.kept, cfg["hrv"]["patch_px"])
-    key = (args.system, cfg["hrv"]["patch_px"])
-    if key not in series_map:
-        raise ConfigError(f"unknown or filtered system {args.system}")
-    series = series_map[key]
-    end = int(series.time_index.max()) + 1
+    series = _load_series(cfg, args.system)
     fc = cfg["forecast"]
-    train, _ = ex.training_set(series, end, fc["training_days"], fc["training_stride"])
+    train, _ = ex.training_set(series, int(series.time_index.max()) + 1, fc["training_days"], fc["training_stride"])
     template = kernels.parse(cfg["kernel"])
     outdir = _write_effective_config(cfg)
-    fit_cfg = cfg["fit"]
-    fitted = gp.fit_hyperparameters(
-        train,
-        template,
-        restarts=fit_cfg["restarts"],
-        seed=cfg["seed"],
-        max_iter=fit_cfg["max_iter"],
-        optimize_period=fit_cfg["optimize_period"],
-    )
+    fitted = ex._fit(train, template, cfg["seed"], ex.FitOptions(**cfg["fit"]))
     objective = gp.log_marginal_likelihood(train, fitted)
     text = fitted.to_text()
     (outdir / "fitted_kernel.txt").write_text(f"{text}\nlog_marginal_likelihood={objective!r}\n", encoding="utf-8")
@@ -280,39 +279,26 @@ def cmd_fit(cfg: dict, args) -> int:
 
 
 def cmd_forecast(cfg: dict, args) -> int:
-    meta, power, stack, result = _load_bundle(cfg)
-    patch = cfg["hrv"]["patch_px"]
-    series_map = _assemble_kept(cfg, power, stack, result.kept, patch)
-    key = (args.system, patch)
-    if key not in series_map:
-        raise ConfigError(f"unknown or filtered system {args.system}")
-    series = series_map[key]
-
+    series = _load_series(cfg, args.system)
     start_ts = dt.datetime.fromisoformat(args.start.replace("Z", "+00:00"))
-    start = geotime.timestamp_to_index(start_ts, power.epoch_utc)
-    horizon = {"48h": ex.STEPS_48H, "4h": ex.STEPS_4H}[args.horizon]
-    fc = cfg["forecast"]
+    start = geotime.timestamp_to_index(start_ts, series.epoch_utc)
+    horizon, runner = {"48h": (ex.STEPS_48H, ex.forecast_48h), "4h": (ex.STEPS_4H, ex.forecast_4h)}[args.horizon]
     config = ex.ExperimentConfig(
-        training_days=fc["training_days"],
-        patch_px=patch,
+        **cfg["forecast"],
+        patch_px=cfg["hrv"]["patch_px"],
         kernel=kernels.parse(cfg["kernel"]),
         horizon_steps=horizon,
         cloud_mode=args.cloud_mode,
         forecast_start=start,
         system_ids=(args.system,),
-        training_stride=fc["training_stride"],
-        refit=fc["refit"],
     )
-    fit_cfg = cfg["fit"]
-    options = ex.FitOptions(restarts=fit_cfg["restarts"], max_iter=fit_cfg["max_iter"], optimize_period=fit_cfg["optimize_period"])
-    runner = ex.forecast_48h if horizon == ex.STEPS_48H else ex.forecast_4h
     outdir = _write_effective_config(cfg)
-    outcome = runner(series, config, seed=cfg["seed"], fit_options=options)
+    outcome = runner(series, config, seed=cfg["seed"], fit_options=ex.FitOptions(**cfg["fit"]))
 
     path = outdir / f"forecast_{args.system}_{start}.csv"
     lines = ["time_index,timestamp_utc,mean_w,sd_w"]
     for t, m, s in zip(outcome.time_index.tolist(), outcome.mean_clamped.tolist(), outcome.sd.tolist()):
-        lines.append(f"{t},{geotime.index_to_iso(t, power.epoch_utc)},{m!r},{s!r}")
+        lines.append(f"{t},{geotime.index_to_iso(t, series.epoch_utc)},{m!r},{s!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"forecast written to {path} (MAE vs held-out truth: {outcome.mae:.2f} W)", file=sys.stdout)
     return 0
@@ -337,63 +323,16 @@ def _build_grid(cfg: dict, kept_ids: list[int]):
     systems = [int(s) for s in e["systems"]] or kept_ids
     if not systems:
         raise ConfigError("no systems available for the experiment grid")
-    common = dict(
-        test_days=e["test_days"],
-        training_stride=e["training_stride"],
-        refit=e["refit"],
-    )
     protocol = e["protocol"]
-    if protocol == "set_one":
-        p = e["set_one"]
-        start = e["forecast_start_index"]
-        if start is None:
-            start = max(p["training_days"]) * geotime.STEPS_PER_DAY
-        return ex.set_one_configs(
-            systems,
-            forecast_start=int(start),
-            training_days_grid=tuple(p["training_days"]),
-            patch_grid=tuple(p["patch_px"]),
-            kernel_bases=tuple(p["kernel_bases"]),
-            **common,
-        )
-    if protocol == "set_two":
-        p = e["set_two"]
-        start = e["forecast_start_index"]
-        if start is None:
-            start = p["training_days"] * geotime.STEPS_PER_DAY
-        return ex.set_two_configs(
-            systems,
-            forecast_start=int(start),
-            training_days=p["training_days"],
-            patch_grid=tuple(p["patch_px"]),
-            **common,
-        )
-    if protocol == "custom":
-        p = e["custom"]
-        if not p["kernels"]:
-            raise ConfigError("experiment.custom.kernels must list at least one kernel")
-        start = e["forecast_start_index"]
-        if start is None:
-            start = max(p["training_days"]) * geotime.STEPS_PER_DAY
-        configs = []
-        for days in p["training_days"]:
-            for patch in p["patch_px"]:
-                for text in p["kernels"]:
-                    for mode in p["cloud_modes"]:
-                        configs.append(
-                            ex.ExperimentConfig(
-                                training_days=days,
-                                patch_px=patch,
-                                kernel=kernels.parse(text),
-                                horizon_steps=p["horizon_steps"],
-                                cloud_mode=mode,
-                                forecast_start=int(start),
-                                system_ids=tuple(systems),
-                                **common,
-                            )
-                        )
-        return configs
-    raise ConfigError(f"unknown experiment.protocol {protocol!r}")
+    if protocol not in _PROTOCOLS:
+        raise ConfigError(f"unknown experiment.protocol {protocol!r}")
+    block = e[protocol]
+    start = e["forecast_start_index"]
+    if start is None:
+        # the first launch follows the longest training window
+        start = int(np.max(block["training_days"])) * geotime.STEPS_PER_DAY
+    cell = {key: e[key] for key in _CELL}
+    return _PROTOCOLS[protocol](systems, forecast_start=int(start), **block, **cell)
 
 
 def cmd_experiment(cfg: dict, args) -> int:
@@ -408,10 +347,8 @@ def cmd_experiment(cfg: dict, args) -> int:
     for patch in patches:
         datasets.update(_assemble_kept(cfg, power, stack, result.kept, patch))
 
-    fit_cfg = cfg["fit"]
-    options = ex.FitOptions(restarts=fit_cfg["restarts"], max_iter=fit_cfg["max_iter"], optimize_period=fit_cfg["optimize_period"])
     outdir = _write_effective_config(cfg)
-    report = ex.run_grid(configs, datasets, seed=cfg["seed"], jobs=cfg["jobs"], fit_options=options)
+    report = ex.run_grid(configs, datasets, seed=cfg["seed"], jobs=cfg["jobs"], fit_options=ex.FitOptions(**cfg["fit"]))
 
     _write_report_files(report, outdir)
     print(report.to_text(), file=sys.stdout)

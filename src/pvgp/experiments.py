@@ -10,6 +10,10 @@ evaluated under:
   against persistence (the last observed coverage held for the whole
   horizon), at 6x6 and 12x12 patches.
 
+:func:`custom_configs` builds the full cross product of its factors
+instead.  Each builder's keyword defaults are its protocol's defaults; the
+CLI reads its default protocol blocks from them.
+
 A grid cell is one (config, system); each cell launches one forecast per
 test day from midnight-anchored start indices, fits hyperparameters per
 launch (configurable), and scores MAE in watts over the full horizon.
@@ -25,14 +29,14 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import geotime, gp, kernels, pipeline
 from .gp import ConditioningError, FitError, TrainingSet
-from .kernels import MATERN, PERIODIC, RATIONAL_QUADRATIC, KernelSpec
+from .kernels import MATERN, PERIODIC, RATIONAL_QUADRATIC, KernelSpec, parse as parse_kernel
 from .pipeline import AssembledSeries, CoverageError, EmptyDatasetError, HrvRasterStack, PowerData, PvSystem
 
 __all__ = [
@@ -54,6 +58,7 @@ __all__ = [
     "SyntheticBundle",
     "set_one_configs",
     "set_two_configs",
+    "custom_configs",
     "default_kernel",
     "training_set",
 ]
@@ -79,9 +84,16 @@ def mae(actual, predicted) -> float:
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Settings of each launch's :func:`pvgp.gp.fit_hyperparameters` call."""
+
     restarts: int = 2
-    max_iter: int = 200
+    max_iter: int = gp.MAX_FIT_ITERATIONS
     optimize_period: bool = False
+
+
+def _fit(train: TrainingSet, template: KernelSpec, seed: int, options: FitOptions) -> KernelSpec:
+    """Fit ``template`` to ``train`` under ``options``; the one place they meet the fitter."""
+    return gp.fit_hyperparameters(train, template, seed=seed, **asdict(options))
 
 
 @dataclass(frozen=True)
@@ -147,25 +159,17 @@ class ExperimentConfig:
         )
 
     def to_jsonable(self) -> dict:
-        return {
-            "training_days": self.training_days,
-            "patch_px": self.patch_px,
-            "kernel": self.kernel.to_text(),
-            "horizon_steps": self.horizon_steps,
-            "cloud_mode": self.cloud_mode,
-            "forecast_start": self.forecast_start,
-            "system_ids": list(self.system_ids),
-            "test_days": self.test_days,
-            "training_stride": self.training_stride,
-            "refit": self.refit,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**data, "kernel": self.kernel.to_text(), "system_ids": list(self.system_ids)}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        data["kernel"] = kernels.parse(data["kernel"])
-        data["system_ids"] = tuple(data["system_ids"])
-        return cls(**data)
+        """Inverse of :meth:`to_jsonable`; raises ``ValueError`` naming unknown or missing keys."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if unknown or missing:
+            raise ValueError(f"experiment config: unknown key(s) {unknown}, missing key(s) {missing}")
+        return cls(**{**data, "kernel": parse_kernel(data["kernel"])})
 
 
 @dataclass
@@ -251,16 +255,7 @@ def _forecast_once(
         query_hrv = np.full(cfg.horizon_steps, train_rows.hrv_mean[-1])
     query = np.column_stack([wanted.astype(float), query_hrv])
 
-    spec = cfg.kernel
-    if cfg.refit:
-        spec = gp.fit_hyperparameters(
-            train,
-            _anchor_template(cfg.kernel, train),
-            restarts=fit_options.restarts,
-            seed=seed,
-            max_iter=fit_options.max_iter,
-            optimize_period=fit_options.optimize_period,
-        )
+    spec = _fit(train, _anchor_template(cfg.kernel, train), seed, fit_options) if cfg.refit else cfg.kernel
     pred = gp.posterior(train, query, spec)
     clamped = np.clip(pred.mean, 0.0, series.capacity_w)
     error = mae(horizon.power_w, clamped)
@@ -634,63 +629,70 @@ def generate_synthetic(
 
 def set_one_configs(
     system_ids,
-    forecast_start: int,
-    test_days: int = 1,
-    training_stride: int = 1,
-    refit: bool = True,
-    training_days_grid=(7, 14, 21, 30),
-    patch_grid=(2, 6, 12),
+    training_days=(7, 14, 21, 30),
+    patch_px=(2, 6, 12),
     kernel_bases=("se", "rq", "matern12"),
+    **cell,
 ) -> list[ExperimentConfig]:
     """48-hour protocol grid in the one-factor-at-a-time row layout.
 
     Rows: training period varied at 2x2/matern12, then patch size varied
-    at 3 weeks/matern12, then kernel varied at 3 weeks/2x2.
+    at 3 weeks/matern12, then kernel varied at 3 weeks/2x2.  ``cell``
+    holds the :class:`ExperimentConfig` fields every row shares:
+    ``forecast_start`` and any of ``test_days``, ``training_stride`` and
+    ``refit``.  The same holds for the other grid builders.
     """
-    common = dict(
-        horizon_steps=STEPS_48H,
-        cloud_mode=CLOUD_GIVEN,
-        forecast_start=forecast_start,
-        system_ids=tuple(system_ids),
-        test_days=test_days,
-        training_stride=training_stride,
-        refit=refit,
+    common = dict(horizon_steps=STEPS_48H, cloud_mode=CLOUD_GIVEN, system_ids=tuple(system_ids), **cell)
+    m12 = default_kernel("matern12")
+    return (
+        [ExperimentConfig(training_days=days, patch_px=2, kernel=m12, **common) for days in training_days]
+        + [ExperimentConfig(training_days=21, patch_px=patch, kernel=m12, **common) for patch in patch_px]
+        + [ExperimentConfig(training_days=21, patch_px=2, kernel=default_kernel(base), **common) for base in kernel_bases]
     )
-    configs = []
-    for days in training_days_grid:
-        configs.append(ExperimentConfig(training_days=days, patch_px=2, kernel=default_kernel("matern12"), **common))
-    for patch in patch_grid:
-        configs.append(ExperimentConfig(training_days=21, patch_px=patch, kernel=default_kernel("matern12"), **common))
-    for base in kernel_bases:
-        configs.append(ExperimentConfig(training_days=21, patch_px=2, kernel=default_kernel(base), **common))
-    return configs
 
 
-def set_two_configs(
-    system_ids,
-    forecast_start: int,
-    test_days: int = 1,
-    training_days: int = 21,
-    training_stride: int = 1,
-    refit: bool = True,
-    patch_grid=(6, 12),
-) -> list[ExperimentConfig]:
+def set_two_configs(system_ids, training_days=21, patch_px=(6, 12), **cell) -> list[ExperimentConfig]:
     """4-hour protocol grid: given vs persistence coverage at each patch size."""
-    configs = []
-    for patch in patch_grid:
-        for mode in (CLOUD_GIVEN, CLOUD_PERSISTENCE):
-            configs.append(
-                ExperimentConfig(
-                    training_days=training_days,
-                    patch_px=patch,
-                    kernel=default_kernel("matern12"),
-                    horizon_steps=STEPS_4H,
-                    cloud_mode=mode,
-                    forecast_start=forecast_start,
-                    system_ids=tuple(system_ids),
-                    test_days=test_days,
-                    training_stride=training_stride,
-                    refit=refit,
-                )
-            )
-    return configs
+    return [
+        ExperimentConfig(
+            training_days=training_days,
+            patch_px=patch,
+            kernel=default_kernel("matern12"),
+            horizon_steps=STEPS_4H,
+            cloud_mode=mode,
+            system_ids=tuple(system_ids),
+            **cell,
+        )
+        for patch in patch_px
+        for mode in (CLOUD_GIVEN, CLOUD_PERSISTENCE)
+    ]
+
+
+def custom_configs(
+    system_ids,
+    training_days=(1,),
+    patch_px=(6,),
+    kernels=(),
+    horizon_steps=STEPS_4H,
+    cloud_modes=(CLOUD_GIVEN,),
+    **cell,
+) -> list[ExperimentConfig]:
+    """Cross product of training periods, patch sizes, kernel texts and cloud modes."""
+    if not kernels:
+        raise ValueError("kernels must list at least one kernel text")
+    specs = [parse_kernel(text) for text in kernels]
+    return [
+        ExperimentConfig(
+            training_days=days,
+            patch_px=patch,
+            kernel=spec,
+            horizon_steps=horizon_steps,
+            cloud_mode=mode,
+            system_ids=tuple(system_ids),
+            **cell,
+        )
+        for days in training_days
+        for patch in patch_px
+        for spec in specs
+        for mode in cloud_modes
+    ]

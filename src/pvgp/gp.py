@@ -46,14 +46,12 @@ __all__ = [
     "log_marginal_likelihood",
     "fit_hyperparameters",
     "sample_prior",
-    "fd_gradient",
     "LmlGradient",
 ]
 
 JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-4
 MAX_FIT_ITERATIONS = 200
-FD_STEP = 1e-4
 
 
 class ConditioningError(RuntimeError):
@@ -339,22 +337,6 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
 
 
 # -- hyperparameter fitting -------------------------------------------------
-
-
-def fd_gradient(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function.
-
-    A test oracle: the fit takes its gradient from :class:`LmlGradient`,
-    and this second-order estimate is checked against a higher-order
-    stencil as part of the numerical contract.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = step
-        g[k] = (fn(x + e) - fn(x - e)) / (2.0 * step)
-    return g
 
 
 @dataclass(frozen=True)

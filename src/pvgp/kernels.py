@@ -152,6 +152,8 @@ class KernelSpec:
             raise KernelSpecError(f"amplitude must be > 0, got {self.amplitude}")
         if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
             raise KernelSpecError(f"noise_variance must be >= 0, got {self.noise_variance}")
+        if fam != WHITE_NOISE and not self.lengthscales:
+            raise KernelSpecError(f"{fam} kernel needs at least one lengthscale (ls)")
         if fam != WHITE_NOISE and any(not (v > 0 and math.isfinite(v)) for v in self.lengthscales):
             raise KernelSpecError(f"lengthscales must be > 0, got {self.lengthscales}")
         if fam == RATIONAL_QUADRATIC and not (self.alpha is not None and self.alpha > 0):

@@ -129,6 +129,20 @@ def lml_oracle(train, spec):
     return float(-0.5 * y @ np.linalg.inv(K) @ y - 0.5 * logdet - 0.5 * train.n * math.log(2 * math.pi))
 
 
+FD_STEP = 1e-4
+
+
+def fd_gradient(fn, x, step=FD_STEP):
+    """Second-order central finite-difference gradient of a scalar function."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = step
+        g[k] = (fn(x + e) - fn(x - e)) / (2.0 * step)
+    return g
+
+
 def stencil_gradient(fn, x, step=1e-3):
     """Fourth-order five-point central-difference gradient."""
     x = np.asarray(x, dtype=float)

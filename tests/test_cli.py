@@ -1,13 +1,64 @@
 """End-to-end CLI behaviour: subcommands, exit codes, file outputs."""
 
+import copy
 import json
 
 import numpy as np
 
 from pvgp import cli
+from pvgp import experiments as ex
 from pvgp.cli import main, read_forecast_csv
 
 KERNEL = "periodic(matern12; h=1.0, ls=[1.0, 1.0], w=1.0, T=288.0) + whitenoise(sigma2=0.01)"
+
+# the documented default config; the CLI builds most of it from library defaults
+DEFAULT_CONFIG = {
+    "seed": 0,
+    "jobs": 1,
+    "paths": {"metadata": None, "power": None, "hrv": None, "output_dir": "pvgp-out"},
+    "projection": {
+        "central_scale": 0.9996012717,
+        "false_easting_m": 400000.0,
+        "false_northing_m": -100000.0,
+        "origin_lat_deg": 49.0,
+        "origin_lon_deg": -2.0,
+        "semi_major_m": 6377563.396,
+        "semi_minor_m": 6356256.909,
+    },
+    "boundary": {"min_easting": 0.0, "min_northing": 0.0, "max_easting": 700000.0, "max_northing": 1300000.0},
+    "filters": {"night_elevation_deg": -5.0, "overnight_power_fraction": 0.01, "overnight_min_nights": 3},
+    "hrv": {"sensor_max": 1023.0, "patch_px": 6, "csv_geometry": None},
+    "kernel": KERNEL,
+    "fit": {"restarts": 2, "max_iter": 200, "optimize_period": False},
+    "forecast": {"training_days": 1, "training_stride": 1, "refit": True},
+    "experiment": {
+        "protocol": "set_two",
+        "systems": [],
+        "forecast_start_index": None,
+        "test_days": 1,
+        "training_stride": 1,
+        "refit": True,
+        "set_one": {"training_days": [7, 14, 21, 30], "patch_px": [2, 6, 12], "kernel_bases": ["se", "rq", "matern12"]},
+        "set_two": {"training_days": 21, "patch_px": [6, 12]},
+        "custom": {"training_days": [1], "patch_px": [6], "kernels": [], "horizon_steps": 48, "cloud_modes": ["given"]},
+    },
+    "synth": {
+        "scenario": "scattered",
+        "days": 12,
+        "start_date": "2021-06-01",
+        "system_id": 1,
+        "latitude": 51.5,
+        "longitude": -0.12,
+        "capacity_w": 3000.0,
+        "cloud_attenuation": 0.9,
+        "overcast_fraction": 1.0,
+        "grid_px": 16,
+        "pixel_size": 1000.0,
+        "clear_sky_hrv": 0.08,
+        "overcast_hrv": 0.85,
+    },
+    "invocation": None,
+}
 
 
 def write_config(path, **overrides):
@@ -196,3 +247,68 @@ def test_report_rerenders_from_json(tmp_path, capsys):
     rc = main(["report", "--config", cfg, "--report", str(report_json), "--out", str(tmp_path / "out2")])
     assert rc == 0
     assert (tmp_path / "out2" / "report.csv").read_bytes() == original_csv
+
+
+def test_default_config_is_pinned():
+    loaded = cli.load_config(None)
+    assert json.dumps(loaded, sort_keys=True) == json.dumps(DEFAULT_CONFIG, sort_keys=True)
+    assert loaded == DEFAULT_CONFIG
+
+
+def test_build_grid_gives_protocol_layouts():
+    texts = {
+        "periodic(matern12)": KERNEL,
+        "periodic(se)": "periodic(se; h=1.0, ls=[1.0, 1.0], w=1.0, T=288.0) + whitenoise(sigma2=0.01)",
+        "periodic(rq)": "periodic(rq; h=1.0, ls=[1.0, 1.0], alpha=2.0, w=1.0, T=288.0) + whitenoise(sigma2=0.01)",
+    }
+
+    def grid(**experiment):
+        cfg = cli.load_config(None)
+        cfg["experiment"].update(experiment)
+        return [c.to_jsonable() for c in cli._build_grid(cfg, [1, 3])]
+
+    def rows(layout, horizon, start, systems=(1, 3), test_days=1, stride=1, refit=True):
+        return [
+            {"training_days": days, "patch_px": patch, "kernel": texts.get(kernel, kernel), "horizon_steps": horizon,
+             "cloud_mode": mode, "forecast_start": start, "system_ids": list(systems), "test_days": test_days,
+             "training_stride": stride, "refit": refit}
+            for days, patch, kernel, mode in layout
+        ]
+
+    m12 = "periodic(matern12)"
+    assert grid(protocol="set_one") == rows(
+        [(7, 2, m12, "given"), (14, 2, m12, "given"), (21, 2, m12, "given"), (30, 2, m12, "given"),
+         (21, 2, m12, "given"), (21, 6, m12, "given"), (21, 12, m12, "given"),
+         (21, 2, "periodic(se)", "given"), (21, 2, "periodic(rq)", "given"), (21, 2, m12, "given")],
+        576, 30 * 288,
+    )
+    assert grid(protocol="set_two") == rows(
+        [(21, 6, m12, "given"), (21, 6, m12, "persistence"), (21, 12, m12, "given"), (21, 12, m12, "persistence")],
+        48, 21 * 288,
+    )
+    se = "se(h=1.0, ls=[3.0, 0.2])"
+    custom = {"training_days": [1, 2], "patch_px": [6, 12], "kernels": [KERNEL, se], "horizon_steps": 48,
+              "cloud_modes": ["given", "persistence"]}
+    assert grid(protocol="custom", systems=[3, 1], test_days=2, training_stride=4, refit=False, custom=custom) == rows(
+        [(days, patch, kernel, mode) for days in (1, 2) for patch in (6, 12) for kernel in (KERNEL, se)
+         for mode in ("given", "persistence")],
+        48, 2 * 288, systems=(3, 1), test_days=2, stride=4, refit=False,
+    )
+
+
+def test_report_names_bad_row_config_keys(tmp_path, capsys):
+    config = ex.ExperimentConfig(
+        training_days=1, patch_px=6, kernel=ex.default_kernel(), horizon_steps=48, cloud_mode="given",
+        forecast_start=408, system_ids=(1,),
+    )
+    payload = json.loads(ex.ExperimentReport([ex.ReportRow(config, {1: 10.0}, {})], [(0, 1, 0, 10.0)], seed=0).to_json())
+    bad_rows = {"'wibble'": dict(payload["rows"][0]["config"], wibble=1)}
+    bad_rows["'kernel'"] = {k: v for k, v in payload["rows"][0]["config"].items() if k != "kernel"}
+    for key, row_config in bad_rows.items():
+        broken = copy.deepcopy(payload)
+        broken["rows"][0]["config"] = row_config
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and ("unknown" if key == "'wibble'" else "missing") in err

@@ -371,6 +371,9 @@ def test_parse_rejects_garbage():
         "se(h=1.0, h=2.0, ls=[1.0])",
         "se(matern12; h=1.0, ls=[1.0])",
         "se(h=1.0, ls=[a])",
+        # no lengthscale for a kernel that needs one
+        "se(h=1.0, ls=[])",
+        "periodic(se; h=1.0, ls=[], w=1.0, T=288.0)",
     ]:
         with pytest.raises(KernelSpecError):
             kernels.parse(bad)
