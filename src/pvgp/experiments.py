@@ -385,7 +385,13 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
+        """Inverse of :meth:`to_json`; raises ``ValueError`` naming every missing top-level key."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"report document: expected a JSON object, got {type(payload).__name__}")
+        missing = [key for key in ("rows", "samples", "seed") if key not in payload]
+        if missing:
+            raise ValueError(f"report document: missing key(s) {missing}")
         rows = [
             ReportRow(
                 config=ExperimentConfig.from_jsonable(item["config"]),

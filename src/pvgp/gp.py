@@ -15,7 +15,12 @@ because its trace terms need every entry.  Jitter starts at
 are added on the diagonal only, and one n x n buffer carries each
 factorisation: the Gram is built into it, factorised in place, and the
 factor is solved against (and, for the gradient, inverted) in that same
-memory, so a posterior peaks near one n x n array.
+memory, so a posterior peaks near one n x n array.  For a posterior, a
+likelihood without gradient and a prior draw only the triangle the
+factorisation reads is built (row i from column i on), and each row block
+gets its noise, its scale and its finiteness check while it is in cache;
+the gradient's Gram is built whole and checked whole.  A non-finite Gram
+raises ``ValueError`` naming the kernel.
 
 The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
@@ -134,8 +139,8 @@ class PosteriorPrediction:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
 
 
-def build_covariance(A, B, spec: KernelSpec, with_noise: bool = False, out=None) -> np.ndarray:
-    """Covariance block ``K(A, B)`` under ``spec``, written into ``out`` when given.
+def build_covariance(A, B, spec: KernelSpec, with_noise: bool = False) -> np.ndarray:
+    """Covariance block ``K(A, B)`` under ``spec``.
 
     The Kronecker-delta noise term contributes only when ``with_noise`` is
     set and A and B are the same sample list, i.e. the same array object;
@@ -146,7 +151,7 @@ def build_covariance(A, B, spec: KernelSpec, with_noise: bool = False, out=None)
     same = A is B
     A2 = np.atleast_2d(np.asarray(A, dtype=float))
     B2 = A2 if same else np.atleast_2d(np.asarray(B, dtype=float))
-    K = kernels.main_matrix(spec, A2, B2, same_samples=same, out=out)
+    K = kernels.main_matrix(spec, A2, B2, same_samples=same)
     if with_noise and same and spec.noise_variance > 0:
         _diagonal(K)[...] += spec.noise_variance
     return K
@@ -158,28 +163,49 @@ def _diagonal(K: np.ndarray) -> np.ndarray:
 
 
 def _gram_builder(X: np.ndarray, spec: KernelSpec, s2: float):
-    """``build()`` for :func:`_cholesky_with_jitter`: ``(K(X, X) + sigma^2 I) / s2`` in one n x n buffer."""
+    """``build()`` for :func:`_cholesky_with_jitter`: ``(K(X, X) + sigma^2 I) / s2`` in one n x n buffer.
+
+    Only the triangle the factorisation reads is built, row i from column i
+    on (``kernels.main_matrix(..., upper=True)``); below the diagonal only
+    the few entries inside a row block are written.  Each row block gets
+    its noise diagonal, its ``1/s2`` scale and its finiteness check while
+    it is in cache, so no pass over the whole matrix follows the build.
+    """
     buffer = np.empty((X.shape[0], X.shape[0]))
 
+    def finish(block: np.ndarray) -> None:
+        # an upper row block's diagonal starts at its first column
+        if spec.noise_variance > 0:
+            _diagonal(block[:, : block.shape[0]])[...] += spec.noise_variance
+        block /= s2
+        _check_finite(block, spec)
+
     def build() -> np.ndarray:
-        K = build_covariance(X, X, spec, with_noise=True, out=buffer)
-        K /= s2
-        return K
+        return kernels.main_matrix(spec, X, X, same_samples=True, out=buffer, upper=True, finish=finish)
 
     return build
+
+
+def _check_finite(K: np.ndarray, spec: KernelSpec) -> None:
+    """Raise ``ValueError`` naming the kernel if a Gram (block) has a non-finite entry."""
+    if not np.isfinite(K).all():
+        raise ValueError(f"covariance has non-finite entries for kernel {spec.to_text()}")
 
 
 def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
     """Lower Cholesky factor of a symmetric Gram plus escalating jitter, in the Gram's buffer.
 
-    ``build()`` fills a C-ordered n x n buffer with the symmetric Gram and
+    ``build()`` fills a C-ordered n x n buffer with the symmetric Gram, at
+    least row i from column i on, checks that what it filled is finite, and
     returns it.  Its transpose ``K.T`` is a Fortran-ordered view of the
-    same matrix, which each attempt factorises in place after putting the
-    jitter on its diagonal; the factor returned is that view, with its
-    upper triangle zeroed, so the buffer that held the Gram holds the
-    factor and no second n x n array is made.  A failed attempt has
-    overwritten the buffer, so ``build()`` refills it before the next one.
-    The jitter is ``eps * mean(diag)`` of the Gram as first built.
+    same matrix whose lower triangle is that filled part, which each
+    attempt factorises in place after putting the jitter on its diagonal;
+    the factor returned is that view, with its upper triangle zeroed, so
+    the buffer that held the Gram holds the factor and no second n x n
+    array is made.  The factorisation reads only the filled triangle, so
+    it does not check finiteness itself.  A failed attempt has overwritten
+    the buffer, so ``build()`` refills it before the next one.  The jitter
+    is ``eps * mean(diag)`` of the Gram as first built.
     """
     K = build()
     n = K.shape[0]
@@ -191,7 +217,7 @@ def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
     while True:
         _diagonal(K)[...] = diag + eps * scale
         try:
-            return scipy.linalg.cholesky(K.T, lower=True, overwrite_a=True)
+            return scipy.linalg.cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
         except scipy.linalg.LinAlgError:
             eps *= 10.0
         if eps > JITTER_MAX * (1 + 1e-12):
@@ -262,11 +288,12 @@ class LmlGradient:
         self._W = np.empty((train.n, train.n))
 
     def covariance(self, spec: KernelSpec, s2: float) -> np.ndarray:
-        """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer."""
+        """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer, checked finite."""
         K = self._K
         np.copyto(K, self._evaluator.gram(spec))
         _diagonal(K)[...] += spec.noise_variance
         K /= s2
+        _check_finite(K, spec)
         return K
 
     def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray, s2: float) -> None:

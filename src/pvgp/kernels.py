@@ -10,7 +10,13 @@ what the fitter in :mod:`pvgp.gp` runs on.  ``main_matrix`` is the
 one-shot form used for posteriors: it runs the evaluator over row blocks
 written straight into the result, which may be a buffer the caller owns
 (``out``), so that :mod:`pvgp.gp` can factorise the Gram in the memory it
-was built in.  :class:`Hyperparameter` addresses one positive scalar of a
+was built in.  For a factorisation it fills only the triangle the
+factorisation reads (``upper``: row i from column i on) and hands each
+row block to the caller's ``finish`` while it is in cache, where
+:mod:`pvgp.gp` adds the noise, scales and checks finiteness.  Shapes that
+are ``exp(-x)`` (se, matern12) multiply as one ``exp`` of the summed
+distance variables, so a periodic se or matern12 Gram costs one ``exp``
+per entry.  :class:`Hyperparameter` addresses one positive scalar of a
 spec by field.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
@@ -354,9 +360,14 @@ def _shape_value(shape: KernelSpec, x):
     return _matern_profile(x, shape.nu)
 
 
+def _is_exponential(shape: KernelSpec) -> bool:
+    """Whether the shape is ``exp(-x)`` (se, matern12), so that a product of two is one ``exp``."""
+    return shape.family == SQUARED_EXPONENTIAL or shape.nu == 0.5
+
+
 def _shape_dlog(shape: KernelSpec, x):
     """``d log shape / dx`` of a stationary family."""
-    if shape.family == SQUARED_EXPONENTIAL or shape.nu == 0.5:
+    if _is_exponential(shape):
         return -1.0
     if shape.family == RATIONAL_QUADRATIC:
         return -1.0 / (1.0 + x / shape.alpha)
@@ -474,19 +485,30 @@ class GramEvaluator:
                 rows = np.arange(max(0, min(K.shape[0], K.shape[1] - self.row_offset)))
                 K[rows, rows + self.row_offset] = h2
             return K
+        # distance variables of the factors: the warp's, then the stationary one's
         if spec.family == PERIODIC:
             shape, axes = spec.base, range(1, self.A.shape[1])
             xw = np.divide(self.chord(spec.period), spec.roughness, out=self._buffer("warp"))
             if _distance_power(shape) == 2:
                 xw *= xw
                 xw *= 0.5
-            K[...] = _shape_value(shape, xw)
+            terms = [xw]
+        else:
+            shape, axes, terms = spec, range(self.A.shape[1]), []
+        if len(axes):
+            terms.append(self._stationary_variable(shape, axes, spec.lengthscales))
+        if _is_exponential(shape):
+            # exp(-a) exp(-b) = exp(-(a + b)): one exp per entry, and h^2 after
+            # it, so that k(x, x) = h^2 exactly
+            np.negative(terms[0], out=K)
+            for x in terms[1:]:
+                K -= x
+            np.exp(K, out=K)
             K *= h2
         else:
-            shape, axes = spec, range(self.A.shape[1])
             K.fill(h2)
-        if len(axes):
-            K *= _shape_value(shape, self._stationary_variable(shape, axes, spec.lengthscales))
+            for x in terms:
+                K *= _shape_value(shape, x)
         return K
 
     def _stationary_variable(self, shape: KernelSpec, axes, lengthscales) -> np.ndarray:
@@ -579,7 +601,9 @@ _LOG_DERIVATIVES = {
 }
 
 
-def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bool = False, out=None) -> np.ndarray:
+def main_matrix(
+    spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bool = False, out=None, upper: bool = False, finish=None
+) -> np.ndarray:
     """Main-kernel block ``K_main(A, B)`` without the composite noise term.
 
     ``same_samples`` marks A and B as the same ordered sample list, which
@@ -589,6 +613,14 @@ def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bo
     :class:`GramEvaluator` in row blocks written straight into the result,
     so the only full-size array is the result itself: ``out``, when given,
     else a new array.
+
+    ``upper`` narrows each row block of a square block to the columns from
+    its first row on, so row i is filled from column i to the end -- the
+    triangle that the Fortran view ``K.T`` of a symmetric Gram is
+    factorised from with ``lower=True`` -- and the entries below the
+    diagonal outside the row blocks are left as they were.  ``finish``,
+    when given, is called on each row block (the view of the result just
+    filled) while it is in cache.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -598,9 +630,15 @@ def main_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, same_samples: bo
     shape = (A.shape[0], B.shape[0])
     if out is not None and out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, the block is {shape}")
+    if upper and shape[0] != shape[1]:
+        raise ValueError(f"upper needs a square block, got {shape}")
     K = np.empty(shape) if out is None else out
     rows = max(1, _BLOCK_ELEMENTS // max(B.shape[0], 1))
     for start in range(0, A.shape[0], rows):
         stop = start + rows
-        GramEvaluator(A[start:stop], B, same_samples, row_offset=start, out=K[start:stop]).gram(spec)
+        first = start if upper else 0
+        block = K[start:stop, first:]
+        GramEvaluator(A[start:stop], B[first:], same_samples, row_offset=start - first, out=block).gram(spec)
+        if finish is not None:
+            finish(block)
     return K

@@ -312,3 +312,14 @@ def test_report_names_bad_row_config_keys(tmp_path, capsys):
         assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and ("unknown" if key == "'wibble'" else "missing") in err
+
+
+def test_report_names_missing_top_level_keys(tmp_path, capsys):
+    cases = [({"seed": 0, "samples": []}, "['rows']"), ({}, "['rows', 'samples', 'seed']"), ([], "a JSON object")]
+    for payload, named in cases:
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report document") and named in err
+    assert not (tmp_path / "out").exists()

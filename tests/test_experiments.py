@@ -25,6 +25,7 @@ from pvgp.experiments import (
     set_two_configs,
 )
 from pvgp.geotime import GeoPoint, STEPS_PER_DAY
+from pvgp.kernels import SQUARED_EXPONENTIAL, KernelSpec
 from pvgp.pipeline import AssembledSeries, PvSystem, assemble, load_metadata, load_power, read_hrv
 
 UTC = dt.timezone.utc
@@ -259,6 +260,19 @@ def test_grid_isolates_failed_cells():
     assert sorted(row.per_system) == [1, 3]
     assert list(row.failures) == [2]
     assert row.average == pytest.approx(np.mean(list(row.per_system.values())), abs=1e-9)
+
+
+def test_grid_records_a_non_finite_gram_as_a_failed_cell():
+    _, datasets = three_system_datasets()
+    # h^2 = 1e308 is finite; the noise takes the training diagonal to inf
+    kernel = KernelSpec(SQUARED_EXPONENTIAL, amplitude=1e154, lengthscales=(3.0, 0.2), noise_variance=1e308)
+    cfg = make_config(system_ids=(1, 2), refit=False, forecast_start=STEPS_PER_DAY + 120, kernel=kernel)
+    with np.errstate(over="ignore"):
+        report = run_grid([cfg], datasets, seed=0)
+    row = report.rows[0]
+    assert not row.per_system and sorted(row.failures) == [1, 2]
+    for failure in row.failures.values():
+        assert failure.startswith("ValueError: covariance has non-finite entries") and kernel.to_text() in failure
 
 
 def test_grid_deterministic_and_parallel_consistent():

@@ -12,7 +12,7 @@ import scipy.optimize
 
 from pvgp import gp, kernels
 from pvgp.gp import TrainingSet
-from pvgp.kernels import MATERN, PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, KernelSpec
+from pvgp.kernels import MATERN, MATERN_NUS, PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, WHITE_NOISE, KernelSpec
 
 from oracles import fd_gradient, gram_oracle, lml_oracle, posterior_oracle, posterior_out_of_place, stencil_gradient
 
@@ -218,6 +218,49 @@ def test_posterior_bitwise_equals_out_of_place_factorisation():
             mean, cov = posterior_out_of_place(train, Q, spec)
             assert np.array_equal(pred.mean, mean), spec.to_text()
             assert np.array_equal(pred.cov, cov), spec.to_text()
+
+
+def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
+    # the Gram posterior/LML/prior draws factorise is built over row i's
+    # columns i and above only, with noise and 1/s2 applied block by block
+    n, s2 = 600, 2.7  # several row blocks
+    rng = np.random.default_rng(41)
+    upper = np.triu_indices(n)
+    for ndim in (1, 2):
+        t = np.arange(float(n))
+        X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
+        ls = (2.0, 0.5)[:ndim]
+        bases = [KernelSpec(SQUARED_EXPONENTIAL), KernelSpec(RATIONAL_QUADRATIC, alpha=1.7), KernelSpec(MATERN, nu=0.5)]
+        specs = [
+            KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.2),  # the diagonal of every block
+            KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=ls, noise_variance=0.2),
+            KernelSpec(RATIONAL_QUADRATIC, amplitude=1.3, lengthscales=ls, alpha=1.7, noise_variance=0.2),
+            *[KernelSpec(MATERN, amplitude=1.3, lengthscales=ls, nu=nu, noise_variance=0.2) for nu in MATERN_NUS],
+            *[KernelSpec(PERIODIC, amplitude=1.3, lengthscales=ls, roughness=0.9, period=24.0, base=b, noise_variance=0.2)
+              for b in bases],
+        ]
+        for spec in specs:
+            build = gp._gram_builder(X, spec, s2)
+            build()[np.tril_indices(n, -1)] = np.nan
+            K = build()  # refilled in the same buffer, the NaNs below the diagonal unread
+            want = gp.build_covariance(X, X, spec, with_noise=True) / s2
+            assert np.array_equal(K[upper], want[upper]), spec.to_text()
+            assert np.isnan(K[-1, 0]), spec.to_text()  # below every row block: never written
+
+
+def test_non_finite_gram_raises_value_error_naming_the_kernel():
+    # h^2 = 1e308 is finite; the noise takes the diagonal to inf
+    spec = KernelSpec(SQUARED_EXPONENTIAL, amplitude=1e154, lengthscales=(3.0,), noise_variance=1e308)
+    train = random_train(np.random.default_rng(43), 150, 1)
+    match = re.escape(spec.to_text())
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=match):
+            gp.posterior(train, [[250.0]], spec)
+        with pytest.raises(ValueError, match=match):
+            gp.log_marginal_likelihood(train, spec)
+        gradient = gp.LmlGradient(train, [kernels.Hyperparameter("amplitude")])
+        with pytest.raises(ValueError, match=match):
+            gp.log_marginal_likelihood(train, spec, gradient)
 
 
 def _record_cholesky_attempts(monkeypatch) -> list[str]:

@@ -330,6 +330,25 @@ def test_gram_evaluator_log_derivatives_match_finite_differences():
             assert np.allclose(block, fd, rtol=1e-6, atol=1e-8 * np.abs(K).max()), (spec.to_text(), p)
 
 
+def test_fused_exponential_shapes_match_the_oracle():
+    # se and matern12, alone or as a periodic base, are evaluated as one exp
+    # of the summed distance variables, exp(-(x_warp + x_stat)), times h^2
+    specs = [
+        KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=(2.0, 0.5)),
+        KernelSpec(MATERN, amplitude=1.1, lengthscales=(2.0, 0.5), nu=0.5),
+        spec_periodic(SQUARED_EXPONENTIAL, nu=None, h=0.8, ls=(1.0, 0.5), w=0.9, T=7.0),
+        spec_periodic(nu=0.5, h=0.8, ls=(1.0, 0.5), w=0.9, T=7.0),
+    ]
+    rng = np.random.default_rng(12)
+    A = np.column_stack([np.sort(rng.uniform(0, 30, 25)), rng.uniform(0, 1, 25)])
+    B = np.column_stack([np.sort(rng.uniform(0, 30, 20)), rng.uniform(0, 1, 20)])
+    for spec in specs:
+        K = kernels.main_matrix(spec, A, B)
+        np.testing.assert_allclose(K, cross_oracle(A, B, spec), rtol=1e-12, atol=0, err_msg=spec.to_text())
+        # h^2 multiplies after the exp, so k(x, x) is h^2 exactly
+        assert np.all(np.diag(kernels.main_matrix(spec, A, A)) == spec.amplitude**2), spec.to_text()
+
+
 # -- text form ---------------------------------------------------------------
 
 
