@@ -266,7 +266,9 @@ def cmd_synth(cfg: dict, args) -> int:
 def cmd_fit(cfg: dict, args) -> int:
     series = _load_series(cfg, args.system)
     fc = cfg["forecast"]
-    train, _ = ex.training_set(series, int(series.time_index.max()) + 1, fc["training_days"], fc["training_stride"])
+    # the daylight rows a forecast launch ending after the last row would fit on
+    end = int(series.time_index.max()) + 1
+    train, _ = ex.daylight_training_set(series, end, fc["training_days"], fc["training_stride"])
     template = kernels.parse(cfg["kernel"])
     outdir = _write_effective_config(cfg)
     fitted = ex._fit(train, template, cfg["seed"], ex.FitOptions(**cfg["fit"]))

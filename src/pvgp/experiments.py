@@ -17,6 +17,11 @@ CLI reads its default protocol blocks from them.
 A grid cell is one (config, system); each cell launches one forecast per
 test day from midnight-anchored start indices, fits hyperparameters per
 launch (configurable), and scores MAE in watts over the full horizon.
+A launch fits and conditions its GP on the daylight rows of its training
+window only (solar elevation above 0 degrees, :func:`daylight`), since
+power is 0 W by physics with the sun below the horizon.  The posterior is
+evaluated at the daylight steps of the horizon; a night step's forecast
+comes from the solar-elevation rule instead: 0 W with zero variance.
 Forecast means are clamped to [0, capacity] for scoring and reporting;
 raw posterior values stay available on the result.  Reports render to
 CSV, aligned text, and JSON, all byte-deterministic for a fixed seed.
@@ -61,6 +66,8 @@ __all__ = [
     "custom_configs",
     "default_kernel",
     "training_set",
+    "daylight",
+    "daylight_training_set",
 ]
 
 CLOUD_GIVEN = "given"
@@ -180,7 +187,9 @@ class ForecastResult:
     forecast_start: int
     cloud_mode: str
     time_index: np.ndarray
-    prediction: gp.PosteriorPrediction  # raw posterior, watts
+    # raw posterior at daylight steps, watts; a night step is 0 W with zero
+    # (co)variance by the solar-elevation rule, not from the posterior
+    prediction: gp.PosteriorPrediction
     mean_clamped: np.ndarray  # [0, capacity] for reporting
     sd: np.ndarray
     truth: np.ndarray
@@ -232,6 +241,30 @@ def training_set(series: AssembledSeries, end: int, training_days: int, stride: 
     return TrainingSet.from_arrays(X, rows.power_w[mask]), rows
 
 
+def daylight(series: AssembledSeries, time_index) -> np.ndarray:
+    """True at each step of ``time_index`` whose solar elevation at the system is above 0 degrees."""
+    seconds = series.epoch_utc.timestamp() + np.asarray(time_index, dtype=float) * geotime.STEP_SECONDS
+    return np.asarray(geotime.solar_elevation_deg(series.latitude, series.longitude, seconds)) > 0.0
+
+
+def daylight_training_set(
+    series: AssembledSeries, end: int, training_days: int, stride: int
+) -> tuple[TrainingSet, AssembledSeries]:
+    """:func:`training_set` narrowed to its :func:`daylight` rows, the rows a launch conditions on.
+
+    The centring constants are those of the daylight rows.  Raises
+    :class:`~pvgp.pipeline.CoverageError` naming the window when fewer
+    than two daylight rows remain.
+    """
+    train, rows = training_set(series, end, training_days, stride)
+    day = daylight(series, train.inputs[:, 0])
+    kept = int(np.count_nonzero(day))
+    if kept < 2:
+        lo = end - training_days * geotime.STEPS_PER_DAY
+        raise CoverageError(f"training window [{lo}, {end}) holds {kept} daylight rows")
+    return TrainingSet.from_arrays(train.inputs[day], train.targets[day]), rows
+
+
 def _forecast_once(
     series: AssembledSeries,
     cfg: ExperimentConfig,
@@ -240,7 +273,7 @@ def _forecast_once(
     fit_options: FitOptions,
 ) -> ForecastResult:
     start = cfg.forecast_start + day * geotime.STEPS_PER_DAY
-    train, train_rows = training_set(series, start, cfg.training_days, cfg.training_stride)
+    train, train_rows = daylight_training_set(series, start, cfg.training_days, cfg.training_stride)
 
     horizon = series.window(start, start + cfg.horizon_steps)
     wanted = np.arange(start, start + cfg.horizon_steps)
@@ -256,13 +289,15 @@ def _forecast_once(
     query = np.column_stack([wanted.astype(float), query_hrv])
 
     spec = _fit(train, _anchor_template(cfg.kernel, train), seed, fit_options) if cfg.refit else cfg.kernel
-    pred = gp.posterior(train, query, spec)
+    # night steps are 0 W with zero variance; the posterior covers daylight only
+    day_mask = daylight(series, wanted)
+    pred = gp.PosteriorPrediction(mean=np.zeros(cfg.horizon_steps), cov=np.zeros((cfg.horizon_steps,) * 2))
+    if day_mask.any():
+        day_pred = gp.posterior(train, query[day_mask], spec)
+        pred.mean[day_mask] = day_pred.mean
+        pred.cov[np.ix_(day_mask, day_mask)] = day_pred.cov
     clamped = np.clip(pred.mean, 0.0, series.capacity_w)
     error = mae(horizon.power_w, clamped)
-
-    seconds = series.epoch_utc.timestamp() + wanted.astype(float) * geotime.STEP_SECONDS
-    elevation = np.asarray(geotime.solar_elevation_deg(series.latitude, series.longitude, seconds))
-    day_mask = elevation > 0.0
     mae_daylight = mae(horizon.power_w[day_mask], clamped[day_mask]) if day_mask.any() else None
 
     return ForecastResult(

@@ -13,7 +13,9 @@ written straight into the result, which may be a buffer the caller owns
 was built in.  For a factorisation it fills only the triangle the
 factorisation reads (``upper``: row i from column i on) and hands each
 row block to the caller's ``finish`` while it is in cache, where
-:mod:`pvgp.gp` adds the noise, scales and checks finiteness.  Shapes that
+:mod:`pvgp.gp` adds the noise, scales and checks finiteness; the ``sin``
+and ``cos`` of the time columns that the chord is built from are computed
+once per call and sliced to each row block.  Shapes that
 are ``exp(-x)`` (se, matern12) multiply as one ``exp`` of the summed
 distance variables, so a periodic se or matern12 Gram costs one ``exp``
 per entry.  :class:`Hyperparameter` addresses one positive scalar of a
@@ -66,6 +68,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +157,9 @@ class KernelSpec:
         fam = self.family
         if fam not in (WHITE_NOISE, PERIODIC) + STATIONARY_FAMILIES:
             raise KernelSpecError(f"unknown kernel family {fam!r}")
-        if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
-            raise KernelSpecError(f"amplitude must be > 0, got {self.amplitude}")
+        # the Gram is scaled by h^2, so h^2 must be finite too; a * a cannot raise
+        if not (self.amplitude > 0 and math.isfinite(self.amplitude * self.amplitude)):
+            raise KernelSpecError(f"amplitude h must be > 0 with a finite h^2, got {self.amplitude}")
         if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
             raise KernelSpecError(f"noise_variance must be >= 0, got {self.noise_variance}")
         if fam != WHITE_NOISE and not self.lengthscales:
@@ -414,6 +418,28 @@ def with_hyperparameters(spec: KernelSpec, params, values) -> KernelSpec:
     return spec
 
 
+class _TimePhases(NamedTuple):
+    """``sin`` and ``cos`` of ``pi*t/T`` on the time columns of A (as a column) and B, at period T."""
+
+    period: float
+    sin_a: np.ndarray
+    cos_a: np.ndarray
+    sin_b: np.ndarray
+    cos_b: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray, B: np.ndarray, period: float) -> "_TimePhases":
+        a = A[:, 0:1] * (np.pi / period)
+        b = B[:, 0] * (np.pi / period)
+        return cls(period, np.sin(a), np.cos(a), np.sin(b), np.cos(b))
+
+    def rows(self, start: int, stop: int, first: int) -> "_TimePhases":
+        """The phases of the row block ``A[start:stop]`` against ``B[first:]``."""
+        return self._replace(
+            sin_a=self.sin_a[start:stop], cos_a=self.cos_a[start:stop], sin_b=self.sin_b[first:], cos_b=self.cos_b[first:]
+        )
+
+
 class GramEvaluator:
     """Main-kernel block ``K_main(A, B)`` and its log-hyperparameter derivatives.
 
@@ -427,16 +453,22 @@ class GramEvaluator:
 
     ``same_samples`` marks A and B as the same ordered sample list, A
     starting ``row_offset`` samples in, which is what lets the index-keyed
-    ``whitenoise`` family contribute its diagonal.
+    ``whitenoise`` family contribute its diagonal.  ``phases``, when given,
+    are the time columns' ``sin``/``cos`` at one period, sliced to this
+    block by a caller that evaluates a larger block in row blocks, so that
+    they are computed once for all of its row blocks.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, same_samples: bool = False, row_offset: int = 0, out=None):
+    def __init__(
+        self, A: np.ndarray, B: np.ndarray, same_samples: bool = False, row_offset: int = 0, out=None, phases=None
+    ):
         self.A, self.B = A, B
         self.same_samples = same_samples
         self.row_offset = row_offset
         self.K = np.empty((A.shape[0], B.shape[0])) if out is None else out
         self._buffers: dict[str, np.ndarray] = {}
         self._absdiff: dict[int, np.ndarray] = {}
+        self._phases: _TimePhases | None = phases
         self._chord_period: float | None = None
         self._spec: KernelSpec | None = None
 
@@ -463,10 +495,11 @@ class GramEvaluator:
         """
         u = self._buffer("chord")
         if self._chord_period != period:
-            a = self.A[:, 0:1] * (np.pi / period)
-            b = self.B[:, 0] * (np.pi / period)
-            np.multiply(np.sin(a), np.cos(b), out=u)
-            u -= np.cos(a) * np.sin(b)
+            p = self._phases
+            if p is None or p.period != period:
+                p = _TimePhases.of(self.A, self.B, period)
+            np.multiply(p.sin_a, p.cos_b, out=u)
+            u -= p.cos_a * p.sin_b
             np.abs(u, out=u)
             u *= 2.0
             self._chord_period = period
@@ -633,12 +666,17 @@ def main_matrix(
     if upper and shape[0] != shape[1]:
         raise ValueError(f"upper needs a square block, got {shape}")
     K = np.empty(shape) if out is None else out
+    # the chord's sin/cos once for the whole block, not once per row block
+    phases = _TimePhases.of(A, B, spec.period) if spec.family == PERIODIC else None
     rows = max(1, _BLOCK_ELEMENTS // max(B.shape[0], 1))
     for start in range(0, A.shape[0], rows):
         stop = start + rows
         first = start if upper else 0
         block = K[start:stop, first:]
-        GramEvaluator(A[start:stop], B[first:], same_samples, row_offset=start - first, out=block).gram(spec)
+        block_phases = None if phases is None else phases.rows(start, stop, first)
+        GramEvaluator(
+            A[start:stop], B[first:], same_samples, row_offset=start - first, out=block, phases=block_phases
+        ).gram(spec)
         if finish is not None:
             finish(block)
     return K

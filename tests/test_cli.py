@@ -1,11 +1,12 @@
 """End-to-end CLI behaviour: subcommands, exit codes, file outputs."""
 
 import copy
+import datetime as dt
 import json
 
 import numpy as np
 
-from pvgp import cli
+from pvgp import cli, geotime
 from pvgp import experiments as ex
 from pvgp.cli import main, read_forecast_csv
 
@@ -213,6 +214,39 @@ def test_fit_bad_kernel_argument_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "out").exists()
+
+
+def test_fit_kernel_with_overflowing_amplitude_exits_two(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    kernel = "periodic(matern12; h=1e200, ls=[1.0, 1.0], w=1.0, T=288.0) + whitenoise(sigma2=0.01)"
+    cfg = write_config(tmp_path / "fit.json", paths={**paths, "output_dir": str(tmp_path / "out")}, kernel=kernel)
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--system", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "amplitude h" in err
+
+
+def test_fit_conditions_on_the_daylight_rows_of_its_window(tmp_path, capsys, monkeypatch):
+    paths = make_bundle(tmp_path, days=3)
+    cfg = write_config(
+        tmp_path / "fit.json",
+        paths={**paths, "output_dir": str(tmp_path / "out")},
+        forecast={"training_days": 1, "training_stride": 4, "refit": True},
+        fit={"restarts": 1, "max_iter": 40},
+    )
+    seen = []
+    real_fit = ex._fit
+    monkeypatch.setattr(ex, "_fit", lambda train, *rest: seen.append(train) or real_fit(train, *rest))
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--system", "1"]) == 0
+    # the last day of the bundle (2021-06-03 UTC), thinned from its start
+    thinned = np.arange(2 * 288, 3 * 288, 4)
+    seconds = dt.datetime(2021, 6, 1, tzinfo=dt.timezone.utc).timestamp() + thinned * 300.0
+    day = np.asarray(geotime.solar_elevation_deg(51.5, -0.12, seconds)) > 0.0
+    assert 0 < day.sum() < thinned.size
+    [train] = seen
+    assert np.array_equal(train.inputs[:, 0], thinned[day].astype(float))
+    assert f"({day.sum()} training rows)" in capsys.readouterr().out
 
 
 def test_experiment_deterministic_and_reports_ordering(tmp_path, capsys):

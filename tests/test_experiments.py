@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pvgp import experiments as ex
-from pvgp import gp, pipeline
+from pvgp import geotime, gp, pipeline
 from pvgp.experiments import (
     CLOUD_GIVEN,
     CLOUD_PERSISTENCE,
@@ -144,6 +144,70 @@ def test_training_set_thins_from_window_start_and_names_an_empty_window():
     assert np.array_equal(train.targets, rows.power_w[::5])
     with pytest.raises(pipeline.CoverageError, match=r"training window \[-288, 0\) holds 0 rows"):
         ex.training_set(series, 0, training_days=1, stride=1)
+
+
+def elevation(series, time_index):
+    seconds = series.epoch_utc.timestamp() + np.asarray(time_index, dtype=float) * 300.0
+    return np.asarray(geotime.solar_elevation_deg(series.latitude, series.longitude, seconds))
+
+
+def spy_posterior(monkeypatch):
+    calls = []
+    real = gp.posterior
+
+    def spy(train, query, spec):
+        calls.append((train.inputs.copy(), np.array(query, dtype=float)))
+        return real(train, query, spec)
+
+    monkeypatch.setattr(gp, "posterior", spy)
+    return calls
+
+
+def test_48h_launch_conditions_on_daylight_rows_and_is_zero_at_night(monkeypatch):
+    _, series = scattered_series(days=4)
+    calls = spy_posterior(monkeypatch)
+    cfg = make_config(horizon_steps=STEPS_48H, forecast_start=2 * STEPS_PER_DAY, training_stride=3, refit=False)
+    result = forecast_48h(series, cfg)
+
+    night = elevation(series, result.time_index) <= 0.0
+    assert 0 < night.sum() < STEPS_48H
+    for values in (result.prediction.mean, result.mean_clamped, result.sd):
+        assert np.all(values[night] == 0.0)
+    assert np.all(result.prediction.cov[night, :] == 0.0) and np.all(result.prediction.cov[:, night] == 0.0)
+    assert np.all(result.sd[~night] > 0.0)
+    assert result.mae == mae(result.truth, result.mean_clamped)  # every step is scored
+
+    [(train_inputs, query)] = calls
+    assert np.all(elevation(series, train_inputs[:, 0]) > 0.0)
+    assert np.array_equal(query[:, 0], result.time_index[~night].astype(float))
+    thinned = np.arange(STEPS_PER_DAY, 2 * STEPS_PER_DAY, 3)
+    assert np.array_equal(train_inputs[:, 0], thinned[elevation(series, thinned) > 0.0].astype(float))
+
+
+def test_window_with_under_two_daylight_rows_is_a_failed_cell():
+    _, series = scattered_series(days=3)
+    # stride 144 keeps 00:00 and 12:00 UTC of a June day in London: one daylight row
+    cfg = make_config(forecast_start=STEPS_PER_DAY, training_stride=144, refit=False)
+    with pytest.raises(pipeline.CoverageError, match=r"training window \[0, 288\) holds 1 daylight rows"):
+        forecast_4h(series, cfg)
+    row = run_grid([cfg], {(1, 6): series}).rows[0]
+    assert not row.per_system
+    assert row.failures[1].startswith("CoverageError: training window [0, 288)")
+
+
+def test_night_horizon_is_zero_without_a_posterior(monkeypatch):
+    _, series = scattered_series(days=3)
+    calls = spy_posterior(monkeypatch)
+    fits = []
+    monkeypatch.setattr(ex, "_fit", lambda *args: fits.append(args) or args[1])
+    start = 2 * STEPS_PER_DAY - 24  # 22:00 UTC to 02:00 UTC in London in June
+    assert np.all(elevation(series, np.arange(start, start + STEPS_4H)) <= 0.0)
+    result = forecast_4h(series, make_config(forecast_start=start, training_stride=3))
+    assert not calls and len(fits) == 1  # the fit still runs, so fitted_kernel is a fit
+    assert np.all(result.prediction.mean == 0.0) and np.all(result.prediction.cov == 0.0)
+    assert np.all(result.mean_clamped == 0.0) and np.all(result.sd == 0.0)
+    assert result.prediction.cov.shape == (STEPS_4H, STEPS_4H)
+    assert result.mae == mae(result.truth, np.zeros(STEPS_4H)) and result.mae_daylight is None
 
 
 def test_forecast_insufficient_coverage():

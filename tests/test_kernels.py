@@ -393,6 +393,8 @@ def test_parse_rejects_garbage():
         # no lengthscale for a kernel that needs one
         "se(h=1.0, ls=[])",
         "periodic(se; h=1.0, ls=[], w=1.0, T=288.0)",
+        # h is finite but h^2 is not
+        "se(h=1e200, ls=[3.0])",
     ]:
         with pytest.raises(KernelSpecError):
             kernels.parse(bad)
