@@ -127,9 +127,17 @@ def _merge(defaults, user, path=""):
             merged[key] = _merge(defaults[key], value, path=f"{path}{key}.")
         elif key == "projection":
             merged[key] = {**defaults[key], **TransverseMercator.from_mapping(value).to_mapping()}
-        else:
+        elif defaults[key] is None or _same_type(value, defaults[key]):
             merged[key] = copy.deepcopy(value)
+        else:
+            want, got = type(defaults[key]).__name__, type(value).__name__
+            raise ConfigError(f"config key {path + key!r} must be {want}, got {got} {value!r}")
     return merged
+
+
+def _same_type(value, default) -> bool:
+    """Whether ``value`` has the JSON type of ``default``; an integer stands for a float."""
+    return type(value) is type(default) or (type(default) is float and type(value) is int)
 
 
 def load_config(path: str | None) -> dict:

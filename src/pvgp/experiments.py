@@ -41,7 +41,7 @@ import numpy as np
 
 from . import geotime, gp, kernels, pipeline
 from .gp import ConditioningError, FitError, TrainingSet
-from .kernels import MATERN, PERIODIC, RATIONAL_QUADRATIC, KernelSpec, parse as parse_kernel
+from .kernels import PERIODIC, RATIONAL_QUADRATIC, KernelSpec, parse as parse_kernel
 from .pipeline import AssembledSeries, CoverageError, EmptyDatasetError, HrvRasterStack, PowerData, PvSystem
 
 __all__ = [
@@ -148,10 +148,8 @@ class ExperimentConfig:
         return TRAINING_PERIOD_LABELS.get(self.training_days, f"{self.training_days} days")
 
     def kernel_label(self) -> str:
-        k = self.kernel
-        shape = k.base if k.family == PERIODIC else k
-        name = kernels._matern_name(shape.nu) if shape.family == MATERN else shape.family
-        return f"periodic({name})" if k.family == PERIODIC else name
+        name = kernels._shape_name(self.kernel)
+        return f"periodic({name})" if self.kernel.family == PERIODIC else name
 
     def key(self) -> str:
         return "|".join(
@@ -202,15 +200,16 @@ def default_kernel(base: str = "matern12", ndim: int = 2) -> KernelSpec:
     """Periodic daily-cycle kernel template around a stationary base."""
     if base not in kernels._NAME_TO_FAMILY:
         raise ValueError(f"unknown base kernel {base!r}")
-    family, nu = kernels._NAME_TO_FAMILY[base]
-    inner = KernelSpec(family, alpha=2.0 if family == RATIONAL_QUADRATIC else None, nu=nu)
+    shape, nu = kernels._NAME_TO_FAMILY[base]
     return KernelSpec(
         PERIODIC,
         amplitude=1.0,
         lengthscales=tuple([1.0] * ndim),
+        alpha=2.0 if shape == RATIONAL_QUADRATIC else None,
+        nu=nu,
         roughness=1.0,
         period=float(geotime.STEPS_PER_DAY),
-        base=inner,
+        base=shape,
         noise_variance=0.01,
     )
 
@@ -420,23 +419,50 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
-        """Inverse of :meth:`to_json`; raises ``ValueError`` naming every missing top-level key."""
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError(f"report document: expected a JSON object, got {type(payload).__name__}")
-        missing = [key for key in ("rows", "samples", "seed") if key not in payload]
-        if missing:
-            raise ValueError(f"report document: missing key(s) {missing}")
-        rows = [
-            ReportRow(
-                config=ExperimentConfig.from_jsonable(item["config"]),
-                per_system={int(k): float(v) for k, v in item["per_system"].items()},
-                failures={int(k): str(v) for k, v in item["failures"].items()},
-            )
-            for item in payload["rows"]
-        ]
-        samples = [(int(a), int(b), int(c), float(d)) for a, b, c, d in payload["samples"]]
-        return cls(rows=rows, samples=samples, seed=int(payload["seed"]))
+        """Inverse of :meth:`to_json`.
+
+        Raises ``ValueError`` naming every missing top-level key, or the
+        index and the missing key or wrong shape of a malformed row or sample.
+        """
+        payload = _json_object(json.loads(text), "report document", ("rows", "samples", "seed"))
+        if not (isinstance(payload["rows"], list) and isinstance(payload["samples"], list) and type(payload["seed"]) is int):
+            raise ValueError("report document: 'rows' and 'samples' must be lists and 'seed' an integer")
+        rows, samples = [], []
+        for i, item in enumerate(payload["rows"]):
+            where = f"report document: row {i}"
+            item = _json_object(item, where, _ROW_KEYS)
+            config, per_system, failures = (_json_object(item[key], f"{where} {key}", ()) for key in _ROW_KEYS)
+            try:
+                rows.append(
+                    ReportRow(
+                        config=ExperimentConfig.from_jsonable(config),
+                        per_system={int(k): float(v) for k, v in per_system.items()},
+                        failures={int(k): str(v) for k, v in failures.items()},
+                    )
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+        for i, item in enumerate(payload["samples"]):
+            try:
+                if not (isinstance(item, list) and len(item) == 4):
+                    raise ValueError(f"expected [config index, system, day, mae], got {item!r}")
+                samples.append((int(item[0]), int(item[1]), int(item[2]), float(item[3])))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"report document: sample {i}: {exc}") from exc
+        return cls(rows=rows, samples=samples, seed=payload["seed"])
+
+
+_ROW_KEYS = ("config", "per_system", "failures")
+
+
+def _json_object(value, where: str, required) -> dict:
+    """``value`` if it is a JSON object holding every ``required`` key; else ``ValueError`` naming ``where``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {missing}")
+    return value
 
 
 def _cell_seed(seed: int, config_index: int, system_id: int, day: int) -> int:

@@ -386,32 +386,21 @@ _ROUGHNESS_INIT = (0.1, 10.0)
 
 
 def _free_parameters(train: TrainingSet, spec: KernelSpec, optimize_period: bool) -> list[_Param]:
-    params: list[_Param] = []
     scale = train.target_scale
-    params.append(_Param(Hyperparameter("amplitude"), 0.01 * scale, 10.0 * scale))
-
-    if train.n:
-        ranges = np.ptp(train.inputs, axis=0)
-    else:
-        ranges = np.ones(train.ndim)
-    ls_bounds = [(1.0, max(10.0 * float(r), 2.0)) for r in ranges]
-
-    if spec.family == PERIODIC:
+    params = [_Param(Hyperparameter("amplitude"), 0.01 * scale, 10.0 * scale)]
+    periodic = spec.family == PERIODIC
+    if periodic:
         params.append(_Param(Hyperparameter("roughness"), *_ROUGHNESS_INIT))
-        for d in range(1, train.ndim):
-            params.append(_Param(Hyperparameter("lengthscales", d), *ls_bounds[d]))
-        if spec.base.family == RATIONAL_QUADRATIC:
-            params.append(_Param(Hyperparameter("alpha", on_base=True), 0.1, 100.0))
-        if optimize_period:
-            params.append(_Param(Hyperparameter("period"), 0.5 * spec.period, 2.0 * spec.period, box_margin=1.0))
-    elif spec.family != WHITE_NOISE:
-        for d in range(train.ndim):
-            params.append(_Param(Hyperparameter("lengthscales", d), *ls_bounds[d]))
-        if spec.family == RATIONAL_QUADRATIC:
-            params.append(_Param(Hyperparameter("alpha"), 0.1, 100.0))
-
-    var = scale**2
-    params.append(_Param(Hyperparameter("noise_variance"), 1e-6 * var, 1.0 * var))
+    if spec.family != WHITE_NOISE:
+        # a periodic spec's time axis has the roughness w for its lengthscale
+        ranges = np.ptp(train.inputs, axis=0) if train.n else np.ones(train.ndim)
+        for d in range(periodic, train.ndim):
+            params.append(_Param(Hyperparameter("lengthscales", d), 1.0, max(10.0 * float(ranges[d]), 2.0)))
+    if spec.shape == RATIONAL_QUADRATIC:
+        params.append(_Param(Hyperparameter("alpha"), 0.1, 100.0))
+    if periodic and optimize_period:
+        params.append(_Param(Hyperparameter("period"), 0.5 * spec.period, 2.0 * spec.period, box_margin=1.0))
+    params.append(_Param(Hyperparameter("noise_variance"), 1e-6 * scale**2, 1.0 * scale**2))
     return params
 
 

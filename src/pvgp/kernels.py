@@ -18,15 +18,16 @@ and ``cos`` of the time columns that the chord is built from are computed
 once per call and sliced to each row block.  Shapes that
 are ``exp(-x)`` (se, matern12) multiply as one ``exp`` of the summed
 distance variables, so a periodic se or matern12 Gram costs one ``exp``
-per entry.  :class:`Hyperparameter` addresses one positive scalar of a
-spec by field.  Five families are supported:
+per entry.  A spec is flat, and :class:`Hyperparameter` addresses one
+positive scalar of it by field.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
 * ``se``           -- squared exponential, ``h^2 * exp(-r2)``
 * ``rq``           -- rational quadratic, ``h^2 * (1 + r2/alpha)^-alpha``
 * ``matern``       -- half-integer Matern (nu in {1/2, 3/2, 5/2})
 * ``periodic``     -- sinusoidal warp of the time axis around a stationary
-                      base kernel (the daily solar cycle)
+                      base shape (the daily solar cycle); ``base`` names its
+                      family and its ``alpha``/``nu`` are the spec's own
 
 ``r2`` is the per-dimension-scaled squared distance
 ``sum_d ((x_d - x'_d) / ls_d)^2``.  The plain stationary forms carry no 1/2
@@ -121,18 +122,19 @@ class KernelSpec:
         One lengthscale per input dimension.  Ignored for ``whitenoise``;
         index 0 is ignored for ``periodic`` (superseded by ``roughness``).
     alpha : float, optional
-        Rational-quadratic index (``rq`` family only).
+        Rational-quadratic index, read when the :attr:`shape` is ``rq``.
     nu : float, optional
-        Matern smoothness, one of ``MATERN_NUS`` (``matern`` only).
+        Matern smoothness, one of ``MATERN_NUS``, read when the
+        :attr:`shape` is ``matern``.
     roughness : float, optional
         Lengthscale ``w`` on the warped time axis (``periodic`` only).
     period : float, optional
         Period ``T`` in time-index units (``periodic`` only); one solar
         day is 288.
-    base : KernelSpec, optional
-        Stationary base kernel of a ``periodic`` spec.  Its amplitude and
-        lengthscales are unused; only the family shape (``alpha``/``nu``)
-        matters.
+    base : str, optional
+        Stationary family name (``se``, ``rq`` or ``matern``) of a
+        ``periodic`` spec's base shape, whose ``alpha``/``nu`` are this
+        spec's own.
     noise_variance : float
         White-noise variance ``sigma^2`` added on the training diagonal,
         in squared target units.  Attached at the composite level.
@@ -145,12 +147,17 @@ class KernelSpec:
     nu: float | None = None
     roughness: float | None = None
     period: float | None = None
-    base: "KernelSpec | None" = None
+    base: str | None = None
     noise_variance: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "lengthscales", tuple(float(v) for v in np.atleast_1d(self.lengthscales)))
         self.validate()
+
+    @property
+    def shape(self) -> str | None:
+        """Family of the stationary profile: the base of a ``periodic`` spec, else the family."""
+        return self.base if self.family == PERIODIC else self.family
 
     def validate(self, ndim: int | None = None) -> None:
         """Check hyperparameter invariants; raise :class:`KernelSpecError`."""
@@ -166,17 +173,17 @@ class KernelSpec:
             raise KernelSpecError(f"{fam} kernel needs at least one lengthscale (ls)")
         if fam != WHITE_NOISE and any(not (v > 0 and math.isfinite(v)) for v in self.lengthscales):
             raise KernelSpecError(f"lengthscales must be > 0, got {self.lengthscales}")
-        if fam == RATIONAL_QUADRATIC and not (self.alpha is not None and self.alpha > 0):
-            raise KernelSpecError("rq kernel needs alpha > 0")
-        if fam == MATERN and self.nu not in MATERN_NUS:
-            raise KernelSpecError(f"matern nu must be one of {MATERN_NUS}, got {self.nu}")
         if fam == PERIODIC:
             if not (self.roughness is not None and self.roughness > 0):
                 raise KernelSpecError("periodic kernel needs roughness w > 0")
             if not (self.period is not None and self.period > 0):
                 raise KernelSpecError("periodic kernel needs period T > 0")
-            if self.base is None or self.base.family not in STATIONARY_FAMILIES:
+            if self.base not in STATIONARY_FAMILIES:
                 raise KernelSpecError("periodic base must be a stationary family (se, rq, matern)")
+        if self.shape == RATIONAL_QUADRATIC and not (self.alpha is not None and self.alpha > 0):
+            raise KernelSpecError("rq kernel needs alpha > 0")
+        if self.shape == MATERN and self.nu not in MATERN_NUS:
+            raise KernelSpecError(f"matern nu must be one of {MATERN_NUS}, got {self.nu}")
         if ndim is not None and fam != WHITE_NOISE and len(self.lengthscales) != ndim:
             raise KernelSpecError(
                 f"spec has {len(self.lengthscales)} lengthscale(s) but inputs have {ndim} dimension(s)"
@@ -196,26 +203,21 @@ class KernelSpec:
             return f"whitenoise(h={self.amplitude!r})"
         ls = "[" + ", ".join(repr(v) for v in self.lengthscales) + "]"
         args = f"h={self.amplitude!r}, ls={ls}"
-        if self.family == SQUARED_EXPONENTIAL:
-            return f"se({args})"
-        if self.family == RATIONAL_QUADRATIC:
-            return f"rq({args}, alpha={self.alpha!r})"
-        if self.family == MATERN:
-            return f"{_matern_name(self.nu)}({args})"
-        # periodic
-        assert self.base is not None
-        base_name = _matern_name(self.base.nu) if self.base.family == MATERN else self.base.family
-        if self.base.family == RATIONAL_QUADRATIC:
-            args += f", alpha={self.base.alpha!r}"
-        args += f", w={self.roughness!r}, T={self.period!r}"
-        return f"periodic({base_name}; {args})"
+        if self.shape == RATIONAL_QUADRATIC:
+            args += f", alpha={self.alpha!r}"
+        if self.family != PERIODIC:
+            return f"{_shape_name(self)}({args})"
+        return f"periodic({_shape_name(self)}; {args}, w={self.roughness!r}, T={self.period!r})"
 
     def __str__(self) -> str:
         return self.to_text()
 
 
-def _matern_name(nu: float | None) -> str:
-    return {0.5: "matern12", 1.5: "matern32", 2.5: "matern52"}[nu]
+def _shape_name(spec: KernelSpec) -> str:
+    """Text name of ``spec``'s shape: its family, with a matern's smoothness (``matern12``)."""
+    if spec.shape == MATERN:
+        return {0.5: "matern12", 1.5: "matern32", 2.5: "matern52"}[spec.nu]
+    return spec.shape
 
 
 _NAME_TO_FAMILY = {
@@ -289,25 +291,18 @@ def _parse_main(term: str) -> KernelSpec:
     if name == "whitenoise":
         _check_keys(args, {"h"}, term)
         return KernelSpec(WHITE_NOISE, amplitude=_require_float(args, "h", term))
-    shape_name = base_name if periodic else name
-    if shape_name not in _NAME_TO_FAMILY:
+    named = base_name if periodic else name
+    if named not in _NAME_TO_FAMILY:
         raise KernelSpecError(f"unknown periodic base {base_name!r}" if periodic else f"unknown kernel name {name!r}")
-    fam, nu = _NAME_TO_FAMILY[shape_name]
-    rq = fam == RATIONAL_QUADRATIC
+    shape, nu = _NAME_TO_FAMILY[named]
+    rq = shape == RATIONAL_QUADRATIC
     _check_keys(args, {"h", "ls"} | ({"alpha"} if rq else set()) | ({"w", "T"} if periodic else set()), term)
     alpha = _require_float(args, "alpha", term) if rq else None
-    amplitude = _require_float(args, "h", term)
-    lengthscales = args.get("ls", (1.0,))
+    common = dict(amplitude=_require_float(args, "h", term), lengthscales=args.get("ls", (1.0,)), alpha=alpha, nu=nu)
     if not periodic:
-        return KernelSpec(fam, amplitude=amplitude, lengthscales=lengthscales, alpha=alpha, nu=nu)  # type: ignore[arg-type]
-    return KernelSpec(
-        PERIODIC,
-        amplitude=amplitude,
-        lengthscales=lengthscales,  # type: ignore[arg-type]
-        roughness=_require_float(args, "w", term),
-        period=_require_float(args, "T", term),
-        base=KernelSpec(fam, alpha=alpha, nu=nu),
-    )
+        return KernelSpec(shape, **common)  # type: ignore[arg-type]
+    w, T = (_require_float(args, key, term) for key in ("w", "T"))
+    return KernelSpec(PERIODIC, roughness=w, period=T, base=shape, **common)  # type: ignore[arg-type]
 
 
 def _check_keys(args: dict[str, object], allowed: set[str], term: str) -> None:
@@ -324,19 +319,6 @@ def _require_float(args: dict[str, object], key: str, term: str) -> float:
     return args[key]  # type: ignore[return-value]
 
 
-def _matern_profile(r, nu: float):
-    """Half-integer Matern shape at scaled distance ``r``.
-
-    nu = 1/2: ``exp(-r)``;  nu = 3/2: ``(1 + sqrt(3) r) exp(-sqrt(3) r)``;
-    nu = 5/2: ``(1 + sqrt(5) r + 5 r^2/3) exp(-sqrt(5) r)``.
-    """
-    if nu == 0.5:
-        return np.exp(-r)
-    if nu == 1.5:
-        return (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
-    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r * r) * np.exp(-_SQRT5 * r)
-
-
 # -- Gram evaluation ---------------------------------------------------------
 #
 # Every stationary shape is a function of one distance variable x: the scaled
@@ -350,32 +332,39 @@ def _matern_profile(r, nu: float):
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _distance_power(shape: KernelSpec) -> int:
-    """How the distance variable scales with distance: 2 for se/rq, 1 for matern."""
-    return 1 if shape.family == MATERN else 2
+def _distance_power(spec: KernelSpec) -> int:
+    """How the distance variable of ``spec``'s shape scales with distance: 2 for se/rq, 1 for matern."""
+    return 1 if spec.shape == MATERN else 2
 
 
-def _shape_value(shape: KernelSpec, x):
-    """Unit-amplitude shape of a stationary family at distance variable ``x``."""
-    if shape.family == SQUARED_EXPONENTIAL:
-        return np.exp(-x)
-    if shape.family == RATIONAL_QUADRATIC:
-        return (1.0 + x / shape.alpha) ** (-shape.alpha)
-    return _matern_profile(x, shape.nu)
-
-
-def _is_exponential(shape: KernelSpec) -> bool:
+def _is_exponential(spec: KernelSpec) -> bool:
     """Whether the shape is ``exp(-x)`` (se, matern12), so that a product of two is one ``exp``."""
-    return shape.family == SQUARED_EXPONENTIAL or shape.nu == 0.5
+    return spec.shape == SQUARED_EXPONENTIAL or (spec.shape == MATERN and spec.nu == 0.5)
 
 
-def _shape_dlog(shape: KernelSpec, x):
-    """``d log shape / dx`` of a stationary family."""
-    if _is_exponential(shape):
+def _shape_value(spec: KernelSpec, x):
+    """Unit-amplitude shape of ``spec`` at distance variable ``x``.
+
+    se and matern12: ``exp(-x)``; rq: ``(1 + x/alpha)^-alpha``; matern32:
+    ``(1 + sqrt(3) x) exp(-sqrt(3) x)``; matern52:
+    ``(1 + sqrt(5) x + 5 x^2/3) exp(-sqrt(5) x)``.
+    """
+    if _is_exponential(spec):
+        return np.exp(-x)
+    if spec.shape == RATIONAL_QUADRATIC:
+        return (1.0 + x / spec.alpha) ** (-spec.alpha)
+    if spec.nu == 1.5:
+        return (1.0 + _SQRT3 * x) * np.exp(-_SQRT3 * x)
+    return (1.0 + _SQRT5 * x + (5.0 / 3.0) * x * x) * np.exp(-_SQRT5 * x)
+
+
+def _shape_dlog(spec: KernelSpec, x):
+    """``d log shape / dx`` of ``spec``'s shape."""
+    if _is_exponential(spec):
         return -1.0
-    if shape.family == RATIONAL_QUADRATIC:
-        return -1.0 / (1.0 + x / shape.alpha)
-    if shape.nu == 1.5:
+    if spec.shape == RATIONAL_QUADRATIC:
+        return -1.0 / (1.0 + x / spec.alpha)
+    if spec.nu == 1.5:
         return -3.0 * x / (1.0 + _SQRT3 * x)
     return -(5.0 / 3.0) * x * (1.0 + _SQRT5 * x) / (1.0 + _SQRT5 * x + (5.0 / 3.0) * x * x)
 
@@ -389,16 +378,14 @@ def _shape_dlog_alpha(alpha: float, x):
 class Hyperparameter:
     """One positive scalar of a :class:`KernelSpec`, addressed by field.
 
-    ``index`` picks an entry of ``lengthscales``; ``on_base`` marks the
-    rational-quadratic ``alpha`` of a periodic spec, which lives on its base.
+    ``index`` picks an entry of ``lengthscales``.
     """
 
     field: str
     index: int | None = None
-    on_base: bool = False
 
     def get(self, spec: KernelSpec) -> float:
-        value = getattr(spec.base if self.on_base else spec, self.field)
+        value = getattr(spec, self.field)
         return value if self.index is None else value[self.index]
 
     def put(self, spec: KernelSpec, value: float) -> KernelSpec:
@@ -406,8 +393,6 @@ class Hyperparameter:
             ls = list(spec.lengthscales)
             ls[self.index] = value
             value = tuple(ls)
-        if self.on_base:
-            return replace(spec, base=replace(spec.base, **{self.field: value}))
         return replace(spec, **{self.field: value})
 
 
@@ -520,17 +505,17 @@ class GramEvaluator:
             return K
         # distance variables of the factors: the warp's, then the stationary one's
         if spec.family == PERIODIC:
-            shape, axes = spec.base, range(1, self.A.shape[1])
+            axes = range(1, self.A.shape[1])
             xw = np.divide(self.chord(spec.period), spec.roughness, out=self._buffer("warp"))
-            if _distance_power(shape) == 2:
+            if _distance_power(spec) == 2:
                 xw *= xw
                 xw *= 0.5
             terms = [xw]
         else:
-            shape, axes, terms = spec, range(self.A.shape[1]), []
+            axes, terms = range(self.A.shape[1]), []
         if len(axes):
-            terms.append(self._stationary_variable(shape, axes, spec.lengthscales))
-        if _is_exponential(shape):
+            terms.append(self._stationary_variable(spec, axes))
+        if _is_exponential(spec):
             # exp(-a) exp(-b) = exp(-(a + b)): one exp per entry, and h^2 after
             # it, so that k(x, x) = h^2 exactly
             np.negative(terms[0], out=K)
@@ -541,20 +526,20 @@ class GramEvaluator:
         else:
             K.fill(h2)
             for x in terms:
-                K *= _shape_value(shape, x)
+                K *= _shape_value(spec, x)
         return K
 
-    def _stationary_variable(self, shape: KernelSpec, axes, lengthscales) -> np.ndarray:
+    def _stationary_variable(self, spec: KernelSpec, axes) -> np.ndarray:
         """Distance variable of the stationary factor, accumulated one axis at a time."""
         x = self._buffer("stationary")
-        squared = _distance_power(shape) == 2 or len(axes) > 1
+        squared = _distance_power(spec) == 2 or len(axes) > 1
         for k, axis in enumerate(axes):
-            r = np.divide(self.absdiff(axis), lengthscales[axis], out=x if k == 0 else None)
+            r = np.divide(self.absdiff(axis), spec.lengthscales[axis], out=x if k == 0 else None)
             if squared:
                 r *= r
             if k:
                 x += r
-        if squared and _distance_power(shape) == 1:
+        if squared and _distance_power(spec) == 1:
             np.sqrt(x, out=x)
         return x
 
@@ -570,8 +555,8 @@ class GramEvaluator:
     def _d_roughness(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
         # x scales as w^-power
         xw = self._buffers["warp"]
-        g = np.multiply(xw, -_distance_power(spec.base), out=self._buffer("derivative"))
-        g *= _shape_dlog(spec.base, xw)
+        g = np.multiply(xw, -_distance_power(spec), out=self._buffer("derivative"))
+        g *= _shape_dlog(spec, xw)
         return g
 
     def _d_period(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
@@ -583,16 +568,15 @@ class GramEvaluator:
         g *= phase
         g *= np.cos(phase, out=phase)
         g *= -2.0 / spec.roughness
-        if _distance_power(spec.base) == 2:
+        if _distance_power(spec) == 2:
             g *= self.chord(spec.period)
             g /= spec.roughness
-        g *= _shape_dlog(spec.base, self._buffers["warp"])
+        g *= _shape_dlog(spec, self._buffers["warp"])
         return g
 
     def _d_lengthscale(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
         periodic = spec.family == PERIODIC
-        shape = spec.base if periodic else spec
-        power = _distance_power(shape)
+        power = _distance_power(spec)
         x = self._buffers["stationary"]
         g = self._buffer("derivative")
         if self.A.shape[1] - periodic == 1:
@@ -608,18 +592,17 @@ class GramEvaluator:
             else:
                 np.divide(g, x, out=g, where=x > 0)
                 np.negative(g, out=g)
-        g *= _shape_dlog(shape, x)
+        g *= _shape_dlog(spec, x)
         return g
 
     def _d_alpha(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
         periodic = spec.family == PERIODIC
-        alpha = spec.base.alpha if periodic else spec.alpha
         g = self._buffer("derivative")
         g.fill(0.0)
         if periodic:
-            g += _shape_dlog_alpha(alpha, self._buffers["warp"])
+            g += _shape_dlog_alpha(spec.alpha, self._buffers["warp"])
         if self.A.shape[1] > periodic:
-            g += _shape_dlog_alpha(alpha, self._buffers["stationary"])
+            g += _shape_dlog_alpha(spec.alpha, self._buffers["stationary"])
         return g
 
 

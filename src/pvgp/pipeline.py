@@ -215,7 +215,7 @@ class PowerData:
 
     epoch_utc: dt.datetime
     series: dict[int, tuple[np.ndarray, np.ndarray]]  # id -> (indices, watts)
-    skipped: list[tuple[int, str]]
+    skipped: list[tuple[int, str]]  # (CSV line number, reason)
 
 
 @dataclass
@@ -271,10 +271,10 @@ def load_power(path, epoch: dt.datetime | None = None) -> PowerData:
 
     The epoch defaults to midnight UTC of the first day present, so day
     boundaries land on multiples of 288.  Misaligned or malformed rows are
-    skipped and counted.
+    skipped and recorded with their CSV line number.
     """
     path = Path(path)
-    rows: list[tuple[dt.datetime, int, float]] = []
+    rows: list[tuple[int, dt.datetime, int, float]] = []  # (CSV line, time, system, watts)
     skipped: list[tuple[int, str]] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -284,21 +284,21 @@ def load_power(path, epoch: dt.datetime | None = None) -> PowerData:
         for lineno, row in enumerate(reader, start=2):
             try:
                 when = _parse_timestamp(row["timestamp_utc"])
-                rows.append((when, int(row["system_id"]), float(row["power_w"])))
+                rows.append((lineno, when, int(row["system_id"]), float(row["power_w"])))
             except (ValueError, KeyError) as exc:
                 skipped.append((lineno, str(exc)))
     if not rows:
         raise EmptyDatasetError(f"{path}: no parseable power rows")
     if epoch is None:
-        first = min(r[0] for r in rows)
+        first = min(r[1] for r in rows)
         epoch = first.replace(hour=0, minute=0, second=0, microsecond=0)
 
     per_system: dict[int, list[tuple[int, float]]] = {}
-    for when, system_id, power in rows:
+    for lineno, when, system_id, power in rows:
         try:
             idx = timestamp_to_index(when, epoch)
         except AlignmentError as exc:
-            skipped.append((-1, str(exc)))
+            skipped.append((lineno, str(exc)))
             continue
         per_system.setdefault(system_id, []).append((idx, power))
 

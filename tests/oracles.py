@@ -40,10 +40,10 @@ def composite_oracle(xi, xj, i, j, spec):
 
     if spec.family == PERIODIC:
         u = 2.0 * abs(math.sin(math.pi * (xi[0] - xj[0]) / spec.period))
-        k = profile(spec.base.family, u / spec.roughness, spec.base.alpha, spec.base.nu, half=True)
+        k = profile(spec.base, u / spec.roughness, spec.alpha, spec.nu, half=True)
         if len(xi) > 1:
             r2 = sum(((a - b) / l) ** 2 for a, b, l in zip(xi[1:], xj[1:], spec.lengthscales[1:]))
-            k *= profile(spec.base.family, math.sqrt(r2), spec.base.alpha, spec.base.nu, half=False)
+            k *= profile(spec.base, math.sqrt(r2), spec.alpha, spec.nu, half=False)
         return spec.amplitude**2 * k + noise
     r2 = sum(((a - b) / l) ** 2 for a, b, l in zip(xi, xj, spec.lengthscales))
     return spec.amplitude**2 * profile(spec.family, math.sqrt(r2), spec.alpha, spec.nu, half=False) + noise

@@ -68,7 +68,8 @@ def random_family_spec(rng, ndim, family):
         lengthscales=ls,
         roughness=float(rng.uniform(0.3, 2.0)),
         period=float(rng.uniform(5.0, 30.0)),
-        base=KernelSpec(MATERN, nu=0.5),
+        base=MATERN,
+        nu=0.5,
         noise_variance=sigma2,
     )
 
@@ -135,8 +136,8 @@ def test_optimizer_gradient_agrees_with_stencil():
 
     # the analytic gradient the optimiser consumes, over every parameter the
     # fit can free (a freed period included), for all families in 1-D and 2-D
-    bases = [KernelSpec(SQUARED_EXPONENTIAL), KernelSpec(RATIONAL_QUADRATIC, alpha=1.7)]
-    bases += [KernelSpec(MATERN, nu=nu) for nu in (0.5, 1.5, 2.5)]
+    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
+    bases += [dict(base=MATERN, nu=nu) for nu in (0.5, 1.5, 2.5)]
     for trial in range(60):
         family = ALL_FAMILIES[trial % len(ALL_FAMILIES)]
         ndim = 1 + (trial // len(ALL_FAMILIES)) % 2
@@ -144,7 +145,7 @@ def test_optimizer_gradient_agrees_with_stencil():
         n = int(rng.integers(6, 12))
         t = np.sort(rng.choice(np.arange(100), size=n, replace=False)).astype(float)
         if family == PERIODIC:
-            spec = replace(spec, base=bases[trial % len(bases)], period=_period_clear_of_kinks(rng, t))
+            spec = replace(spec, **bases[trial % len(bases)], period=_period_clear_of_kinks(rng, t))
         X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
         train = TrainingSet.from_arrays(X, rng.normal(0.0, 1.0, size=n))
         params = [p.where for p in gp._free_parameters(train, spec, optimize_period=True)]

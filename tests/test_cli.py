@@ -160,6 +160,17 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+def test_config_value_of_the_wrong_type_exits_two_naming_its_key(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cases = [({"jobs": "2"}, "'jobs'"), ({"experiment": {"test_days": "3"}}, "'experiment.test_days'")]
+    for overrides, named in cases:
+        cfg = write_config(tmp_path / "c.json", paths={"output_dir": out}, **overrides)
+        assert main(["experiment", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forecast_writes_48_rows_and_round_trips(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     cfg = write_config(
@@ -350,6 +361,16 @@ def test_report_names_bad_row_config_keys(tmp_path, capsys):
 
 def test_report_names_missing_top_level_keys(tmp_path, capsys):
     cases = [({"seed": 0, "samples": []}, "['rows']"), ({}, "['rows', 'samples', 'seed']"), ([], "a JSON object")]
+    # a malformed row or sample is named by its index and the missing key or wrong shape
+    cases += [
+        ({"seed": 0, "samples": [], "rows": 5}, "'rows' and 'samples' must be lists and 'seed' an integer"),
+        ({"seed": "0", "samples": [], "rows": []}, "'rows' and 'samples' must be lists and 'seed' an integer"),
+        ({"seed": 0, "samples": [], "rows": [5]}, "row 0: expected a JSON object, got int"),
+        ({"seed": 0, "samples": [], "rows": [{"config": {}, "failures": {}}]}, "row 0: missing key(s) ['per_system']"),
+        ({"seed": 0, "samples": [], "rows": [{"config": {}, "per_system": [], "failures": {}}]}, "row 0 per_system: expected"),
+        ({"seed": 0, "samples": [[0, 1]], "rows": []}, "sample 0: expected [config index, system, day, mae], got [0, 1]"),
+        ({"seed": 0, "samples": [[0, 1, 2, 3.0], [0, 1, 2, "x"]], "rows": []}, "sample 1: could not convert"),
+    ]
     for payload, named in cases:
         path = tmp_path / "report.json"
         path.write_text(json.dumps(payload), encoding="utf-8")

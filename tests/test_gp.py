@@ -30,10 +30,9 @@ def random_spec(rng, ndim, family=None):
         return KernelSpec(family, amplitude=h, lengthscales=ls, alpha=float(rng.uniform(0.3, 5.0)), noise_variance=sigma2)
     if family == MATERN:
         return KernelSpec(family, amplitude=h, lengthscales=ls, nu=float(rng.choice([0.5, 1.5, 2.5])), noise_variance=sigma2)
-    base = KernelSpec(MATERN, nu=0.5)
     return KernelSpec(
         PERIODIC, amplitude=h, lengthscales=ls, roughness=float(rng.uniform(0.3, 2.0)),
-        period=float(rng.uniform(5.0, 30.0)), base=base, noise_variance=sigma2,
+        period=float(rng.uniform(5.0, 30.0)), base=MATERN, nu=0.5, noise_variance=sigma2,
     )
 
 
@@ -230,13 +229,13 @@ def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
         t = np.arange(float(n))
         X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
         ls = (2.0, 0.5)[:ndim]
-        bases = [KernelSpec(SQUARED_EXPONENTIAL), KernelSpec(RATIONAL_QUADRATIC, alpha=1.7), KernelSpec(MATERN, nu=0.5)]
+        bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7), dict(base=MATERN, nu=0.5)]
         specs = [
             KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.2),  # the diagonal of every block
             KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=ls, noise_variance=0.2),
             KernelSpec(RATIONAL_QUADRATIC, amplitude=1.3, lengthscales=ls, alpha=1.7, noise_variance=0.2),
             *[KernelSpec(MATERN, amplitude=1.3, lengthscales=ls, nu=nu, noise_variance=0.2) for nu in MATERN_NUS],
-            *[KernelSpec(PERIODIC, amplitude=1.3, lengthscales=ls, roughness=0.9, period=24.0, base=b, noise_variance=0.2)
+            *[KernelSpec(PERIODIC, amplitude=1.3, lengthscales=ls, roughness=0.9, period=24.0, **b, noise_variance=0.2)
               for b in bases],
         ]
         for spec in specs:

@@ -29,9 +29,9 @@ def spec_se(h=1.0, ls=(1.0,), sigma2=0.0):
 
 
 def spec_periodic(base_family=MATERN, nu=0.5, alpha=None, h=1.0, ls=(1.0,), w=1.0, T=288.0, sigma2=0.0):
-    base = KernelSpec(base_family, alpha=alpha, nu=nu if base_family == MATERN else None)
     return KernelSpec(
-        PERIODIC, amplitude=h, lengthscales=ls, roughness=w, period=T, base=base, noise_variance=sigma2
+        PERIODIC, amplitude=h, lengthscales=ls, alpha=alpha, nu=nu if base_family == MATERN else None,
+        roughness=w, period=T, base=base_family, noise_variance=sigma2
     )
 
 
@@ -188,7 +188,7 @@ def test_periodic_is_periodic():
 
 def test_periodic_rejects_non_stationary_base():
     with pytest.raises(KernelSpecError):
-        KernelSpec(PERIODIC, amplitude=1.0, roughness=1.0, period=288.0, base=KernelSpec(WHITE_NOISE))
+        KernelSpec(PERIODIC, amplitude=1.0, roughness=1.0, period=288.0, base=WHITE_NOISE)
 
 
 def test_periodic_base_cannot_be_periodic_or_noise():
@@ -271,7 +271,7 @@ def test_main_matrix_matches_pointwise_loop():
 
 
 PERIODIC_2D = KernelSpec(
-    PERIODIC, amplitude=850.0, lengthscales=(1.0, 8.0), roughness=10.0, period=288.0, base=KernelSpec(MATERN, nu=0.5)
+    PERIODIC, amplitude=850.0, lengthscales=(1.0, 8.0), roughness=10.0, period=288.0, base=MATERN, nu=0.5
 )
 
 
@@ -302,19 +302,19 @@ def test_main_matrix_row_blocks_match_one_block():
 def test_gram_evaluator_log_derivatives_match_finite_differences():
     rng = np.random.default_rng(10)
     X = np.column_stack([np.sort(rng.uniform(0, 60, 9)), rng.uniform(0, 1, 9)])
-    bases = [KernelSpec(SQUARED_EXPONENTIAL), KernelSpec(RATIONAL_QUADRATIC, alpha=1.3)]
-    bases += [KernelSpec(MATERN, nu=nu) for nu in MATERN_NUS]
+    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
+    bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
     specs = family_specs(ndim=2) + [KernelSpec(MATERN, amplitude=1.1, lengthscales=(2.0, 0.5), nu=nu) for nu in (0.5, 2.5)]
     specs += [
-        KernelSpec(PERIODIC, amplitude=1.2, lengthscales=(1.0, 0.7), roughness=0.8, period=23.3, base=b) for b in bases
+        KernelSpec(PERIODIC, amplitude=1.2, lengthscales=(1.0, 0.7), roughness=0.8, period=23.3, **b) for b in bases
     ]
     for spec in specs:
         params = [kernels.Hyperparameter("amplitude")]
         if spec.family == PERIODIC:
             params += [kernels.Hyperparameter(f) for f in ("roughness", "period")]
             params.append(kernels.Hyperparameter("lengthscales", 1))
-            if spec.base.family == RATIONAL_QUADRATIC:
-                params.append(kernels.Hyperparameter("alpha", on_base=True))
+            if spec.base == RATIONAL_QUADRATIC:
+                params.append(kernels.Hyperparameter("alpha"))
         elif spec.family != WHITE_NOISE:
             params += [kernels.Hyperparameter("lengthscales", d) for d in (0, 1)]
             if spec.family == RATIONAL_QUADRATIC:

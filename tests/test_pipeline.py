@@ -115,6 +115,7 @@ def test_load_power_epoch_and_alignment(tmp_path):
     assert idx.tolist() == [72, 73]
     assert watts.tolist() == [100.0, 110.0]
     assert len(data.skipped) == 1
+    assert data.skipped[0][0] == 4
 
 
 # -- filtering --------------------------------------------------------------------
