@@ -128,11 +128,26 @@ def _merge(defaults, user, path=""):
         elif key == "projection":
             merged[key] = {**defaults[key], **TransverseMercator.from_mapping(value).to_mapping()}
         elif defaults[key] is None or _same_type(value, defaults[key]):
+            if isinstance(defaults[key], list):
+                _check_entries(value, defaults[key], path + key)
             merged[key] = copy.deepcopy(value)
         else:
             want, got = type(defaults[key]).__name__, type(value).__name__
             raise ConfigError(f"config key {path + key!r} must be {want}, got {got} {value!r}")
     return merged
+
+
+# an entry of each list key whose default is empty, standing for the entries' JSON type
+_EMPTY_LIST_ENTRY = {"experiment.systems": 0, "experiment.custom.kernels": ""}
+
+
+def _check_entries(value: list, default: list, key: str) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless every entry has the JSON type of the default's entries."""
+    example = default[0] if default else _EMPTY_LIST_ENTRY[key]
+    for i, entry in enumerate(value):
+        if not _same_type(entry, example):
+            want, got = type(example).__name__, type(entry).__name__
+            raise ConfigError(f"config key {key!r} entry {i} must be {want}, got {got} {entry!r}")
 
 
 def _same_type(value, default) -> bool:
@@ -330,7 +345,7 @@ def read_forecast_csv(path):
 
 def _build_grid(cfg: dict, kept_ids: list[int]):
     e = cfg["experiment"]
-    systems = [int(s) for s in e["systems"]] or kept_ids
+    systems = e["systems"] or kept_ids
     if not systems:
         raise ConfigError("no systems available for the experiment grid")
     protocol = e["protocol"]

@@ -20,7 +20,10 @@ likelihood without gradient and a prior draw only the triangle the
 factorisation reads is built (row i from column i on), and each row block
 gets its noise, its scale and its finiteness check while it is in cache;
 the gradient's Gram is built whole and checked whole.  A non-finite Gram
-raises ``ValueError`` naming the kernel.
+raises ``ValueError`` naming the kernel.  Because every Gram is checked
+as it is built, its factor is never rescanned: after the factorisation a
+posterior makes one triangular solve, against the cross block and the
+targets together, which gives its mean and its covariance.
 
 The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
@@ -177,8 +180,7 @@ def _gram_builder(X: np.ndarray, spec: KernelSpec, s2: float):
         # an upper row block's diagonal starts at its first column
         if spec.noise_variance > 0:
             _diagonal(block[:, : block.shape[0]])[...] += spec.noise_variance
-        block /= s2
-        _check_finite(block, spec)
+        _scale_and_check(block, s2, spec)
 
     def build() -> np.ndarray:
         return kernels.main_matrix(spec, X, X, same_samples=True, out=buffer, upper=True, finish=finish)
@@ -190,6 +192,12 @@ def _check_finite(K: np.ndarray, spec: KernelSpec) -> None:
     """Raise ``ValueError`` naming the kernel if a Gram (block) has a non-finite entry."""
     if not np.isfinite(K).all():
         raise ValueError(f"covariance has non-finite entries for kernel {spec.to_text()}")
+
+
+def _scale_and_check(block: np.ndarray, s2: float, spec: KernelSpec) -> None:
+    """Divide a row block by ``s2`` in place and check it finite: a ``finish`` for ``main_matrix``."""
+    block /= s2
+    _check_finite(block, spec)
 
 
 def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
@@ -234,11 +242,22 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     ``C* = K(X*,X*) - K(X*,X) K(X,X)^-1 K(X*,X)^T`` on centred/scaled
     targets, then maps back to watts.  With no training rows the prior is
     returned: constant mean ``target_mean`` and covariance ``K(X*,X*)``.
+
+    After the factorisation ``K = L L^T``, one triangular solve gives both:
+    ``[V | z] = L^-1 [K(X*,X)^T | y]``, so ``m* = mu + V^T z`` and
+    ``C* = K(X*,X*) - V^T V`` (Rasmussen & Williams 2006, algorithm 2.1).
+    The cross block is built straight into that Fortran-ordered right-hand
+    side, each row block scaled and checked finite while in cache, and the
+    solve overwrites it; the factor is read once and never rescanned.  A
+    non-finite query row raises ``ValueError`` naming the row.
     """
     # fresh array: query samples are never "the same list" as training rows
     query_X = np.array(query_X, dtype=float, ndmin=2)
     if query_X.shape[1] != train.ndim:
         raise ValueError(f"query has {query_X.shape[1]} columns, training has {train.ndim}")
+    bad = np.flatnonzero(~np.isfinite(query_X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"query row {bad[0]} has non-finite inputs {query_X[bad[0]].tolist()}")
     spec.validate(ndim=train.ndim)
 
     Kss = build_covariance(query_X, query_X, spec)
@@ -248,13 +267,15 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
 
     s2 = train.target_scale**2
     L = _cholesky_with_jitter(_gram_builder(train.inputs, spec, s2), spec)
-    y = train.scaled_targets()
-    alpha = scipy.linalg.cho_solve((L, True), y)
-    Ks = build_covariance(query_X, train.inputs, spec)
-    Ks /= s2
-    mean = train.target_mean + train.target_scale * (Ks @ alpha)
-    # Ks.T is Fortran-ordered, so the solve overwrites the cross block
-    V = scipy.linalg.solve_triangular(L, Ks.T, lower=True, overwrite_b=True)
+    m = query_X.shape[0]
+    rhs = np.empty((train.n, m + 1), order="F")
+    # rhs[:, :m].T is a C-ordered (m, n) view: the cross block K(X*, X) / s2
+    finish = functools.partial(_scale_and_check, s2=s2, spec=spec)
+    kernels.main_matrix(spec, query_X, train.inputs, out=rhs[:, :m].T, finish=finish)
+    rhs[:, m] = train.scaled_targets()
+    scipy.linalg.solve_triangular(L, rhs, lower=True, overwrite_b=True, check_finite=False)
+    V, z = rhs[:, :m], rhs[:, m]
+    mean = train.target_mean + train.target_scale * (V.T @ z)
     cov = Kss - s2 * (V.T @ V)
     return PosteriorPrediction(mean=mean, cov=_tidy_cov(cov))
 
@@ -343,7 +364,8 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
         build = functools.partial(gradient.covariance, spec, s2)
     L = _cholesky_with_jitter(build, spec)
     y = train.scaled_targets()
-    alpha = scipy.linalg.cho_solve((L, True), y)
+    # the Gram was checked finite as it was built, so its factor is not rescanned
+    alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
     value = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
     if gradient is not None:
         gradient.fill(spec, L, alpha, s2)

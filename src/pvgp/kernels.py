@@ -138,6 +138,12 @@ class KernelSpec:
     noise_variance : float
         White-noise variance ``sigma^2`` added on the training diagonal,
         in squared target units.  Attached at the composite level.
+
+    A field the spec's family and shape do not read is cleared on
+    construction: ``alpha`` off a non-rq shape, ``nu`` off a non-matern
+    shape, ``base``/``roughness``/``period`` off a non-periodic spec, and a
+    ``whitenoise`` spec's lengthscales reset to ``(1.0,)``.  So
+    ``parse(to_text(s)) == s`` for every valid spec.
     """
 
     family: str
@@ -151,7 +157,19 @@ class KernelSpec:
     noise_variance: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lengthscales", tuple(float(v) for v in np.atleast_1d(self.lengthscales)))
+        # keep only what the family and shape read, which is what the text form
+        # carries, so that specs of the same kernel compare equal
+        kept = {"lengthscales": tuple(float(v) for v in np.atleast_1d(self.lengthscales))}
+        if self.family == WHITE_NOISE:
+            kept["lengthscales"] = (1.0,)
+        if self.shape != RATIONAL_QUADRATIC:
+            kept["alpha"] = None
+        if self.shape != MATERN:
+            kept["nu"] = None
+        if self.family != PERIODIC:
+            kept.update(base=None, roughness=None, period=None)
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
         self.validate()
 
     @property

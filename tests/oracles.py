@@ -108,10 +108,11 @@ def posterior_out_of_place(train, Q, spec):
     s2 = train.target_scale**2
     Kss = build_covariance(Q, Q, spec)
     L = jittered_factor_out_of_place(build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2)
-    alpha = scipy.linalg.cho_solve((L, True), train.scaled_targets())
     Ks = build_covariance(Q, train.inputs, spec) / s2
-    mean = train.target_mean + train.target_scale * (Ks @ alpha)
-    V = scipy.linalg.solve_triangular(L, Ks.T, lower=True)
+    # one solve against [Ks^T | y] gives V = L^-1 Ks^T and z = L^-1 y
+    Vz = scipy.linalg.solve_triangular(L, np.column_stack([Ks.T, train.scaled_targets()]), lower=True)
+    V, z = Vz[:, :-1], Vz[:, -1]
+    mean = train.target_mean + train.target_scale * (V.T @ z)
     cov = Kss - s2 * (V.T @ V)
     cov = (cov + cov.T) / 2.0
     np.fill_diagonal(cov, np.clip(np.diag(cov).copy(), 0.0, None))

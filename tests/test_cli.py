@@ -171,6 +171,21 @@ def test_config_value_of_the_wrong_type_exits_two_naming_its_key(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_config_list_entry_of_the_wrong_type_exits_two_naming_its_key(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cases = [
+        ({"custom": {"kernels": [5]}}, "'experiment.custom.kernels' entry 0"),
+        ({"set_one": {"training_days": ["7"]}}, "'experiment.set_one.training_days' entry 0"),
+        ({"systems": [1, "a"]}, "'experiment.systems' entry 1"),
+    ]
+    for experiment, named in cases:
+        cfg = write_config(tmp_path / "c.json", paths={"output_dir": out}, experiment=experiment)
+        assert main(["experiment", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forecast_writes_48_rows_and_round_trips(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     cfg = write_config(

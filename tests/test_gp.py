@@ -219,6 +219,46 @@ def test_posterior_bitwise_equals_out_of_place_factorisation():
             assert np.array_equal(pred.cov, cov), spec.to_text()
 
 
+def test_posterior_matches_textbook_cho_solve_form():
+    # alpha = K^-1 y by cho_solve, mean = Ks alpha, cov = Kss - v^T v with v = L^-1 Ks^T
+    rng = np.random.default_rng(32)
+    n = 300
+    for ndim in (1, 2):
+        for family in (SQUARED_EXPONENTIAL, RATIONAL_QUADRATIC, MATERN, PERIODIC):
+            spec = random_spec(rng, ndim, family)
+            t = np.arange(float(n))
+            X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
+            train = TrainingSet.from_arrays(X, rng.normal(5.0, 3.0, n))
+            Q = np.column_stack([np.arange(n, n + 24.0), rng.uniform(0, 1, 24)])[:, :ndim]
+            s2 = train.target_scale**2
+            K = gp.build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2
+            L = scipy.linalg.cholesky(K + 1e-10 * np.mean(np.diag(K)) * np.eye(n), lower=True)
+            alpha = scipy.linalg.cho_solve((L, True), train.scaled_targets())
+            Ks = gp.build_covariance(Q, train.inputs, spec) / s2
+            v = scipy.linalg.solve_triangular(L, Ks.T, lower=True)
+            mean = train.target_mean + train.target_scale * (Ks @ alpha)
+            cov = gp.build_covariance(Q, Q, spec) - s2 * (v.T @ v)
+            pred = gp.posterior(train, Q, spec)
+            assert np.abs(pred.mean - mean).max() <= 1e-12 * np.abs(mean).max(), spec.to_text()
+            # the posterior symmetrises and clamps its covariance; the raw form may differ by rounding there
+            assert np.abs(pred.cov - cov).max() <= 1e-12 * np.abs(cov).max(), spec.to_text()
+
+
+def test_posterior_names_a_non_finite_query_row():
+    rng = np.random.default_rng(33)
+    train = random_train(rng, 50, 2)
+    spec = random_spec(rng, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        query = np.array([[10.0, 0.5], [52.0, bad], [60.0, 0.2]])
+        with pytest.raises(ValueError, match=r"query row 1 "):
+            gp.posterior(train, query, spec)
+    # finite inputs whose cross block is not: inf * exp(-inf) is nan
+    spec = KernelSpec(MATERN, amplitude=1.0, lengthscales=(0.1, 1.0), nu=1.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite entries for kernel " + re.escape(spec.to_text())):
+            gp.posterior(train, [[1e308, 0.5]], spec)
+
+
 def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
     # the Gram posterior/LML/prior draws factorise is built over row i's
     # columns i and above only, with noise and 1/s2 applied block by block

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +364,41 @@ def test_text_round_trip_examples():
     ]
     for spec in specs:
         assert kernels.parse(spec.to_text()) == spec
+
+
+def test_text_round_trip_random_specs_and_stray_fields():
+    rng = np.random.default_rng(61)
+    shapes = [dict(family=SQUARED_EXPONENTIAL), dict(family=RATIONAL_QUADRATIC)]
+    shapes += [dict(family=MATERN, nu=nu) for nu in MATERN_NUS]
+    specs = []
+    for ndim in (1, 2):
+        for _ in range(10):
+            # every field drawn, whether or not the family reads it
+            stray = dict(
+                amplitude=float(rng.uniform(0.1, 5.0)),
+                lengthscales=tuple(rng.uniform(0.1, 5.0, ndim)),
+                alpha=float(rng.uniform(0.3, 5.0)),
+                nu=float(rng.choice(MATERN_NUS)),
+                roughness=float(rng.uniform(0.1, 3.0)),
+                period=float(rng.uniform(5.0, 300.0)),
+                noise_variance=float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),
+            )
+            shape = shapes[int(rng.integers(len(shapes)))]
+            specs.append(KernelSpec(WHITE_NOISE, **{**stray, "base": shape["family"]}))
+            specs.append(KernelSpec(**{**stray, **shape, "base": SQUARED_EXPONENTIAL}))
+            specs.append(KernelSpec(**{**stray, **shape, "base": shape["family"], "family": PERIODIC}))
+    m12 = kernels.parse("periodic(matern12; h=1.0, ls=[1.0, 0.3], w=1.0, T=288.0)")
+    specs += [
+        KernelSpec(SQUARED_EXPONENTIAL, alpha=3.0),
+        KernelSpec(SQUARED_EXPONENTIAL, roughness=2.0, period=5.0),
+        KernelSpec(SQUARED_EXPONENTIAL, base=RATIONAL_QUADRATIC),
+        replace(m12, base=RATIONAL_QUADRATIC, alpha=2.0),
+        KernelSpec(WHITE_NOISE, lengthscales=(3.0,)),
+    ]
+    for spec in specs:
+        assert kernels.parse(spec.to_text()) == spec, spec.to_text()
+    assert replace(m12, base=RATIONAL_QUADRATIC, alpha=2.0).nu is None
+    assert KernelSpec(WHITE_NOISE, lengthscales=(3.0,)) == KernelSpec(WHITE_NOISE)
 
 
 def test_text_form_is_documented_shape():
