@@ -291,7 +291,7 @@ def cmd_fit(cfg: dict, args) -> int:
     fc = cfg["forecast"]
     # the daylight rows a forecast launch ending after the last row would fit on
     end = int(series.time_index.max()) + 1
-    train, _ = ex.daylight_training_set(series, end, fc["training_days"], fc["training_stride"])
+    train, _ = ex.training_set(series, end, fc["training_days"], fc["training_stride"])
     template = kernels.parse(cfg["kernel"])
     outdir = _write_effective_config(cfg)
     fitted = ex._fit(train, template, cfg["seed"], ex.FitOptions(**cfg["fit"]))
@@ -355,6 +355,8 @@ def _build_grid(cfg: dict, kept_ids: list[int]):
     start = e["forecast_start_index"]
     if start is None:
         # the first launch follows the longest training window
+        if block["training_days"] == []:
+            raise ConfigError(f"config key 'experiment.{protocol}.training_days' must list at least one period")
         start = int(np.max(block["training_days"])) * geotime.STEPS_PER_DAY
     cell = {key: e[key] for key in _CELL}
     return _PROTOCOLS[protocol](systems, forecast_start=int(start), **block, **cell)
@@ -471,6 +473,8 @@ def main(argv=None) -> int:
             cfg["jobs"] = args.jobs
         if args.out is not None:
             cfg["paths"]["output_dir"] = args.out
+        if cfg["jobs"] < 1:
+            raise ConfigError(f"config key 'jobs' must be >= 1, got {cfg['jobs']}")
         cfg["invocation"] = {
             "command": args.command,
             "args": {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None},

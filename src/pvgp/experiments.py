@@ -17,9 +17,11 @@ CLI reads its default protocol blocks from them.
 A grid cell is one (config, system); each cell launches one forecast per
 test day from midnight-anchored start indices, fits hyperparameters per
 launch (configurable), and scores MAE in watts over the full horizon.
-A launch fits and conditions its GP on the daylight rows of its training
-window only (solar elevation above 0 degrees, :func:`daylight`), since
-power is 0 W by physics with the sun below the horizon.  The posterior is
+A launch fits and conditions its GP on the rows one builder,
+:func:`training_set`, picks: its training window thinned to every
+``training_stride``-th step, and of those only the daylight rows (solar
+elevation above 0 degrees, :func:`daylight`), since power is 0 W by
+physics with the sun below the horizon.  The posterior is
 evaluated at the daylight steps of the horizon; a night step's forecast
 comes from the solar-elevation rule instead: 0 W with zero variance.
 Forecast means are clamped to [0, capacity] for scoring and reporting;
@@ -67,7 +69,6 @@ __all__ = [
     "default_kernel",
     "training_set",
     "daylight",
-    "daylight_training_set",
 ]
 
 CLOUD_GIVEN = "given"
@@ -93,7 +94,7 @@ def mae(actual, predicted) -> float:
 class FitOptions:
     """Settings of each launch's :func:`pvgp.gp.fit_hyperparameters` call."""
 
-    restarts: int = 2
+    restarts: int = gp.FIT_RESTARTS
     max_iter: int = gp.MAX_FIT_ITERATIONS
     optimize_period: bool = False
 
@@ -223,45 +224,32 @@ def _anchor_template(template: KernelSpec, train: TrainingSet) -> KernelSpec:
     return replace(template, amplitude=train.target_scale, noise_variance=0.05 * train.target_scale**2)
 
 
-def training_set(series: AssembledSeries, end: int, training_days: int, stride: int) -> tuple[TrainingSet, AssembledSeries]:
-    """Training set from the ``training_days`` of rows ending before ``end``.
-
-    Keeps every ``stride``-th step counted from the window's start and
-    returns it with the window's rows before thinning.  Raises
-    :class:`~pvgp.pipeline.CoverageError` naming the window when it holds
-    fewer than two rows.
-    """
-    lo = end - training_days * geotime.STEPS_PER_DAY
-    rows = series.window(lo, end)
-    if rows.n < 2:
-        raise CoverageError(f"training window [{lo}, {end}) holds {rows.n} rows")
-    mask = (rows.time_index - lo) % stride == 0
-    X = np.column_stack([rows.time_index[mask].astype(float), rows.hrv_mean[mask]])
-    return TrainingSet.from_arrays(X, rows.power_w[mask]), rows
-
-
 def daylight(series: AssembledSeries, time_index) -> np.ndarray:
     """True at each step of ``time_index`` whose solar elevation at the system is above 0 degrees."""
     seconds = series.epoch_utc.timestamp() + np.asarray(time_index, dtype=float) * geotime.STEP_SECONDS
     return np.asarray(geotime.solar_elevation_deg(series.latitude, series.longitude, seconds)) > 0.0
 
 
-def daylight_training_set(
-    series: AssembledSeries, end: int, training_days: int, stride: int
-) -> tuple[TrainingSet, AssembledSeries]:
-    """:func:`training_set` narrowed to its :func:`daylight` rows, the rows a launch conditions on.
+def training_set(series: AssembledSeries, end: int, training_days: int, stride: int) -> tuple[TrainingSet, AssembledSeries]:
+    """The training set a launch at ``end`` fits and conditions on, and its window's rows.
 
-    The centring constants are those of the daylight rows.  Raises
-    :class:`~pvgp.pipeline.CoverageError` naming the window when fewer
-    than two daylight rows remain.
+    Takes the ``training_days`` of rows ending before ``end``, keeps every
+    ``stride``-th step counted from the window's start, and of those the
+    :func:`daylight` rows; the centring constants are theirs.  The window's
+    rows are returned before thinning.  Raises
+    :class:`~pvgp.pipeline.CoverageError` naming the window when it holds
+    fewer than two rows, or fewer than two daylight rows are kept.
     """
-    train, rows = training_set(series, end, training_days, stride)
-    day = daylight(series, train.inputs[:, 0])
-    kept = int(np.count_nonzero(day))
-    if kept < 2:
-        lo = end - training_days * geotime.STEPS_PER_DAY
-        raise CoverageError(f"training window [{lo}, {end}) holds {kept} daylight rows")
-    return TrainingSet.from_arrays(train.inputs[day], train.targets[day]), rows
+    lo = end - training_days * geotime.STEPS_PER_DAY
+    rows = series.window(lo, end)
+    if rows.n < 2:
+        raise CoverageError(f"training window [{lo}, {end}) holds {rows.n} rows")
+    keep = np.flatnonzero((rows.time_index - lo) % stride == 0)
+    keep = keep[daylight(series, rows.time_index[keep])]
+    if keep.size < 2:
+        raise CoverageError(f"training window [{lo}, {end}) holds {keep.size} daylight rows")
+    X = np.column_stack([rows.time_index[keep].astype(float), rows.hrv_mean[keep]])
+    return TrainingSet.from_arrays(X, rows.power_w[keep]), rows
 
 
 def _forecast_once(
@@ -272,7 +260,7 @@ def _forecast_once(
     fit_options: FitOptions,
 ) -> ForecastResult:
     start = cfg.forecast_start + day * geotime.STEPS_PER_DAY
-    train, train_rows = daylight_training_set(series, start, cfg.training_days, cfg.training_stride)
+    train, train_rows = training_set(series, start, cfg.training_days, cfg.training_stride)
 
     horizon = series.window(start, start + cfg.horizon_steps)
     wanted = np.arange(start, start + cfg.horizon_steps)
@@ -346,6 +334,17 @@ class ReportRow:
             return None
         return float(np.mean(sorted(self.per_system.values())))
 
+    def _cells(self, ids, number, blank: str) -> tuple[list[str], list[str]]:
+        """Label cells, then a cell per system in ``ids`` and the average: ``number(value)``, "failed" or ``blank``."""
+        cfg = self.config
+        labels = [cfg.training_period_label(), f"{cfg.patch_px}x{cfg.patch_px}", cfg.kernel_label(), cfg.cloud_mode]
+        values = [
+            number(self.per_system[i]) if i in self.per_system else "failed" if i in self.failures else blank
+            for i in ids
+        ]
+        values.append(blank if self.average is None else number(self.average))
+        return labels, values
+
 
 @dataclass
 class ExperimentReport:
@@ -367,19 +366,9 @@ class ExperimentReport:
         header += [f"system_{i}_mae_w" for i in ids] + ["average_mae_w", "status"]
         lines = [",".join(header)]
         for row in self.rows:
-            cfg = row.config
-            cells = [cfg.training_period_label(), f"{cfg.patch_px}x{cfg.patch_px}", cfg.kernel_label(), cfg.cloud_mode, str(cfg.horizon_steps)]
-            for i in ids:
-                if i in row.per_system:
-                    cells.append(repr(row.per_system[i]))
-                elif i in row.failures:
-                    cells.append("failed")
-                else:
-                    cells.append("")
-            avg = row.average
-            cells.append("" if avg is None else repr(avg))
-            cells.append("ok" if not row.failures else f"failed:{len(row.failures)}")
-            lines.append(",".join(cells))
+            labels, values = row._cells(ids, repr, "")
+            status = "ok" if not row.failures else f"failed:{len(row.failures)}"
+            lines.append(",".join(labels + [str(row.config.horizon_steps)] + values + [status]))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -387,15 +376,8 @@ class ExperimentReport:
         header = ["training", "sky", "kernel", "mode"] + [str(i) for i in ids] + ["average"]
         table = [header]
         for row in self.rows:
-            cfg = row.config
-            cells = [cfg.training_period_label(), f"{cfg.patch_px}x{cfg.patch_px}", cfg.kernel_label(), cfg.cloud_mode]
-            for i in ids:
-                if i in row.per_system:
-                    cells.append(f"{row.per_system[i]:.2f}")
-                else:
-                    cells.append("failed" if i in row.failures else "-")
-            cells.append("-" if row.average is None else f"{row.average:.2f}")
-            table.append(cells)
+            labels, values = row._cells(ids, "{:.2f}".format, "-")
+            table.append(labels + values)
         widths = [max(len(r[c]) for r in table) for c in range(len(header))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
         lines.insert(1, "  ".join("-" * w for w in widths))

@@ -17,13 +17,15 @@ factorisation: the Gram is built into it, factorised in place, and the
 factor is solved against (and, for the gradient, inverted) in that same
 memory, so a posterior peaks near one n x n array.  For a posterior, a
 likelihood without gradient and a prior draw only the triangle the
-factorisation reads is built (row i from column i on), and each row block
-gets its noise, its scale and its finiteness check while it is in cache;
-the gradient's Gram is built whole and checked whole.  A non-finite Gram
-raises ``ValueError`` naming the kernel.  Because every Gram is checked
-as it is built, its factor is never rescanned: after the factorisation a
-posterior makes one triangular solve, against the cross block and the
-targets together, which gives its mean and its covariance.
+factorisation reads is built (row i from column i on).  One finish puts
+the noise on the diagonal, divides by the target variance and checks the
+entries finite: each row block of those Grams and of a posterior's cross
+block gets it while in cache, and the gradient's Gram, built whole, gets
+it whole.  A non-finite Gram raises ``ValueError`` naming the kernel.
+Because every Gram is checked as it is built, its factor is never
+rescanned: after the factorisation a posterior makes one triangular
+solve, against the cross block and the targets together, which gives its
+mean and its covariance.
 
 The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
@@ -60,6 +62,7 @@ __all__ = [
 JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-4
 MAX_FIT_ITERATIONS = 200
+FIT_RESTARTS = 2
 
 
 class ConditioningError(RuntimeError):
@@ -165,39 +168,36 @@ def _diagonal(K: np.ndarray) -> np.ndarray:
     return np.einsum("ii->i", K)
 
 
+def _finish(block: np.ndarray, spec: KernelSpec, s2: float, noise: float) -> None:
+    """The ``finish`` of every Gram build: ``noise`` on the diagonal from column 0, ``/ s2``, then a finiteness check.
+
+    An upper row block's diagonal starts at its first column, and so does a
+    whole Gram's.  Raises ``ValueError`` naming the kernel if any entry is
+    non-finite.
+    """
+    if noise > 0:
+        _diagonal(block[:, : block.shape[0]])[...] += noise
+    block /= s2
+    if not np.isfinite(block).all():
+        raise ValueError(f"covariance has non-finite entries for kernel {spec.to_text()}")
+
+
 def _gram_builder(X: np.ndarray, spec: KernelSpec, s2: float):
     """``build()`` for :func:`_cholesky_with_jitter`: ``(K(X, X) + sigma^2 I) / s2`` in one n x n buffer.
 
     Only the triangle the factorisation reads is built, row i from column i
     on (``kernels.main_matrix(..., upper=True)``); below the diagonal only
-    the few entries inside a row block are written.  Each row block gets
-    its noise diagonal, its ``1/s2`` scale and its finiteness check while
-    it is in cache, so no pass over the whole matrix follows the build.
+    the few entries inside a row block are written.  Each row block is
+    :func:`_finish`-ed while it is in cache, so no pass over the whole
+    matrix follows the build.
     """
     buffer = np.empty((X.shape[0], X.shape[0]))
-
-    def finish(block: np.ndarray) -> None:
-        # an upper row block's diagonal starts at its first column
-        if spec.noise_variance > 0:
-            _diagonal(block[:, : block.shape[0]])[...] += spec.noise_variance
-        _scale_and_check(block, s2, spec)
+    finish = functools.partial(_finish, spec=spec, s2=s2, noise=spec.noise_variance)
 
     def build() -> np.ndarray:
         return kernels.main_matrix(spec, X, X, same_samples=True, out=buffer, upper=True, finish=finish)
 
     return build
-
-
-def _check_finite(K: np.ndarray, spec: KernelSpec) -> None:
-    """Raise ``ValueError`` naming the kernel if a Gram (block) has a non-finite entry."""
-    if not np.isfinite(K).all():
-        raise ValueError(f"covariance has non-finite entries for kernel {spec.to_text()}")
-
-
-def _scale_and_check(block: np.ndarray, s2: float, spec: KernelSpec) -> None:
-    """Divide a row block by ``s2`` in place and check it finite: a ``finish`` for ``main_matrix``."""
-    block /= s2
-    _check_finite(block, spec)
 
 
 def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
@@ -270,7 +270,7 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     m = query_X.shape[0]
     rhs = np.empty((train.n, m + 1), order="F")
     # rhs[:, :m].T is a C-ordered (m, n) view: the cross block K(X*, X) / s2
-    finish = functools.partial(_scale_and_check, s2=s2, spec=spec)
+    finish = functools.partial(_finish, spec=spec, s2=s2, noise=0.0)
     kernels.main_matrix(spec, query_X, train.inputs, out=rhs[:, :m].T, finish=finish)
     rhs[:, m] = train.scaled_targets()
     scipy.linalg.solve_triangular(L, rhs, lower=True, overwrite_b=True, check_finite=False)
@@ -309,13 +309,10 @@ class LmlGradient:
         self._W = np.empty((train.n, train.n))
 
     def covariance(self, spec: KernelSpec, s2: float) -> np.ndarray:
-        """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer, checked finite."""
-        K = self._K
-        np.copyto(K, self._evaluator.gram(spec))
-        _diagonal(K)[...] += spec.noise_variance
-        K /= s2
-        _check_finite(K, spec)
-        return K
+        """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer, :func:`_finish`-ed whole."""
+        np.copyto(self._K, self._evaluator.gram(spec))
+        _finish(self._K, spec, s2, spec.noise_variance)
+        return self._K
 
     def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray, s2: float) -> None:
         """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``.
@@ -433,7 +430,7 @@ def _spec_from_logs(template: KernelSpec, params: list[Hyperparameter], x: np.nd
 def fit_hyperparameters(
     train: TrainingSet,
     spec_template: KernelSpec,
-    restarts: int = 3,
+    restarts: int = FIT_RESTARTS,
     seed: int = 0,
     max_iter: int = MAX_FIT_ITERATIONS,
     optimize_period: bool = False,

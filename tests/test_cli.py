@@ -186,6 +186,30 @@ def test_config_list_entry_of_the_wrong_type_exits_two_naming_its_key(tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_training_days_exits_two_naming_its_key(tmp_path, capsys):
+    # with no forecast_start_index the first launch follows the longest training period
+    paths = make_bundle(tmp_path)
+    experiment = {"protocol": "set_one", "set_one": {"training_days": []}}
+    cfg = write_config(tmp_path / "c.json", paths={**paths, "output_dir": str(tmp_path / "out")}, experiment=experiment)
+    assert main(["experiment", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'experiment.set_one.training_days'" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_jobs_below_one_exits_two_naming_its_key(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    runs = [
+        ["--config", write_config(tmp_path / "c.json", paths={"output_dir": out}, jobs=-4)],
+        ["--config", write_config(tmp_path / "d.json", paths={"output_dir": out}), "--jobs", "0"],
+    ]
+    for args in runs:
+        assert main(["experiment", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'jobs'" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forecast_writes_48_rows_and_round_trips(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     cfg = write_config(

@@ -1,6 +1,7 @@
 """Error metric, forecast protocols, grid runner, exports, synthetic data."""
 
 import datetime as dt
+import inspect
 
 import numpy as np
 import pytest
@@ -90,6 +91,12 @@ def make_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def test_fit_options_and_the_fitter_share_their_defaults():
+    fitter = inspect.signature(gp.fit_hyperparameters).parameters
+    assert FitOptions().restarts == fitter["restarts"].default == gp.FIT_RESTARTS
+    assert FitOptions().max_iter == fitter["max_iter"].default == gp.MAX_FIT_ITERATIONS
+
+
 def test_config_rejects_persistence_for_48h():
     with pytest.raises(ValueError):
         make_config(horizon_steps=STEPS_48H, cloud_mode=CLOUD_PERSISTENCE)
@@ -140,8 +147,14 @@ def test_training_set_thins_from_window_start_and_names_an_empty_window():
     train, rows = ex.training_set(series, end, training_days=1, stride=5)
     lo = end - STEPS_PER_DAY
     assert np.array_equal(rows.time_index, np.arange(lo, end))
-    assert np.array_equal(train.inputs[:, 0], np.arange(lo, end, 5.0))
-    assert np.array_equal(train.targets, rows.power_w[::5])
+    # the daylight rows of the thinned window, centred on their own mean and sd
+    day = elevation(series, np.arange(lo, end, 5)) > 0.0
+    assert 0 < day.sum() < day.size
+    assert np.array_equal(train.inputs[:, 0], np.arange(lo, end, 5.0)[day])
+    assert np.array_equal(train.inputs[:, 1], rows.hrv_mean[::5][day])
+    assert np.array_equal(train.targets, rows.power_w[::5][day])
+    assert train.target_mean == float(rows.power_w[::5][day].mean())
+    assert train.target_scale == float(rows.power_w[::5][day].std())
     with pytest.raises(pipeline.CoverageError, match=r"training window \[-288, 0\) holds 0 rows"):
         ex.training_set(series, 0, training_days=1, stride=1)
 
@@ -182,6 +195,21 @@ def test_48h_launch_conditions_on_daylight_rows_and_is_zero_at_night(monkeypatch
     assert np.array_equal(query[:, 0], result.time_index[~night].astype(float))
     thinned = np.arange(STEPS_PER_DAY, 2 * STEPS_PER_DAY, 3)
     assert np.array_equal(train_inputs[:, 0], thinned[elevation(series, thinned) > 0.0].astype(float))
+
+
+def test_report_tables_render_values_failures_and_blanks():
+    both = make_config(system_ids=(1, 2), training_days=7)
+    only_two = make_config(system_ids=(2,), training_days=14)
+    rows = [ex.ReportRow(both, {1: 12.345}, {2: "boom"}), ex.ReportRow(only_two, {}, {2: "boom"})]
+    report = ex.ExperimentReport(rows=rows, samples=[], seed=0)
+    assert report.to_csv().splitlines()[1:] == [
+        "1 week,6x6,periodic(matern12),given,48,12.345,failed,12.345,failed:1",
+        "2 weeks,6x6,periodic(matern12),given,48,,failed,,failed:1",
+    ]
+    assert [line.split() for line in report.to_text().splitlines()[2:]] == [
+        ["1", "week", "6x6", "periodic(matern12)", "given", "12.35", "failed", "12.35"],
+        ["2", "weeks", "6x6", "periodic(matern12)", "given", "-", "failed", "-"],
+    ]
 
 
 def test_window_with_under_two_daylight_rows_is_a_failed_cell():

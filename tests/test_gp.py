@@ -278,6 +278,7 @@ def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
             *[KernelSpec(PERIODIC, amplitude=1.3, lengthscales=ls, roughness=0.9, period=24.0, **b, noise_variance=0.2)
               for b in bases],
         ]
+        train = gp.TrainingSet.from_arrays(X, np.zeros(n))
         for spec in specs:
             build = gp._gram_builder(X, spec, s2)
             build()[np.tril_indices(n, -1)] = np.nan
@@ -285,6 +286,9 @@ def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
             want = gp.build_covariance(X, X, spec, with_noise=True) / s2
             assert np.array_equal(K[upper], want[upper]), spec.to_text()
             assert np.isnan(K[-1, 0]), spec.to_text()  # below every row block: never written
+            # the gradient's Gram, built whole, is finished the same way
+            whole = gp.LmlGradient(train, []).covariance(spec, s2)
+            assert np.array_equal(whole[upper], K[upper]), spec.to_text()
 
 
 def test_non_finite_gram_raises_value_error_naming_the_kernel():
