@@ -293,8 +293,9 @@ def cmd_fit(cfg: dict, args) -> int:
     end = int(series.time_index.max()) + 1
     train, _ = ex.training_set(series, end, fc["training_days"], fc["training_stride"])
     template = kernels.parse(cfg["kernel"])
+    fit_options = ex.FitOptions(**cfg["fit"])
     outdir = _write_effective_config(cfg)
-    fitted = ex._fit(train, template, cfg["seed"], ex.FitOptions(**cfg["fit"]))
+    fitted = ex._fit(train, template, cfg["seed"], fit_options)
     objective = gp.log_marginal_likelihood(train, fitted)
     text = fitted.to_text()
     (outdir / "fitted_kernel.txt").write_text(f"{text}\nlog_marginal_likelihood={objective!r}\n", encoding="utf-8")
@@ -317,8 +318,9 @@ def cmd_forecast(cfg: dict, args) -> int:
         forecast_start=start,
         system_ids=(args.system,),
     )
+    fit_options = ex.FitOptions(**cfg["fit"])
     outdir = _write_effective_config(cfg)
-    outcome = runner(series, config, seed=cfg["seed"], fit_options=ex.FitOptions(**cfg["fit"]))
+    outcome = runner(series, config, seed=cfg["seed"], fit_options=fit_options)
 
     path = outdir / f"forecast_{args.system}_{start}.csv"
     lines = ["time_index,timestamp_utc,mean_w,sd_w"]
@@ -374,8 +376,9 @@ def cmd_experiment(cfg: dict, args) -> int:
     for patch in patches:
         datasets.update(_assemble_kept(cfg, power, stack, result.kept, patch))
 
+    fit_options = ex.FitOptions(**cfg["fit"])
     outdir = _write_effective_config(cfg)
-    report = ex.run_grid(configs, datasets, seed=cfg["seed"], jobs=cfg["jobs"], fit_options=ex.FitOptions(**cfg["fit"]))
+    report = ex.run_grid(configs, datasets, seed=cfg["seed"], jobs=cfg["jobs"], fit_options=fit_options)
 
     _write_report_files(report, outdir)
     print(report.to_text(), file=sys.stdout)

@@ -98,10 +98,19 @@ class FitOptions:
     max_iter: int = gp.MAX_FIT_ITERATIONS
     optimize_period: bool = False
 
+    def __post_init__(self):
+        for name in ("restarts", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"fit option {name!r} must be >= 1, got {getattr(self, name)}")
+
 
 def _fit(train: TrainingSet, template: KernelSpec, seed: int, options: FitOptions) -> KernelSpec:
-    """Fit ``template`` to ``train`` under ``options``; the one place they meet the fitter."""
-    return gp.fit_hyperparameters(train, template, seed=seed, **asdict(options))
+    """Fit ``template``, re-anchored to ``train``'s scale, to ``train`` under ``options``.
+
+    The one place a launch or ``pvgp fit`` meets the fitter, so both start
+    from the same :func:`_anchor_template`.
+    """
+    return gp.fit_hyperparameters(train, _anchor_template(template, train), seed=seed, **asdict(options))
 
 
 @dataclass(frozen=True)
@@ -238,8 +247,12 @@ def training_set(series: AssembledSeries, end: int, training_days: int, stride: 
     :func:`daylight` rows; the centring constants are theirs.  The window's
     rows are returned before thinning.  Raises
     :class:`~pvgp.pipeline.CoverageError` naming the window when it holds
-    fewer than two rows, or fewer than two daylight rows are kept.
+    fewer than two rows, or fewer than two daylight rows are kept, and
+    ``ValueError`` naming a ``training_days`` or ``stride`` below 1.
     """
+    for name, value in (("training_days", training_days), ("training_stride", stride)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     lo = end - training_days * geotime.STEPS_PER_DAY
     rows = series.window(lo, end)
     if rows.n < 2:
@@ -275,7 +288,7 @@ def _forecast_once(
         query_hrv = np.full(cfg.horizon_steps, train_rows.hrv_mean[-1])
     query = np.column_stack([wanted.astype(float), query_hrv])
 
-    spec = _fit(train, _anchor_template(cfg.kernel, train), seed, fit_options) if cfg.refit else cfg.kernel
+    spec = _fit(train, cfg.kernel, seed, fit_options) if cfg.refit else cfg.kernel
     # night steps are 0 W with zero variance; the posterior covers daylight only
     day_mask = daylight(series, wanted)
     pred = gp.PosteriorPrediction(mean=np.zeros(cfg.horizon_steps), cov=np.zeros((cfg.horizon_steps,) * 2))

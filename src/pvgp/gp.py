@@ -31,6 +31,8 @@ The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
 gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
 every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
+The free ones are the template's ``hyperparameters()``, bounded by one
+per-field table and set from the optimiser's vector in one ``replace``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import scipy.linalg
 import scipy.optimize
 
 from . import kernels
-from .kernels import PERIODIC, RATIONAL_QUADRATIC, WHITE_NOISE, Hyperparameter, KernelSpec
+from .kernels import KernelSpec
 
 __all__ = [
     "TrainingSet",
@@ -385,46 +387,34 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
 # -- hyperparameter fitting -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Param:
-    """One free hyperparameter: where it lives and its log-space init bounds.
+# (lo, hi, margin) per hyperparameter field, from the target scale s, the range r
+# of the field's input axis and the template's period T: restarts after the
+# first draw log-uniformly from [lo, hi], and the box is [lo/margin, hi*margin].
+# w scales a warped distance in [0, 2]; a margin of 1 keeps a freed T near the
+# known cycle instead of degenerating into a quasi-stationary kernel.
+_BOUNDS = {
+    "amplitude": lambda s, r, T: (0.01 * s, 10.0 * s, 100.0),
+    "roughness": lambda s, r, T: (0.1, 10.0, 100.0),
+    "lengthscales": lambda s, r, T: (1.0, max(10.0 * r, 2.0), 100.0),
+    "alpha": lambda s, r, T: (0.1, 100.0, 100.0),
+    "period": lambda s, r, T: (0.5 * T, 2.0 * T, 1.0),
+    "noise_variance": lambda s, r, T: (1e-6 * s**2, 1.0 * s**2, 100.0),
+}
 
-    ``box_margin`` widens the optimiser box beyond the init range; the
-    period keeps a margin of 1 so a freed T stays near the known cycle
-    instead of degenerating into a quasi-stationary kernel.
+
+def _free_parameters(train: TrainingSet, spec: KernelSpec, optimize_period: bool):
+    """The fit's free hyperparameters with the logs of their :data:`_BOUNDS` init range and box.
+
+    Every hyperparameter of ``spec`` is free, its period only with ``optimize_period``.
     """
-
-    where: Hyperparameter
-    lo: float
-    hi: float
-    box_margin: float = 100.0
-
-
-# init range for the periodic roughness w (warped distance is in [0, 2])
-_ROUGHNESS_INIT = (0.1, 10.0)
-
-
-def _free_parameters(train: TrainingSet, spec: KernelSpec, optimize_period: bool) -> list[_Param]:
-    scale = train.target_scale
-    params = [_Param(Hyperparameter("amplitude"), 0.01 * scale, 10.0 * scale)]
-    periodic = spec.family == PERIODIC
-    if periodic:
-        params.append(_Param(Hyperparameter("roughness"), *_ROUGHNESS_INIT))
-    if spec.family != WHITE_NOISE:
-        # a periodic spec's time axis has the roughness w for its lengthscale
-        ranges = np.ptp(train.inputs, axis=0) if train.n else np.ones(train.ndim)
-        for d in range(periodic, train.ndim):
-            params.append(_Param(Hyperparameter("lengthscales", d), 1.0, max(10.0 * float(ranges[d]), 2.0)))
-    if spec.shape == RATIONAL_QUADRATIC:
-        params.append(_Param(Hyperparameter("alpha"), 0.1, 100.0))
-    if periodic and optimize_period:
-        params.append(_Param(Hyperparameter("period"), 0.5 * spec.period, 2.0 * spec.period, box_margin=1.0))
-    params.append(_Param(Hyperparameter("noise_variance"), 1e-6 * scale**2, 1.0 * scale**2))
-    return params
-
-
-def _spec_from_logs(template: KernelSpec, params: list[Hyperparameter], x: np.ndarray) -> KernelSpec:
-    return kernels.with_hyperparameters(template, params, [math.exp(v) for v in x])
+    params = [p for p in spec.hyperparameters() if p.field != "period" or optimize_period]
+    ranges = np.ptp(train.inputs, axis=0) if train.n else np.ones(train.ndim)
+    bounds = [
+        _BOUNDS[p.field](train.target_scale, None if p.index is None else float(ranges[p.index]), spec.period)
+        for p in params
+    ]
+    lo, hi, margin = np.log(bounds).T
+    return params, (lo, hi), (lo - margin, hi + margin)
 
 
 def fit_hyperparameters(
@@ -440,9 +430,10 @@ def fit_hyperparameters(
     Works in log space with L-BFGS-B.  Each objective evaluation is one
     Cholesky factorisation, which yields both the likelihood and its
     analytic gradient (:class:`LmlGradient`); the input geometry is built
-    once per call and shared by every restart.  Restart 0 starts from the
-    template's own hyperparameter values; every further restart starts from
-    a log-uniform draw within the documented init bounds.  Results are
+    once per call and shared by every restart.  The template's
+    :meth:`~pvgp.kernels.KernelSpec.hyperparameters` are fitted.  Restart 0
+    starts from their values; every further restart starts from a
+    log-uniform draw within their :data:`_BOUNDS` init ranges.  Results are
     merged by best objective, ties broken by lowest restart index.
     Deterministic given ``seed``.
 
@@ -455,15 +446,13 @@ def fit_hyperparameters(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     spec_template.validate(ndim=train.ndim)
-    params = _free_parameters(train, spec_template, optimize_period)
-    if not params:
-        return spec_template
-    where = [p.where for p in params]
-    gradient = LmlGradient(train, where)
+    params, (lo, hi), (box_lo, box_hi) = _free_parameters(train, spec_template, optimize_period)
+    gradient = LmlGradient(train, params)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            value = -log_marginal_likelihood(train, _spec_from_logs(spec_template, where, x), gradient)
+            spec = kernels.with_hyperparameters(spec_template, params, map(math.exp, x))
+            value = -log_marginal_likelihood(train, spec, gradient)
         except (ConditioningError, FloatingPointError, kernels.KernelSpecError):
             return 1e25, np.zeros(x.size)
         jac = -gradient.value
@@ -471,14 +460,10 @@ def fit_hyperparameters(
             return 1e25, np.zeros(x.size)
         return value, jac
 
-    lo = np.log([p.lo for p in params])
-    hi = np.log([p.hi for p in params])
-    margin = np.log([p.box_margin for p in params])
-    box_lo, box_hi = lo - margin, hi + margin
     box = list(zip(box_lo, box_hi))
     rng = np.random.default_rng(seed)
 
-    template_values = np.array([max(p.get(spec_template), 1e-300) for p in where])
+    template_values = np.array([max(p.get(spec_template), 1e-300) for p in params])
     template_start = np.clip(np.log(template_values), box_lo, box_hi)
 
     best: tuple[float, int, np.ndarray] | None = None
@@ -497,4 +482,4 @@ def fit_hyperparameters(
             best = (f, r, result.x.copy())
     if best is None:
         raise FitError(f"all {restarts} restart(s) failed to produce a finite objective")
-    return _spec_from_logs(spec_template, where, best[2])
+    return kernels.with_hyperparameters(spec_template, params, map(math.exp, best[2]))

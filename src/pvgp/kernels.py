@@ -18,8 +18,10 @@ and ``cos`` of the time columns that the chord is built from are computed
 once per call and sliced to each row block.  Shapes that
 are ``exp(-x)`` (se, matern12) multiply as one ``exp`` of the summed
 distance variables, so a periodic se or matern12 Gram costs one ``exp``
-per entry.  A spec is flat, and :class:`Hyperparameter` addresses one
-positive scalar of it by field.  Five families are supported:
+per entry.  A spec is flat: :meth:`KernelSpec.hyperparameters` lists the
+scalars it reads, each a :class:`Hyperparameter` addressing one by
+field, and :func:`with_hyperparameters` sets any of them in one
+``replace``.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
 * ``se``           -- squared exponential, ``h^2 * exp(-r2)``
@@ -171,6 +173,20 @@ class KernelSpec:
         for name, value in kept.items():
             object.__setattr__(self, name, value)
         self.validate()
+
+    def hyperparameters(self) -> tuple[Hyperparameter, ...]:
+        """Every scalar the family and shape read, in order: ``h``, ``w``, lengthscales, ``alpha``, ``T``, ``sigma^2``.
+
+        The lengthscales start at axis 1 on a periodic spec and are none on
+        ``whitenoise``; any other field is read unless construction cleared it.
+        """
+
+        def read(*names):
+            return [Hyperparameter(name) for name in names if getattr(self, name) is not None]
+
+        first = len(self.lengthscales) if self.family == WHITE_NOISE else int(self.family == PERIODIC)
+        lengthscales = [Hyperparameter("lengthscales", d) for d in range(first, len(self.lengthscales))]
+        return (*read("amplitude", "roughness"), *lengthscales, *read("alpha", "period", "noise_variance"))
 
     @property
     def shape(self) -> str | None:
@@ -406,19 +422,16 @@ class Hyperparameter:
         value = getattr(spec, self.field)
         return value if self.index is None else value[self.index]
 
-    def put(self, spec: KernelSpec, value: float) -> KernelSpec:
-        if self.index is not None:
-            ls = list(spec.lengthscales)
-            ls[self.index] = value
-            value = tuple(ls)
-        return replace(spec, **{self.field: value})
-
 
 def with_hyperparameters(spec: KernelSpec, params, values) -> KernelSpec:
-    """``spec`` with each :class:`Hyperparameter` in ``params`` set to its value."""
+    """``spec`` with each :class:`Hyperparameter` in ``params`` set to its value, in one ``replace``."""
+    changes, lengthscales = {}, list(spec.lengthscales)
     for p, v in zip(params, values):
-        spec = p.put(spec, v)
-    return spec
+        if p.index is None:
+            changes[p.field] = v
+        else:
+            lengthscales[p.index] = v
+    return replace(spec, lengthscales=tuple(lengthscales), **changes)
 
 
 class _TimePhases(NamedTuple):

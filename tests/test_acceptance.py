@@ -148,7 +148,7 @@ def test_optimizer_gradient_agrees_with_stencil():
             spec = replace(spec, **bases[trial % len(bases)], period=_period_clear_of_kinks(rng, t))
         X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
         train = TrainingSet.from_arrays(X, rng.normal(0.0, 1.0, size=n))
-        params = [p.where for p in gp._free_parameters(train, spec, optimize_period=True)]
+        params = spec.hyperparameters()
 
         def objective(x):
             return -gp.log_marginal_likelihood(train, kernels.with_hyperparameters(spec, params, np.exp(x)))

@@ -5,8 +5,9 @@ import datetime as dt
 import json
 
 import numpy as np
+import pytest
 
-from pvgp import cli, geotime
+from pvgp import cli, geotime, gp, kernels
 from pvgp import experiments as ex
 from pvgp.cli import main, read_forecast_csv
 
@@ -210,6 +211,30 @@ def test_jobs_below_one_exits_two_naming_its_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("experiment", "fit", "restarts", 0),
+        ("fit", "fit", "max_iter", -3),
+        ("fit", "forecast", "training_stride", 0),
+        ("fit", "forecast", "training_days", 0),
+    ],
+)
+def test_out_of_range_fit_or_window_value_exits_two_naming_its_key(tmp_path, capsys, command, section, key, value):
+    paths = make_bundle(tmp_path)
+    doc = {
+        "paths": {**paths, "output_dir": str(tmp_path / "out")},
+        "fit": {"restarts": 1, "max_iter": 40},
+        "forecast": {"training_days": 1, "training_stride": 4},
+    }
+    doc[section][key] = value
+    args = ["--system", "1"] if command == "fit" else []
+    assert main([command, "--config", write_config(tmp_path / "c.json", **doc), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forecast_writes_48_rows_and_round_trips(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     cfg = write_config(
@@ -285,8 +310,13 @@ def test_fit_conditions_on_the_daylight_rows_of_its_window(tmp_path, capsys, mon
         fit={"restarts": 1, "max_iter": 40},
     )
     seen = []
-    real_fit = ex._fit
-    monkeypatch.setattr(ex, "_fit", lambda train, *rest: seen.append(train) or real_fit(train, *rest))
+    real_fit = gp.fit_hyperparameters
+
+    def record(train, spec, **kw):
+        seen.append((train, spec))
+        return real_fit(train, spec, **kw)
+
+    monkeypatch.setattr(gp, "fit_hyperparameters", record)
     capsys.readouterr()
     assert main(["fit", "--config", cfg, "--system", "1"]) == 0
     # the last day of the bundle (2021-06-03 UTC), thinned from its start
@@ -294,9 +324,11 @@ def test_fit_conditions_on_the_daylight_rows_of_its_window(tmp_path, capsys, mon
     seconds = dt.datetime(2021, 6, 1, tzinfo=dt.timezone.utc).timestamp() + thinned * 300.0
     day = np.asarray(geotime.solar_elevation_deg(51.5, -0.12, seconds)) > 0.0
     assert 0 < day.sum() < thinned.size
-    [train] = seen
+    [(train, template)] = seen
     assert np.array_equal(train.inputs[:, 0], thinned[day].astype(float))
     assert f"({day.sum()} training rows)" in capsys.readouterr().out
+    # and starts where a launch on those rows starts: the kernel re-anchored to their scale
+    assert template == ex._anchor_template(kernels.parse(KERNEL), train)
 
 
 def test_experiment_deterministic_and_reports_ordering(tmp_path, capsys):

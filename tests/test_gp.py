@@ -514,6 +514,28 @@ def test_fit_factorises_once_per_objective_evaluation(monkeypatch):
     assert counts["cholesky"] == counts["nfev"]
 
 
+def test_free_parameters_take_their_bounds_from_one_table():
+    # target scale 2, input ranges 30 (time) and 0.75 (cloud), T = 24: every bound is exact
+    X = np.column_stack([[0.0, 10.0, 20.0, 30.0], [0.25, 0.5, 0.75, 1.0]])
+    train = TrainingSet.from_arrays(X, [-2.0, 2.0, -2.0, 2.0])
+    spec = KernelSpec(PERIODIC, lengthscales=(1.0, 1.0), alpha=2.0, roughness=1.0, period=24.0, base=RATIONAL_QUADRATIC)
+    rows = {
+        "amplitude": (None, 0.02, 20.0, 100.0),
+        "roughness": (None, 0.1, 10.0, 100.0),
+        "lengthscales": (1, 1.0, 7.5, 100.0),
+        "alpha": (None, 0.1, 100.0, 100.0),
+        "period": (None, 12.0, 48.0, 1.0),
+        "noise_variance": (None, 4e-6, 4.0, 100.0),
+    }
+    for optimize_period in (False, True):
+        expected = {field: row for field, row in rows.items() if field != "period" or optimize_period}
+        params, (lo, hi), (box_lo, box_hi) = gp._free_parameters(train, spec, optimize_period)
+        assert [(p.field, p.index) for p in params] == [(field, row[0]) for field, row in expected.items()]
+        lo_, hi_, margin = (np.log([row[k] for row in expected.values()]) for k in (1, 2, 3))
+        assert np.array_equal(lo, lo_) and np.array_equal(hi, hi_)
+        assert np.array_equal(box_lo, lo_ - margin) and np.array_equal(box_hi, hi_ + margin)
+
+
 def test_fit_rejects_zero_restarts():
     train, truth = make_se_data(1, n=8)
     with pytest.raises(ValueError):

@@ -310,25 +310,62 @@ def test_gram_evaluator_log_derivatives_match_finite_differences():
         KernelSpec(PERIODIC, amplitude=1.2, lengthscales=(1.0, 0.7), roughness=0.8, period=23.3, **b) for b in bases
     ]
     for spec in specs:
-        params = [kernels.Hyperparameter("amplitude")]
-        if spec.family == PERIODIC:
-            params += [kernels.Hyperparameter(f) for f in ("roughness", "period")]
-            params.append(kernels.Hyperparameter("lengthscales", 1))
-            if spec.base == RATIONAL_QUADRATIC:
-                params.append(kernels.Hyperparameter("alpha"))
-        elif spec.family != WHITE_NOISE:
-            params += [kernels.Hyperparameter("lengthscales", d) for d in (0, 1)]
-            if spec.family == RATIONAL_QUADRATIC:
-                params.append(kernels.Hyperparameter("alpha"))
+        # the noise variance is not a main-kernel hyperparameter
+        params = [p for p in spec.hyperparameters() if p.field != "noise_variance"]
         ev = kernels.GramEvaluator(X, X, same_samples=True)
         K = ev.gram(spec).copy()
         for p in params:
             block = K * ev.log_derivative(p)
             step = 1e-6
-            up = kernels.main_matrix(p.put(spec, p.get(spec) * math.exp(step)), X, X, same_samples=True)
-            down = kernels.main_matrix(p.put(spec, p.get(spec) * math.exp(-step)), X, X, same_samples=True)
+            up, down = (
+                kernels.main_matrix(kernels.with_hyperparameters(spec, [p], [p.get(spec) * math.exp(s)]), X, X, same_samples=True)
+                for s in (step, -step)
+            )
             fd = (up - down) / (2 * step)
             assert np.allclose(block, fd, rtol=1e-6, atol=1e-8 * np.abs(K).max()), (spec.to_text(), p)
+
+
+def test_hyperparameters_name_every_scalar_the_spec_reads():
+    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
+    bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
+    for ndim in (1, 2):
+        ls = (2.0, 0.5)[:ndim]
+        stationary = [("lengthscales", d) for d in range(ndim)]
+        cases = [(KernelSpec(WHITE_NOISE, amplitude=0.7, noise_variance=0.1), [])]
+        cases += [(KernelSpec(SQUARED_EXPONENTIAL, lengthscales=ls), stationary)]
+        cases += [(KernelSpec(RATIONAL_QUADRATIC, lengthscales=ls, alpha=1.7), stationary + [("alpha", None)])]
+        cases += [(KernelSpec(MATERN, lengthscales=ls, nu=nu), stationary) for nu in MATERN_NUS]
+        for b in bases:
+            # the periodic warp's roughness w stands for the time axis's lengthscale
+            middle = [("lengthscales", 1)][: ndim - 1] + [("alpha", None)] * (b["base"] == RATIONAL_QUADRATIC)
+            spec = KernelSpec(PERIODIC, lengthscales=ls, roughness=0.8, period=23.3, **b)
+            cases.append((spec, [("roughness", None)] + middle + [("period", None)]))
+        for spec, middle in cases:
+            expected = [("amplitude", None)] + middle + [("noise_variance", None)]
+            assert [(p.field, p.index) for p in spec.hyperparameters()] == expected, spec.to_text()
+
+
+def test_with_hyperparameters_is_one_replace_equal_to_one_replace_per_field(monkeypatch):
+    rng = np.random.default_rng(13)
+    calls = []
+    one_replace = kernels.replace
+    monkeypatch.setattr(kernels, "replace", lambda *a, **k: calls.append(k) or one_replace(*a, **k))
+    for spec in family_specs(ndim=2) + [spec_periodic(RATIONAL_QUADRATIC, nu=None, alpha=2.0, ls=(1.0, 0.3))]:
+        params = spec.hyperparameters()
+        values = [math.exp(v) for v in rng.normal(0.0, 1.0, len(params))]
+        expected = spec
+        for p, v in zip(params, values):
+            if p.index is None:
+                expected = replace(expected, **{p.field: v})
+            else:
+                ls = list(expected.lengthscales)
+                ls[p.index] = v
+                expected = replace(expected, lengthscales=tuple(ls))
+        calls.clear()
+        got = kernels.with_hyperparameters(spec, params, values)
+        assert len(calls) == 1
+        assert got == expected and got.to_text() == expected.to_text()
+        assert [p.get(got) for p in params] == values
 
 
 def test_fused_exponential_shapes_match_the_oracle():
