@@ -149,8 +149,9 @@ class ExperimentConfig:
             raise ValueError("48-hour forecasts use given cloud coverage only")
         if self.patch_px not in (2, 6, 12):
             raise ValueError(f"patch_px must be one of 2, 6, 12, got {self.patch_px}")
-        if self.training_days < 1 or self.test_days < 1 or self.training_stride < 1:
-            raise ValueError("training_days, test_days and training_stride must be >= 1")
+        for name in ("training_days", "test_days", "training_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.system_ids:
             raise ValueError("system_ids must be nonempty")
 

@@ -27,6 +27,14 @@ rescanned: after the factorisation a posterior makes one triangular
 solve, against the cross block and the targets together, which gives its
 mean and its covariance.
 
+Every dense product goes through :mod:`scipy.linalg.blas`, the BLAS that
+the factorisations and solves already run on; nothing calls numpy's
+``@``, ``dot`` or ``linalg``.  numpy and scipy each ship their own
+OpenBLAS with its own thread pool, and a pool's workers spin for a while
+after each call, so a product on numpy's pool right after a solve on
+scipy's puts more busy threads than cores on the machine and waits on
+the scheduler.  ``tests/test_blas.py`` holds the package to this rule.
+
 The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
 gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
@@ -44,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+from scipy.linalg import blas
 
 from . import kernels
 from .kernels import KernelSpec
@@ -277,8 +286,8 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     rhs[:, m] = train.scaled_targets()
     scipy.linalg.solve_triangular(L, rhs, lower=True, overwrite_b=True, check_finite=False)
     V, z = rhs[:, :m], rhs[:, m]
-    mean = train.target_mean + train.target_scale * (V.T @ z)
-    cov = Kss - s2 * (V.T @ V)
+    mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
+    cov = Kss - s2 * blas.dgemm(1.0, V, V, trans_a=1)
     return PosteriorPrediction(mean=mean, cov=_tidy_cov(cov))
 
 
@@ -365,7 +374,7 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
     y = train.scaled_targets()
     # the Gram was checked finite as it was built, so its factor is not rescanned
     alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
-    value = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
+    value = float(-0.5 * blas.ddot(y, alpha) - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
     if gradient is not None:
         gradient.fill(spec, L, alpha, s2)
     return value
@@ -381,7 +390,7 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
     query_X = np.atleast_2d(np.asarray(query_X, dtype=float))
     L = _cholesky_with_jitter(_gram_builder(query_X, spec, 1.0), spec)
     z = np.random.default_rng(seed).standard_normal((query_X.shape[0], count))
-    return (L @ z).T
+    return blas.dtrmm(1.0, L, z, lower=1).T
 
 
 # -- hyperparameter fitting -------------------------------------------------

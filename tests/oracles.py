@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from pvgp.gp import build_covariance
 from pvgp.kernels import PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, WHITE_NOISE
@@ -112,8 +113,8 @@ def posterior_out_of_place(train, Q, spec):
     # one solve against [Ks^T | y] gives V = L^-1 Ks^T and z = L^-1 y
     Vz = scipy.linalg.solve_triangular(L, np.column_stack([Ks.T, train.scaled_targets()]), lower=True)
     V, z = Vz[:, :-1], Vz[:, -1]
-    mean = train.target_mean + train.target_scale * (V.T @ z)
-    cov = Kss - s2 * (V.T @ V)
+    mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
+    cov = Kss - s2 * blas.dgemm(1.0, V, V, trans_a=1)
     cov = (cov + cov.T) / 2.0
     np.fill_diagonal(cov, np.clip(np.diag(cov).copy(), 0.0, None))
     return mean, cov

@@ -218,6 +218,9 @@ def test_jobs_below_one_exits_two_naming_its_key(tmp_path, capsys):
         ("fit", "fit", "max_iter", -3),
         ("fit", "forecast", "training_stride", 0),
         ("fit", "forecast", "training_days", 0),
+        ("forecast", "forecast", "training_stride", 0),
+        ("forecast", "forecast", "training_days", -2),
+        ("experiment", "experiment", "test_days", 0),
     ],
 )
 def test_out_of_range_fit_or_window_value_exits_two_naming_its_key(tmp_path, capsys, command, section, key, value):
@@ -226,12 +229,13 @@ def test_out_of_range_fit_or_window_value_exits_two_naming_its_key(tmp_path, cap
         "paths": {**paths, "output_dir": str(tmp_path / "out")},
         "fit": {"restarts": 1, "max_iter": 40},
         "forecast": {"training_days": 1, "training_stride": 4},
+        "experiment": {},
     }
     doc[section][key] = value
-    args = ["--system", "1"] if command == "fit" else []
+    args = {"fit": ["--system", "1"], "forecast": ["--system", "1", "--start", "2021-06-02T10:00:00Z"]}.get(command, [])
     assert main([command, "--config", write_config(tmp_path / "c.json", **doc), *args]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err, err
+    assert err.startswith("error:") and key in err and f"got {value}" in err, err
     assert not (tmp_path / "out").exists()
 
 
