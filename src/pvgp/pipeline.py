@@ -1,9 +1,10 @@
 """Dataset ingestion: PV metadata, power series, HRV raster stacks.
 
 Loads the three external file formats, applies the cleaning filters
-(geospatial boundary, missing metadata, overnight generation), averages
-HRV patches above each system, and joins everything into per-system
-`AssembledSeries` rows of (time index, cloud coverage, power).
+(geospatial boundary, missing metadata, overnight generation), and
+assembles per-system `AssembledSeries` rows of (time index, cloud coverage,
+power): one join of the power and HRV time indices, then one gather of the
+patch above the system from every joined frame.
 
 File formats
 ------------
@@ -141,7 +142,6 @@ class HrvRasterStack:
         self.frame_indices = np.asarray(self.frame_indices, dtype=np.int64)
         self.frames = np.asarray(self.frames, dtype=np.float32)
         self.validate()
-        self._lookup = {int(t): k for k, t in enumerate(self.frame_indices)}
 
     def validate(self) -> None:
         if self.frames.shape != (self.frame_indices.size, self.height, self.width):
@@ -157,8 +157,8 @@ class HrvRasterStack:
             raise ValueError("pixel_size must be > 0")
 
     def frame_at(self, index: int) -> np.ndarray:
-        k = self._lookup.get(int(index))
-        if k is None:
+        k = int(np.searchsorted(self.frame_indices, index))
+        if k == self.frame_indices.size or self.frame_indices[k] != index:
             raise GapError(f"no HRV frame at time index {index}")
         return self.frames[k]
 
@@ -491,10 +491,33 @@ def read_hrv_csv(path, epoch, origin_easting, origin_northing, pixel_size, width
     )
 
 
-def _containing_pixel(stack: HrvRasterStack, system: PvSystem) -> tuple[int, int]:
+def _patch_window(stack: HrvRasterStack, system: PvSystem, patch_px: int) -> tuple[slice, slice]:
+    """Row and column slices of the ``patch_px`` square above a system.
+
+    The window spans columns ``px - s/2 .. px + s/2 - 1`` (same for rows),
+    where (px, py) is the pixel containing the system and s the patch
+    size; even sizes are anchored so the containing pixel sits just right
+    of the window centre.
+    """
+    if patch_px < 1:
+        raise ValueError(f"patch_px must be >= 1, got {patch_px}")
     px = int(np.floor((system.location.easting - stack.origin_easting) / stack.pixel_size))
     py = int(np.floor((system.location.northing - stack.origin_northing) / stack.pixel_size))
-    return px, py
+    c0, c1 = px - patch_px // 2, px + (patch_px + 1) // 2
+    r0, r1 = py - patch_px // 2, py + (patch_px + 1) // 2
+    if c0 < 0 or r0 < 0 or c1 > stack.width or r1 > stack.height:
+        raise CoverageError(
+            f"{patch_px}x{patch_px} patch at pixel ({px}, {py}) crosses the raster edge "
+            f"({stack.width}x{stack.height})"
+        )
+    return slice(r0, r1), slice(c0, c1)
+
+
+def _patch_means(patches: np.ndarray, sensor_max: float) -> np.ndarray:
+    """Mean of each patch over its last two axes, scaled to [0, 1]."""
+    # float64 accumulation: sums of <=144 float32 values are exact, so the
+    # result is independent of summation order
+    return np.clip(patches.mean(axis=(-2, -1), dtype=np.float64) / sensor_max, 0.0, 1.0)
 
 
 def hrv_patch_mean(
@@ -504,28 +527,9 @@ def hrv_patch_mean(
     t_index: int,
     sensor_max: float = HRV_SENSOR_MAX,
 ) -> float:
-    """Mean HRV brightness of the sky patch above a system, scaled to [0, 1].
-
-    The window spans columns ``px - s/2 .. px + s/2 - 1`` (same for rows),
-    where (px, py) is the pixel containing the system and s the patch
-    size; even sizes are anchored so the containing pixel sits just right
-    of the window centre.
-    """
-    if patch_px < 1:
-        raise ValueError(f"patch_px must be >= 1, got {patch_px}")
-    px, py = _containing_pixel(stack, system)
-    c0, c1 = px - patch_px // 2, px + (patch_px + 1) // 2
-    r0, r1 = py - patch_px // 2, py + (patch_px + 1) // 2
-    if c0 < 0 or r0 < 0 or c1 > stack.width or r1 > stack.height:
-        raise CoverageError(
-            f"{patch_px}x{patch_px} patch at pixel ({px}, {py}) crosses the raster edge "
-            f"({stack.width}x{stack.height})"
-        )
-    frame = stack.frame_at(t_index)
-    # float64 accumulation: sums of <=144 float32 values are exact, so the
-    # result is independent of summation order
-    mean = float(frame[r0:r1, c0:c1].mean(dtype=np.float64))
-    return min(1.0, max(0.0, mean / sensor_max))
+    """Mean HRV brightness of the sky patch above a system at one frame, scaled to [0, 1]."""
+    rows, cols = _patch_window(stack, system, patch_px)
+    return float(_patch_means(stack.frame_at(t_index)[rows, cols], sensor_max))
 
 
 def assemble(
@@ -539,7 +543,10 @@ def assemble(
     """Inner-join power readings with HRV patch means over ``[lo, hi)``.
 
     Rows missing on either side are dropped and counted as gaps, as are
-    rows with power outside the physical range [0, 1.1 * capacity].
+    rows with power outside the physical range [0, 1.1 * capacity].  The
+    join is one ``intersect1d`` of the two time indices and the patch means
+    one gather over the kept frames, which reads only the patch from a
+    memory-mapped stack.
     """
     lo, hi = window
     data = power.series.get(system.system_id)
@@ -548,24 +555,14 @@ def assemble(
     idx, watts = data
     in_window = (idx >= lo) & (idx < hi)
     idx, watts = idx[in_window], watts[in_window]
-    frame_mask = (stack.frame_indices >= lo) & (stack.frame_indices < hi)
-    frame_idx = stack.frame_indices[frame_mask]
-
-    joint = np.intersect1d(idx, frame_idx)
-    gaps = int(idx.size - joint.size) + int(frame_idx.size - joint.size)
-    power_lookup = dict(zip(idx.tolist(), watts.tolist()))
-
-    times, hrv, pw = [], [], []
-    for t in joint.tolist():
-        p = power_lookup[t]
-        if not 0.0 <= p <= 1.1 * system.capacity_w:
-            gaps += 1
-            continue
-        times.append(t)
-        hrv.append(hrv_patch_mean(stack, system, patch_px, t, sensor_max))
-        pw.append(p)
-    if not times:
+    frame_rows = np.flatnonzero((stack.frame_indices >= lo) & (stack.frame_indices < hi))
+    joint, at_power, at_frame = np.intersect1d(idx, stack.frame_indices[frame_rows], return_indices=True)
+    watts = watts[at_power]
+    # NaN fails both comparisons, so it is dropped with the out-of-range rows
+    ok = (watts >= 0.0) & (watts <= 1.1 * system.capacity_w)
+    if not ok.any():
         raise EmptyDatasetError(f"empty join for system {system.system_id} in window [{lo}, {hi})")
+    rows, cols = _patch_window(stack, system, patch_px)
     return AssembledSeries(
         system_id=system.system_id,
         capacity_w=system.capacity_w,
@@ -573,8 +570,8 @@ def assemble(
         longitude=system.location.longitude,
         patch_px=patch_px,
         epoch_utc=power.epoch_utc,
-        time_index=np.array(times, dtype=np.int64),
-        hrv_mean=np.array(hrv),
-        power_w=np.array(pw),
-        gaps=gaps,
+        time_index=joint[ok],
+        hrv_mean=_patch_means(stack.frames[frame_rows[at_frame[ok]], rows, cols], sensor_max),
+        power_w=watts[ok],
+        gaps=idx.size + frame_rows.size - joint.size - int(np.count_nonzero(ok)),
     )

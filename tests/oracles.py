@@ -165,6 +165,38 @@ def patch_mean_oracle(frame, px, py, size):
     return total / (size * size)
 
 
+def assemble_per_row(system, power, stack, patch_px, window, sensor_max=1023.0):
+    """The per-row join: one dict lookup and one patch mean per joined index.
+
+    Returns ``(time_index, hrv_mean, power_w, gaps)`` as ``assemble`` fills
+    them; assumes a non-empty join and a patch inside the raster.
+    """
+    lo, hi = window
+    idx, watts = power.series[system.system_id]
+    in_window = (idx >= lo) & (idx < hi)
+    idx, watts = idx[in_window], watts[in_window]
+    frame_idx = stack.frame_indices[(stack.frame_indices >= lo) & (stack.frame_indices < hi)]
+    joint = np.intersect1d(idx, frame_idx)
+    gaps = int(idx.size - joint.size) + int(frame_idx.size - joint.size)
+    power_lookup = dict(zip(idx.tolist(), watts.tolist()))
+    frame_lookup = {int(t): k for k, t in enumerate(stack.frame_indices)}
+    px = int(np.floor((system.location.easting - stack.origin_easting) / stack.pixel_size))
+    py = int(np.floor((system.location.northing - stack.origin_northing) / stack.pixel_size))
+    times, hrv, pw = [], [], []
+    for t in joint.tolist():
+        p = power_lookup[t]
+        if not 0.0 <= p <= 1.1 * system.capacity_w:
+            gaps += 1
+            continue
+        frame = stack.frames[frame_lookup[t]]
+        patch = frame[py - patch_px // 2 : py + (patch_px + 1) // 2, px - patch_px // 2 : px + (patch_px + 1) // 2]
+        mean = float(patch.mean(dtype=np.float64))
+        times.append(t)
+        hrv.append(min(1.0, max(0.0, mean / sensor_max)))
+        pw.append(p)
+    return np.array(times, dtype=np.int64), np.array(hrv), np.array(pw), gaps
+
+
 def solar_elevation_psa(lat_deg, lon_deg, when):
     """PSA solar-position algorithm (Blanco-Muriel et al. 2001), ~0.01 deg.
 

@@ -24,7 +24,7 @@ from pvgp.pipeline import (
     write_hrv,
 )
 
-from oracles import patch_mean_oracle
+from oracles import assemble_per_row, patch_mean_oracle
 
 UTC = dt.timezone.utc
 EPOCH = dt.datetime(2021, 6, 1, tzinfo=UTC)
@@ -284,6 +284,77 @@ def test_assemble_row_count_equals_index_intersection():
     power = make_power(power_idx, np.full(200, 10.0))
     series = assemble(make_system(), power, stack, 6, (0, 288))
     assert series.n == np.intersect1d(power_idx, frame_idx).size
+
+
+def random_join_case(rng, width=20):
+    """A stack and a power series that each miss rows the other has, with bad power rows."""
+    frame_idx = np.sort(rng.choice(600, size=450, replace=False))
+    frames = rng.uniform(0, 1100, size=(frame_idx.size, width, width)).astype(np.float32)
+    power_idx = np.sort(rng.choice(600, size=480, replace=False))
+    watts = rng.uniform(0, 3000, size=power_idx.size)
+    bad = rng.choice(power_idx.size, size=60, replace=False)
+    watts[bad[:20]] = -rng.uniform(0.1, 50, size=20)
+    watts[bad[20:40]] = np.nan
+    watts[bad[40:]] = 1.1 * 3000.0 + rng.uniform(0.1, 500, size=20)
+    return make_stack(frames, frame_idx), make_power(power_idx, watts)
+
+
+def assert_bitwise_per_row(series, want):
+    times, hrv, watts, gaps = want
+    for got, ref in ((series.time_index, times), (series.hrv_mean, hrv), (series.power_w, watts)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert series.gaps == gaps
+
+
+def test_assemble_bitwise_equals_per_row_join():
+    rng = np.random.default_rng(14)
+    window = (37, 561)  # cuts both series at each end
+    for patch in (1, 2, 3, 5, 6, 12):
+        for _ in range(3):
+            stack, power = random_join_case(rng)
+            series = assemble(make_system(), power, stack, patch, window)
+            assert series.n > 0 and series.gaps > 0
+            assert_bitwise_per_row(series, assemble_per_row(make_system(), power, stack, patch, window))
+
+
+def test_assemble_from_memory_mapped_stack_equals_per_row_join(tmp_path):
+    stack, power = random_join_case(np.random.default_rng(15))
+    write_hrv(tmp_path / "stack.hrv", stack)
+    mapped = read_hrv(tmp_path / "stack.hrv", EPOCH)
+    for patch in (1, 6, 12):
+        series = assemble(make_system(), power, mapped, patch, (0, 600), sensor_max=900.0)
+        assert_bitwise_per_row(series, assemble_per_row(make_system(), power, stack, patch, (0, 600), 900.0))
+
+
+def test_assemble_empty_join_raises_before_checking_the_patch():
+    power = make_power(np.arange(288), np.full(288, 50.0))
+    with pytest.raises(EmptyDatasetError):
+        assemble(make_system(), power, full_day_stack(), 0, (1000, 1100))
+    every_row_out_of_range = make_power([0, 1, 2], [-1.0, np.nan, 1e9])
+    with pytest.raises(EmptyDatasetError):
+        assemble(make_system(), every_row_out_of_range, full_day_stack(), 0, (0, 288))
+
+
+def test_assemble_rejects_patch_below_one_after_a_nonempty_join():
+    power = make_power(np.arange(288), np.full(288, 50.0))
+    with pytest.raises(ValueError, match="patch_px must be >= 1, got 0") as info:
+        assemble(make_system(), power, full_day_stack(), 0, (0, 288))
+    assert type(info.value) is ValueError
+
+
+def test_assemble_rejects_patch_crossing_the_raster_edge():
+    stack = make_stack(np.full((288, 4, 4), 10.0, dtype=np.float32), np.arange(288))
+    power = make_power(np.arange(288), np.full(288, 50.0))
+    with pytest.raises(CoverageError, match=r"12x12 patch at pixel \(2, 2\) crosses the raster edge \(4x4\)"):
+        assemble(make_system(), power, stack, 12, (0, 288))
+
+
+def test_frame_at_finds_only_stored_indices():
+    stack = make_stack(np.arange(3, dtype=np.float32)[:, None, None] * np.ones((3, 2, 2)), [3, 7, 9])
+    assert stack.frame_at(7)[0, 0] == 1.0 and stack.frame_at(9)[0, 0] == 2.0
+    for missing in (0, 5, 8, 10):
+        with pytest.raises(GapError, match=f"no HRV frame at time index {missing}"):
+            stack.frame_at(missing)
 
 
 # -- HRV container round trips -------------------------------------------------------
