@@ -121,29 +121,42 @@ def _merge(defaults, user, path=""):
         raise ConfigError(f"config section {path or '<root>'} must be an object")
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
+        name = path + key
         if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict) and defaults[key] and not key == "projection":
-            merged[key] = _merge(defaults[key], value, path=f"{path}{key}.")
-        elif key == "projection":
-            merged[key] = {**defaults[key], **TransverseMercator.from_mapping(value).to_mapping()}
-        elif defaults[key] is None or _same_type(value, defaults[key]):
-            if isinstance(defaults[key], list):
-                _check_entries(value, defaults[key], path + key)
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        example = _EXAMPLE.get(name, default)
+        if key == "projection":
+            merged[key] = {**default, **TransverseMercator.from_mapping(value).to_mapping()}
+        elif example is None or (value is None and default is None):
+            merged[key] = copy.deepcopy(value)
+        elif isinstance(example, dict) and example:
+            if example is not default and not (isinstance(value, dict) and value.keys() == example.keys()):
+                raise ConfigError(f"config key {name!r} must be an object with keys {', '.join(example)}, got {value!r}")
+            merged[key] = _merge(example, value, path=f"{name}.")
+        elif _same_type(value, example):
+            if isinstance(example, list):
+                _check_entries(value, example[0], name)
             merged[key] = copy.deepcopy(value)
         else:
-            want, got = type(defaults[key]).__name__, type(value).__name__
-            raise ConfigError(f"config key {path + key!r} must be {want}, got {got} {value!r}")
+            want, got = type(example).__name__, type(value).__name__
+            raise ConfigError(f"config key {name!r} must be {want}, got {got} {value!r}")
     return merged
 
 
-# an entry of each list key whose default is empty, standing for the entries' JSON type
-_EMPTY_LIST_ENTRY = {"experiment.systems": 0, "experiment.custom.kernels": ""}
+# a value of the JSON type of each key whose default is null or an empty list (an
+# object: all its keys); null stays allowed, and invocation, with none, takes any value
+_EXAMPLE = {
+    **dict.fromkeys(["paths.metadata", "paths.power", "paths.hrv"], ""),
+    "hrv.csv_geometry": dict(origin_easting=0.0, origin_northing=0.0, pixel_size=0.0, width=0, height=0),
+    "experiment.systems": [0],
+    "experiment.forecast_start_index": 0,
+    "experiment.custom.kernels": [""],
+}
 
 
-def _check_entries(value: list, default: list, key: str) -> None:
-    """Raise ``ConfigError`` naming ``key`` unless every entry has the JSON type of the default's entries."""
-    example = default[0] if default else _EMPTY_LIST_ENTRY[key]
+def _check_entries(value: list, example, key: str) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless every entry has the JSON type of ``example``."""
     for i, entry in enumerate(value):
         if not _same_type(entry, example):
             want, got = type(example).__name__, type(entry).__name__

@@ -39,8 +39,9 @@ The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
 gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
 every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
-The free ones are the template's ``hyperparameters()``, bounded by one
-per-field table and set from the optimiser's vector in one ``replace``.
+Its weights live in ``K^-1``'s buffer and its amplitude and noise terms
+are closed forms.  The free ones are the template's ``hyperparameters()``,
+bounded by one per-field table, set from the optimiser's vector in one ``replace``.
 """
 
 from __future__ import annotations
@@ -309,7 +310,9 @@ class LmlGradient:
     with ``d LML / d log theta`` from the same Cholesky factor as the
     likelihood itself:
     ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` (Rasmussen & Williams
-    2006, section 5.4.1).  The jitter is treated as a constant.
+    2006, section 5.4.1).  The weights ``alpha alpha^T - K^-1`` are formed in
+    ``K^-1``'s buffer and the amplitude and noise terms are closed forms, so a
+    2-D periodic fit holds 7 n x n arrays.  The jitter is treated as a constant.
     """
 
     def __init__(self, train: TrainingSet, params):
@@ -317,7 +320,6 @@ class LmlGradient:
         self.value = np.zeros(len(self.params))
         self._evaluator = kernels.GramEvaluator(train.inputs, train.inputs, same_samples=True)
         self._K = np.empty((train.n, train.n))
-        self._W = np.empty((train.n, train.n))
 
     def covariance(self, spec: KernelSpec, s2: float) -> np.ndarray:
         """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer, :func:`_finish`-ed whole."""
@@ -328,28 +330,27 @@ class LmlGradient:
     def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray, s2: float) -> None:
         """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``.
 
-        L is overwritten with ``K^-1``.
+        L is overwritten with the trace weights.
         """
         # K^-1 in the lower triangle; L's upper triangle of zeros is kept
         inv, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
         if info:
             raise ConditioningError(f"covariance inverse failed (info {info}) for kernel {spec.to_text()}")
-        # every derivative block G is symmetric, so sum((alpha alpha^T - K^-1) * G)
-        # = sum(W * G) with W = alpha alpha^T - 2 tril(K^-1) + diag(K^-1)
-        W = np.multiply(alpha[:, None], alpha, out=self._W)
-        diag = inv.diagonal().copy()
-        inv *= 2.0
-        W -= inv
-        _diagonal(W)[...] += diag
+        # every derivative block G is symmetric, so tr((alpha alpha^T - K^-1) G)
+        # = sum(W * G) with W = 2 tril(alpha alpha^T - K^-1) - diag(alpha alpha^T - K^-1)
+        inv *= -2.0
+        W = blas.dsyr(2.0, alpha, lower=1, a=inv, overwrite_a=1).T  # C-ordered, like K_main
+        _diagonal(W)[...] *= 0.5
         trace = float(np.trace(W))
-        # dK/dlog theta = (K_main / s2) * log_derivative(theta)
-        W *= self._evaluator.K
-        W /= s2
+        W *= self._evaluator.K  # dK/dlog theta = K_main * log_derivative(theta) / s2
         for k, p in enumerate(self.params):
-            if p.field == "noise_variance":
-                self.value[k] = 0.5 * spec.noise_variance / s2 * trace
+            if p.field == "amplitude":
+                self.value[k] = 2.0 * W.sum()  # d log K_main / d log h = 2 everywhere
+            elif p.field == "noise_variance":
+                self.value[k] = spec.noise_variance * trace  # dK/dlog sigma^2 = sigma^2 I / s2
             else:
-                self.value[k] = 0.5 * np.einsum("ij,ij->", W, self._evaluator.log_derivative(p))
+                self.value[k] = np.einsum("ij,ij->", W, self._evaluator.log_derivative(p))
+        self.value *= 0.5 / s2
 
 
 def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlGradient | None = None) -> float:

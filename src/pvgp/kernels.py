@@ -4,18 +4,18 @@ A kernel is described declaratively by :class:`KernelSpec` and evaluated
 as a Gram block by one evaluator, :class:`GramEvaluator`: it computes the
 input geometry of a block once -- the per-axis distances ``|x_d - x'_d|``
 and the periodic chord ``2|sin(pi*dt/T)|``, the chord rebuilt only when T
-changes -- and evaluates ``K_main`` and each ``d log K_main / d log
-theta`` element-wise from it into buffers reused across calls, which is
-what the fitter in :mod:`pvgp.gp` runs on.  ``main_matrix`` is the
-one-shot form used for posteriors: it runs the evaluator over row blocks
-written straight into the result, which may be a buffer the caller owns
-(``out``), so that :mod:`pvgp.gp` can factorise the Gram in the memory it
-was built in.  For a factorisation it fills only the triangle the
-factorisation reads (``upper``: row i from column i on) and hands each
-row block to the caller's ``finish`` while it is in cache, where
-:mod:`pvgp.gp` adds the noise, scales and checks finiteness; the ``sin``
-and ``cos`` of the time columns that the chord is built from are computed
-once per call and sliced to each row block.  Shapes that
+changes -- and evaluates ``K_main`` and each shape hyperparameter's
+``d log K_main / d log theta`` (roughness, period, lengthscales, alpha)
+element-wise from it into reused buffers for the fitter in :mod:`pvgp.gp`.
+``main_matrix`` is the one-shot form used for posteriors: it runs the
+evaluator over row blocks written straight into the result, which may be
+a buffer the caller owns (``out``), so that :mod:`pvgp.gp` can factorise
+the Gram in the memory it was built in.  For a factorisation it fills
+only the triangle the factorisation reads (``upper``: row i from column i
+on) and hands each row block to the caller's ``finish`` while it is in
+cache, where :mod:`pvgp.gp` adds the noise, scales and checks finiteness;
+the ``sin`` and ``cos`` of the time columns that the chord is built from
+are computed once per call and sliced to each row block.  Shapes that
 are ``exp(-x)`` (se, matern12) multiply as one ``exp`` of the summed
 distance variables, so a periodic se or matern12 Gram costs one ``exp``
 per entry.  A spec is flat: :meth:`KernelSpec.hyperparameters` lists the
@@ -464,8 +464,8 @@ class GramEvaluator:
     and kept; the chord is rebuilt only when T changes.  :meth:`gram` writes
     ``K_main`` into one buffer (``out``, when given) that every call reuses,
     and :meth:`log_derivative` writes ``d log K_main / d log theta`` for one
-    hyperparameter of the spec last passed to :meth:`gram` into another, so
-    ``dK_main / d log theta = K_main * log_derivative``.
+    shape hyperparameter of the spec last passed to :meth:`gram` into
+    another, so ``dK_main / d log theta = K_main * log_derivative``.
 
     ``same_samples`` marks A and B as the same ordered sample list, A
     starting ``row_offset`` samples in, which is what lets the index-keyed
@@ -575,13 +575,8 @@ class GramEvaluator:
         return x
 
     def log_derivative(self, param: Hyperparameter) -> np.ndarray:
-        """``d log K_main / d log value`` of ``param`` at the spec of the last :meth:`gram`."""
+        """``d log K_main / d log value`` of the shape hyperparameter ``param`` at the spec of the last :meth:`gram`."""
         return _LOG_DERIVATIVES[param.field](self, self._spec, param)
-
-    def _d_amplitude(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
-        g = self._buffer("derivative")
-        g.fill(2.0)
-        return g
 
     def _d_roughness(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
         # x scales as w^-power
@@ -637,10 +632,9 @@ class GramEvaluator:
         return g
 
 
-# hyperparameter field -> its block of d log K_main / d log value; the noise
-# variance is not a main-kernel hyperparameter (see pvgp.gp)
+# shape hyperparameter field -> its block of d log K_main / d log value; the
+# amplitude's is 2 everywhere, and pvgp.gp takes it and the noise's in closed form
 _LOG_DERIVATIVES = {
-    "amplitude": GramEvaluator._d_amplitude,
     "roughness": GramEvaluator._d_roughness,
     "period": GramEvaluator._d_period,
     "lengthscales": GramEvaluator._d_lengthscale,

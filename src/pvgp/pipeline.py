@@ -266,12 +266,12 @@ def load_metadata(path, projection: TransverseMercator = BRITISH_NATIONAL_GRID) 
     return MetadataLoad(systems=systems, skipped=skipped)
 
 
-def load_power(path, epoch: dt.datetime | None = None) -> PowerData:
+def load_power(path) -> PowerData:
     """Read the power CSV and place readings on the 5-minute index.
 
-    The epoch defaults to midnight UTC of the first day present, so day
-    boundaries land on multiples of 288.  Misaligned or malformed rows are
-    skipped and recorded with their CSV line number.
+    The epoch is midnight UTC of the first day present, so day boundaries
+    land on multiples of 288.  Misaligned or malformed rows are skipped and
+    recorded with their CSV line number.
     """
     path = Path(path)
     rows: list[tuple[int, dt.datetime, int, float]] = []  # (CSV line, time, system, watts)
@@ -289,9 +289,7 @@ def load_power(path, epoch: dt.datetime | None = None) -> PowerData:
                 skipped.append((lineno, str(exc)))
     if not rows:
         raise EmptyDatasetError(f"{path}: no parseable power rows")
-    if epoch is None:
-        first = min(r[1] for r in rows)
-        epoch = first.replace(hour=0, minute=0, second=0, microsecond=0)
+    epoch = min(r[1] for r in rows).replace(hour=0, minute=0, second=0, microsecond=0)
 
     per_system: dict[int, list[tuple[int, float]]] = {}
     for lineno, when, system_id, power in rows:
@@ -310,11 +308,6 @@ def load_power(path, epoch: dt.datetime | None = None) -> PowerData:
         keep = np.concatenate([[True], np.diff(idx) > 0]) if idx.size else np.array([], dtype=bool)
         series[system_id] = (idx[keep], watts[keep])
     return PowerData(epoch_utc=epoch, series=series, skipped=skipped)
-
-
-def _night_key(when: dt.datetime) -> dt.date:
-    """Identifier of the dark period a timestamp falls in (noon to noon)."""
-    return (when - dt.timedelta(hours=12)).date()
 
 
 def filter_systems(
@@ -355,28 +348,26 @@ def filter_systems(
             )
             continue
         nights = _overnight_nights(system, power, night_threshold_deg, overnight_fraction)
-        if len(nights) >= min_nights:
-            removed.append(Removal(system, REASON_OVERNIGHT, f"{len(nights)} nights with overnight power"))
+        if nights >= min_nights:
+            removed.append(Removal(system, REASON_OVERNIGHT, f"{nights} nights with overnight power"))
             continue
         kept.append(system)
     return FilterResult(kept=kept, removed=removed)
 
 
-def _overnight_nights(system, power, night_threshold_deg, overnight_fraction) -> set:
+def _overnight_nights(system, power, night_threshold_deg, overnight_fraction) -> int:
     data = power.series.get(system.system_id)
     if data is None or data[0].size == 0:
-        return set()
+        return 0
     idx, watts = data
     suspicious = watts > overnight_fraction * system.capacity_w
     if not suspicious.any():
-        return set()
+        return 0
     seconds = power.epoch_utc.timestamp() + idx[suspicious].astype(float) * geotime.STEP_SECONDS
     elevation = solar_elevation_deg(system.location.latitude, system.location.longitude, seconds)
     dark = np.asarray(elevation) < night_threshold_deg
-    nights = set()
-    for s in seconds[dark]:
-        nights.add(_night_key(dt.datetime.fromtimestamp(float(s), tz=UTC)))
-    return nights
+    # a night runs noon to noon: key each reading by the day 12 h before it
+    return np.unique((seconds[dark] - 43200.0) // 86400.0).size
 
 
 # -- HRV rasters ----------------------------------------------------------------

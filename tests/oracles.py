@@ -13,7 +13,7 @@ import scipy.linalg
 from scipy.linalg import blas
 
 from pvgp.gp import build_covariance
-from pvgp.kernels import PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, WHITE_NOISE
+from pvgp.kernels import PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, WHITE_NOISE, GramEvaluator
 
 # the library's documented jitter floor, shared so oracles factor the same matrix
 JITTER0 = 1e-10
@@ -129,6 +129,37 @@ def lml_oracle(train, spec):
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     return float(-0.5 * y @ np.linalg.inv(K) @ y - 0.5 * logdet - 0.5 * train.n * math.log(2 * math.pi))
+
+
+def lml_gradient_full_w(train, spec, params):
+    """``d LML / d log theta`` for each of ``params`` through the full weight matrix.
+
+    ``1/2 sum(W * dK/dlog theta)`` with ``W = alpha alpha^T - K^-1`` held
+    whole (``K^-1`` by ``dpotri`` from the jittered factor, mirrored to
+    both triangles) and every derivative block written out in full:
+    ``2 K_main / s2`` for the amplitude, ``sigma^2 I / s2`` for the noise,
+    and ``K_main * log_derivative / s2`` for a shape hyperparameter.
+    """
+    s2 = train.target_scale**2
+    n = train.n
+    K = build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2
+    L = scipy.linalg.cholesky(K + JITTER0 * np.mean(np.diag(K)) * np.eye(n), lower=True)
+    alpha = scipy.linalg.cho_solve((L, True), train.scaled_targets())
+    inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
+    assert info == 0
+    W = np.outer(alpha, alpha) - (np.tril(inv) + np.tril(inv, -1).T)
+    evaluator = GramEvaluator(train.inputs, train.inputs, same_samples=True)
+    K_main = evaluator.gram(spec).copy()
+    grad = []
+    for p in params:
+        if p.field == "amplitude":
+            dK = 2.0 * K_main / s2
+        elif p.field == "noise_variance":
+            dK = spec.noise_variance * np.eye(n) / s2
+        else:
+            dK = K_main * evaluator.log_derivative(p) / s2
+        grad.append(0.5 * float(np.sum(W * dK)))
+    return np.array(grad)
 
 
 FD_STEP = 1e-4

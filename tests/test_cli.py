@@ -187,6 +187,32 @@ def test_config_list_entry_of_the_wrong_type_exits_two_naming_its_key(tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_config_key_with_a_null_default_exits_two_naming_its_key_on_a_value_of_the_wrong_type(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    geometry = {"origin_easting": 0.0, "origin_northing": 0.0, "pixel_size": 1000.0, "width": 16, "height": 16}
+    cases = [
+        ({"paths": {"metadata": 5}}, "'paths.metadata'"),
+        ({"paths": {"power": ["p.csv"]}}, "'paths.power'"),
+        ({"paths": {"hrv": {"file": "h.csv"}}}, "'paths.hrv'"),
+        ({"paths": {"hrv": "h.csv"}, "hrv": {"csv_geometry": {"foo": 1}}}, "'hrv.csv_geometry'"),
+        ({"hrv": {"csv_geometry": {k: v for k, v in geometry.items() if k != "height"}}}, "'hrv.csv_geometry'"),
+        ({"hrv": {"csv_geometry": {**geometry, "width": "16"}}}, "'hrv.csv_geometry.width'"),
+        ({"hrv": {"csv_geometry": 5}}, "'hrv.csv_geometry'"),
+        ({"experiment": {"forecast_start_index": "x"}}, "'experiment.forecast_start_index'"),
+        ({"experiment": {"forecast_start_index": 2.7}}, "'experiment.forecast_start_index'"),
+    ]
+    for overrides, named in cases:
+        overrides.setdefault("paths", {})["output_dir"] = out
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main(["experiment", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+    assert not (tmp_path / "out").exists()
+    # null stays allowed, and a full geometry loads
+    cfg = write_config(tmp_path / "c.json", paths={"metadata": None}, hrv={"csv_geometry": geometry})
+    assert cli.load_config(cfg)["hrv"]["csv_geometry"] == geometry
+
+
 def test_empty_training_days_exits_two_naming_its_key(tmp_path, capsys):
     # with no forecast_start_index the first launch follows the longest training period
     paths = make_bundle(tmp_path)

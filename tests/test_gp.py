@@ -14,7 +14,15 @@ from pvgp import gp, kernels
 from pvgp.gp import TrainingSet
 from pvgp.kernels import MATERN, MATERN_NUS, PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, WHITE_NOISE, KernelSpec
 
-from oracles import fd_gradient, gram_oracle, lml_oracle, posterior_oracle, posterior_out_of_place, stencil_gradient
+from oracles import (
+    fd_gradient,
+    gram_oracle,
+    lml_gradient_full_w,
+    lml_oracle,
+    posterior_oracle,
+    posterior_out_of_place,
+    stencil_gradient,
+)
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -407,6 +415,52 @@ def test_lml_increases_with_noise_on_pure_noise_data():
 
 
 # -- finite-difference gradient -------------------------------------------------
+
+
+def test_lml_gradient_matches_full_weight_matrix_oracle():
+    # every hyperparameter free, alpha and the period included, for each
+    # family and each periodic base in 1-D and 2-D
+    rng = np.random.default_rng(45)
+    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
+    bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
+    for ndim in (1, 2):
+        ls = (3.0, 0.6)[:ndim]
+        specs = [
+            KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.4),
+            KernelSpec(SQUARED_EXPONENTIAL, amplitude=2.1, lengthscales=ls, noise_variance=0.3),
+            KernelSpec(RATIONAL_QUADRATIC, amplitude=2.1, lengthscales=ls, alpha=1.7, noise_variance=0.3),
+            *[KernelSpec(MATERN, amplitude=2.1, lengthscales=ls, nu=nu, noise_variance=0.3) for nu in MATERN_NUS],
+            *[KernelSpec(PERIODIC, amplitude=2.1, lengthscales=ls, roughness=0.9, period=23.3, **b, noise_variance=0.3)
+              for b in bases],
+        ]
+        for spec in specs:
+            train = random_train(rng, 80, ndim)
+            params = spec.hyperparameters()
+            gradient = gp.LmlGradient(train, params)
+            value = gp.log_marginal_likelihood(train, spec, gradient)
+            assert value == gp.log_marginal_likelihood(train, spec), spec.to_text()
+            want = lml_gradient_full_w(train, spec, params)
+            assert np.linalg.norm(gradient.value - want) <= 1e-12 * np.linalg.norm(want), spec.to_text()
+
+
+def test_lml_gradient_holds_at_most_seven_grams_between_evaluations():
+    # K^-1's buffer carries the trace weights; the rest is the evaluator's
+    # Gram and its geometry and derivative caches (the fit's default: T fixed)
+    n = 1000
+    rng = np.random.default_rng(46)
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
+    spec = kernels.parse("periodic(matern12; h=85.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=400.0)")
+    params = [p for p in spec.hyperparameters() if p.field != "period"]
+    tracemalloc.start()
+    try:
+        gradient = gp.LmlGradient(train, params)
+        for h in (85.0, 90.0):
+            gp.log_marginal_likelihood(train, replace(spec, amplitude=h), gradient)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 7.05 * 8 * n * n
 
 
 def test_fd_gradient_agrees_with_higher_order_stencil():

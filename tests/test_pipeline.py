@@ -147,6 +147,16 @@ def test_filter_tolerates_two_overnight_nights():
     assert result.kept == [system]
 
 
+def test_filter_counts_dark_readings_either_side_of_midnight_as_one_night():
+    # 22:00 UTC on day d and 02:00 UTC on day d+1 fall in the same noon-to-noon night
+    system = make_system()
+    indices = [d * 288 + step for d in (1, 2) for step in (264, 288 + 24)]
+    power = make_power(indices, [0.5 * system.capacity_w] * len(indices))
+    assert filter_systems([system], power, min_nights=3).kept == [system]
+    removed = filter_systems([system], power, min_nights=2).removed
+    assert [(r.reason, r.detail) for r in removed] == [(pipeline.REASON_OVERNIGHT, "2 nights with overnight power")]
+
+
 def test_filter_removes_out_of_bounds():
     away = PvSystem(system_id=9, location=GeoPoint.from_latlon(51.5, 30.0), capacity_w=1000.0)
     result = filter_systems([away], make_power([120], [0.0], system_id=9))
