@@ -168,6 +168,21 @@ def _same_type(value, default) -> bool:
     return type(value) is type(default) or (type(default) is float and type(value) is int)
 
 
+# the lower bound of each key that no library check covers; null passes.  Checked
+# after the command line's overrides, before any output is written
+_MINIMUM = {"jobs": 1, "experiment.forecast_start_index": 0}
+
+
+def _check_minima(cfg: dict) -> None:
+    """Raise ``ConfigError`` naming the first :data:`_MINIMUM` key whose value is below its bound."""
+    for name, low in _MINIMUM.items():
+        value = cfg
+        for part in name.split("."):
+            value = value[part]
+        if value is not None and value < low:
+            raise ConfigError(f"config key {name!r} must be >= {low}, got {value}")
+
+
 def load_config(path: str | None) -> dict:
     """Read the JSON config document and merge it over the defaults."""
     if path is None:
@@ -321,6 +336,8 @@ def cmd_forecast(cfg: dict, args) -> int:
     series = _load_series(cfg, args.system)
     start_ts = dt.datetime.fromisoformat(args.start.replace("Z", "+00:00"))
     start = geotime.timestamp_to_index(start_ts, series.epoch_utc)
+    if start < 0:
+        raise ConfigError(f"--start {args.start} is before the data's first step: forecast start index {start}")
     horizon, runner = {"48h": (ex.STEPS_48H, ex.forecast_48h), "4h": (ex.STEPS_4H, ex.forecast_4h)}[args.horizon]
     config = ex.ExperimentConfig(
         **cfg["forecast"],
@@ -489,8 +506,7 @@ def main(argv=None) -> int:
             cfg["jobs"] = args.jobs
         if args.out is not None:
             cfg["paths"]["output_dir"] = args.out
-        if cfg["jobs"] < 1:
-            raise ConfigError(f"config key 'jobs' must be >= 1, got {cfg['jobs']}")
+        _check_minima(cfg)
         cfg["invocation"] = {
             "command": args.command,
             "args": {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None},

@@ -476,48 +476,53 @@ def run_grid(
     """Execute every (config, system, test day) cell and collect MAEs.
 
     ``datasets`` maps (system_id, patch_px) to an assembled series.  Cell
-    failures are recorded, never fatal.  Execution may be parallel
-    (``jobs``); assembly order is deterministic regardless, and per-cell
-    seeds derive from (seed, config index, system, day).
+    failures are recorded, never fatal.  Equal configs (``==``) are one
+    cell: each distinct (config, system) cell runs once, seeded from the
+    index of the first equal row, and every equal row reports its outcome,
+    failures included.  Execution may be parallel (``jobs``); assembly
+    order is deterministic regardless, and per-cell seeds derive from
+    (seed, first equal config index, system, day).
     """
     if not configs:
         raise ValueError("empty experiment grid")
     fit_options = fit_options or FitOptions()
 
-    tasks = []
+    first: dict[ExperimentConfig, int] = {}
     for ci, cfg in enumerate(configs):
-        for sid in cfg.system_ids:
-            tasks.append((ci, cfg, sid))
+        first.setdefault(cfg, ci)
+    tasks = [(ci, cfg, sid) for cfg, ci in first.items() for sid in cfg.system_ids]
 
     def run_cell(task):
         ci, cfg, sid = task
         series = datasets.get((sid, cfg.patch_px))
         if series is None:
-            return ci, sid, None, f"no dataset for system {sid} at {cfg.patch_px}x{cfg.patch_px}"
+            return None, f"no dataset for system {sid} at {cfg.patch_px}x{cfg.patch_px}"
         day_maes = []
         try:
             for day in range(cfg.test_days):
                 result = _forecast_once(series, cfg, day, _cell_seed(seed, ci, sid, day), fit_options)
                 day_maes.append(result.mae)
         except (CoverageError, EmptyDatasetError, ConditioningError, FitError, ValueError) as exc:
-            return ci, sid, None, f"{type(exc).__name__}: {exc}"
-        return ci, sid, day_maes, None
+            return None, f"{type(exc).__name__}: {exc}"
+        return day_maes, None
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_cell, tasks))
     else:
         outcomes = [run_cell(t) for t in tasks]
+    outcome = {(ci, sid): result for (ci, _, sid), result in zip(tasks, outcomes)}
 
     rows = [ReportRow(config=cfg, per_system={}, failures={}) for cfg in configs]
     samples: list[tuple[int, int, int, float]] = []
-    for ci, sid, day_maes, failure in outcomes:
-        if failure is not None:
-            rows[ci].failures[sid] = failure
-            continue
-        rows[ci].per_system[sid] = float(np.mean(day_maes))
-        for day, value in enumerate(day_maes):
-            samples.append((ci, sid, day, value))
+    for ci, cfg in enumerate(configs):
+        for sid in cfg.system_ids:
+            day_maes, failure = outcome[first[cfg], sid]
+            if failure is not None:
+                rows[ci].failures[sid] = failure
+                continue
+            rows[ci].per_system[sid] = float(np.mean(day_maes))
+            samples.extend((ci, sid, day, value) for day, value in enumerate(day_maes))
     samples.sort(key=lambda s: (s[0], s[1], s[2]))
     return ExperimentReport(rows=rows, samples=samples, seed=seed)
 

@@ -25,7 +25,10 @@ it whole.  A non-finite Gram raises ``ValueError`` naming the kernel.
 Because every Gram is checked as it is built, its factor is never
 rescanned: after the factorisation a posterior makes one triangular
 solve, against the cross block and the targets together, which gives its
-mean and its covariance.
+mean and its covariance.  A posterior's prior block ``K(X*, X*)`` is built
+as one triangle too, the solve's product is subtracted from that triangle
+in place by one ``dsyrk``, and the triangle is mirrored to the other side:
+no symmetrising pass, and the covariance is exactly symmetric.
 
 Every dense product goes through :mod:`scipy.linalg.blas`, the BLAS that
 the factorisations and solves already run on; nothing calls numpy's
@@ -260,8 +263,14 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     ``C* = K(X*,X*) - V^T V`` (Rasmussen & Williams 2006, algorithm 2.1).
     The cross block is built straight into that Fortran-ordered right-hand
     side, each row block scaled and checked finite while in cache, and the
-    solve overwrites it; the factor is read once and never rescanned.  A
-    non-finite query row raises ``ValueError`` naming the row.
+    solve overwrites it; the factor is read once and never rescanned.
+    ``K(X*,X*)`` is built as one triangle, row i from column i on, the
+    lower triangle of its Fortran view; one in-place ``dsyrk`` subtracts
+    ``V^T V`` there, and :func:`_mirror_upper` copies the triangle to the
+    other side and clips the diagonal at 0, so the covariance is exactly
+    symmetric and the prior block's buffer is the only m x m array.  The
+    prior (no training rows) gets the same triangle and the same finish.
+    A non-finite query row raises ``ValueError`` naming the row.
     """
     # fresh array: query samples are never "the same list" as training rows
     query_X = np.array(query_X, dtype=float, ndmin=2)
@@ -272,14 +281,14 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
         raise ValueError(f"query row {bad[0]} has non-finite inputs {query_X[bad[0]].tolist()}")
     spec.validate(ndim=train.ndim)
 
-    Kss = build_covariance(query_X, query_X, spec)
+    m = query_X.shape[0]
+    # the prior block's upper triangle, the lower one of the Fortran view Kss.T
+    Kss = kernels.main_matrix(spec, query_X, query_X, same_samples=True, upper=True)
     if train.n == 0:
-        mean = np.full(query_X.shape[0], train.target_mean)
-        return PosteriorPrediction(mean=mean, cov=_tidy_cov(Kss))
+        return PosteriorPrediction(mean=np.full(m, train.target_mean), cov=_mirror_upper(Kss))
 
     s2 = train.target_scale**2
     L = _cholesky_with_jitter(_gram_builder(train.inputs, spec, s2), spec)
-    m = query_X.shape[0]
     rhs = np.empty((train.n, m + 1), order="F")
     # rhs[:, :m].T is a C-ordered (m, n) view: the cross block K(X*, X) / s2
     finish = functools.partial(_finish, spec=spec, s2=s2, noise=0.0)
@@ -288,15 +297,22 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     scipy.linalg.solve_triangular(L, rhs, lower=True, overwrite_b=True, check_finite=False)
     V, z = rhs[:, :m], rhs[:, m]
     mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
-    cov = Kss - s2 * blas.dgemm(1.0, V, V, trans_a=1)
-    return PosteriorPrediction(mean=mean, cov=_tidy_cov(cov))
+    # K(X*, X*) - s2 V^T V on the filled triangle, in Kss's buffer
+    blas.dsyrk(-s2, V, beta=1.0, c=Kss.T, trans=1, lower=1, overwrite_c=1)
+    return PosteriorPrediction(mean=mean, cov=_mirror_upper(Kss))
 
 
-def _tidy_cov(cov: np.ndarray) -> np.ndarray:
-    cov = (cov + cov.T) / 2.0
-    d = np.diag(cov).copy()
-    np.fill_diagonal(cov, np.clip(d, 0.0, None))
-    return cov
+def _mirror_upper(K: np.ndarray) -> np.ndarray:
+    """Copy square K's upper triangle onto its lower one in place, a row block at a time, and clip its diagonal at 0."""
+    m = K.shape[0]
+    rows = max(1, kernels._BLOCK_ELEMENTS // max(m, 1))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        # K[i, :i] = K[:i, i] for the block's rows i; the mask keeps j < i
+        np.copyto(K[start:stop, :stop], K[:stop, start:stop].T, where=np.tri(stop - start, stop, start - 1, dtype=bool))
+    diagonal = _diagonal(K)
+    np.clip(diagonal, 0.0, None, out=diagonal)
+    return K
 
 
 class LmlGradient:

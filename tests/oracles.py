@@ -114,8 +114,9 @@ def posterior_out_of_place(train, Q, spec):
     Vz = scipy.linalg.solve_triangular(L, np.column_stack([Ks.T, train.scaled_targets()]), lower=True)
     V, z = Vz[:, :-1], Vz[:, -1]
     mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
-    cov = Kss - s2 * blas.dgemm(1.0, V, V, trans_a=1)
-    cov = (cov + cov.T) / 2.0
+    # Kss - s2 V^T V on Kss's upper triangle (the lower one of Kss.T), into a new array
+    low = blas.dsyrk(-s2, V, beta=1.0, c=Kss.T, trans=1, lower=1)
+    cov = np.where(np.tri(len(Q), dtype=bool), low, low.T)
     np.fill_diagonal(cov, np.clip(np.diag(cov).copy(), 0.0, None))
     return mean, cov
 

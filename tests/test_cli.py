@@ -265,6 +265,22 @@ def test_out_of_range_fit_or_window_value_exits_two_naming_its_key(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_forecast_start_exits_two_naming_its_key(tmp_path, capsys):
+    # a start before the data's first step has no training window: every cell would fail
+    paths = make_bundle(tmp_path)
+    out = tmp_path / "out"
+    doc = {"paths": {**paths, "output_dir": str(out)}, "fit": {"restarts": 1, "max_iter": 40}}
+    runs = [
+        (["experiment"], {"experiment": {"forecast_start_index": -500}}, ["experiment.forecast_start_index", "got -500"]),
+        (["forecast", "--system", "1", "--start", "2021-05-31T10:00:00Z"], {}, ["--start 2021-05-31T10:00:00Z", "-168"]),
+    ]
+    for args, extra, named in runs:
+        assert main([*args, "--config", write_config(tmp_path / "c.json", **doc, **extra)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(word in err for word in named), err
+    assert not out.exists()
+
+
 def test_forecast_writes_48_rows_and_round_trips(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     cfg = write_config(

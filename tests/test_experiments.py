@@ -2,6 +2,7 @@
 
 import datetime as dt
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,6 +377,69 @@ def test_grid_deterministic_and_parallel_consistent():
     c = run_grid([cfg], datasets, seed=9, jobs=3, fit_options=opts)
     assert a.to_json() == b.to_json() == c.to_json()
     assert a.to_csv() == b.to_csv()
+
+
+def count_forecasts(monkeypatch) -> list:
+    """Spy on the launches ``run_grid`` makes: the list gets each launch's (config, day)."""
+    calls = []
+    launch = ex._forecast_once
+
+    def spy(series, cfg, day, seed, fit_options):
+        calls.append((cfg, day))
+        return launch(series, cfg, day, seed, fit_options)
+
+    monkeypatch.setattr(ex, "_forecast_once", spy)
+    return calls
+
+
+def test_set_one_grid_runs_its_repeated_baseline_cell_once(monkeypatch):
+    # rows 3, 5 and 10 of set one are one cell: 21 days, 2x2, periodic(matern12)
+    _, series = scattered_series(days=33, seed=3, patch=2)
+    datasets = {(1, patch): series for patch in (2, 6, 12)}  # the scenario's frames are uniform
+    configs = set_one_configs((1,), forecast_start=30 * STEPS_PER_DAY, test_days=2, training_stride=24, refit=False)
+    calls = count_forecasts(monkeypatch)
+    report = run_grid(configs, datasets, seed=5)
+    assert len(calls) == 8 * 2
+    assert all(not row.failures for row in report.rows)
+    baseline = [2, 4, 9]
+    assert len({configs[ci] for ci in baseline}) == 1
+    assert [report.rows[ci].per_system for ci in baseline] == [report.rows[2].per_system] * 3
+    samples = [[s[1:] for s in report.samples if s[0] == ci] for ci in baseline]
+    assert len(samples[0]) == 2 and samples == [samples[0]] * 3
+
+
+def test_grid_keeps_configs_apart_that_differ_only_outside_the_key(monkeypatch):
+    _, series = scattered_series()
+    base = make_config(forecast_start=STEPS_PER_DAY + 120, training_stride=4, refit=False)
+    configs = [
+        base,
+        replace(base, training_stride=3),
+        replace(base, refit=True),
+        replace(base, test_days=2),
+        replace(base, system_ids=(1, 2)),
+        base,
+    ]
+    assert len({cfg.key() for cfg in configs}) == 1
+    calls = count_forecasts(monkeypatch)
+    report = run_grid(configs, {(1, 6): series}, seed=0, fit_options=FitOptions(restarts=1, max_iter=40))
+    assert [cfg for cfg, _ in calls] == configs[:3] + [configs[3]] * 2 + [configs[4]]
+    assert report.rows[5].per_system == report.rows[0].per_system
+    assert report.rows[4].failures == {2: "no dataset for system 2 at 6x6"}
+
+
+def test_grid_repeated_refit_row_equals_its_first_occurrence(monkeypatch):
+    _, series = scattered_series()
+    fitted = make_config(forecast_start=STEPS_PER_DAY + 120, training_stride=4, test_days=2)
+    other = replace(fitted, kernel=default_kernel("se"))
+    opts = FitOptions(restarts=2, max_iter=40)
+    calls = count_forecasts(monkeypatch)
+    report = run_grid([fitted, other, fitted], {(1, 6): series}, seed=4, fit_options=opts)
+    assert len(calls) == 2 * 2
+    assert report.rows[2].per_system == report.rows[0].per_system
+    assert [s[1:] for s in report.samples if s[0] == 2] == [s[1:] for s in report.samples if s[0] == 0]
+    # seeded from the first equal row's index: the cell alone, at index 0, reads the same
+    alone = run_grid([fitted], {(1, 6): series}, seed=4, fit_options=opts)
+    assert alone.rows[0].per_system == report.rows[2].per_system
 
 
 def test_grid_rejects_empty():

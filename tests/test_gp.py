@@ -178,6 +178,39 @@ def test_posterior_cov_is_symmetric_with_clamped_diagonal():
     assert np.all(np.diag(pred.cov) >= 0.0)
 
 
+def test_posterior_cov_over_several_row_blocks_is_exactly_symmetric():
+    # m = 600 spans several of the row blocks the prior block is built and mirrored in
+    rng = np.random.default_rng(23)
+    train = random_train(rng, 40, 2)
+    Q = np.column_stack([np.linspace(0.0, 250.0, 600), rng.uniform(0, 1, 600)])
+    empty = TrainingSet(inputs=np.empty((0, 2)), targets=np.empty(0), target_mean=1.0, target_scale=2.0)
+    for family in (SQUARED_EXPONENTIAL, RATIONAL_QUADRATIC, MATERN, PERIODIC):
+        spec = random_spec(rng, 2, family)
+        for data in (train, empty):
+            cov = gp.posterior(data, Q, spec).cov
+            assert np.array_equal(cov, cov.T), spec.to_text()
+            assert np.all(np.diag(cov) >= 0.0), spec.to_text()
+        prior = gp.posterior(empty, Q, spec).cov
+        assert np.array_equal(np.triu(prior), np.triu(gp.build_covariance(Q, Q, spec))), spec.to_text()
+
+
+def test_posterior_prior_block_peaks_near_one_query_block():
+    # one triangle of K(X*, X*), updated by an in-place dsyrk and mirrored: no m x m temporaries
+    n, m = 200, 600
+    rng = np.random.default_rng(24)
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
+    query = np.column_stack([np.arange(float(n), n + m), rng.uniform(0, 1, m)])
+    spec = kernels.parse("periodic(matern12; h=850.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=4.0)")
+    tracemalloc.start()
+    try:
+        gp.posterior(train, query, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * n + n * (m + 1) + 2.25 * m * m)
+
+
 def test_posterior_peak_memory_is_at_most_four_grams():
     n = 1000
     rng = np.random.default_rng(22)
