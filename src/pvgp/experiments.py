@@ -24,6 +24,10 @@ elevation above 0 degrees, :func:`daylight`), since power is 0 W by
 physics with the sun below the horizon.  The posterior is
 evaluated at the daylight steps of the horizon; a night step's forecast
 comes from the solar-elevation rule instead: 0 W with zero variance.
+A grid scores each launch by the MAE of its mean alone, so
+:func:`run_grid`'s launches compute the posterior mean and build no
+predictive covariance; :func:`forecast_48h` and :func:`forecast_4h` return
+the covariance and the per-step sd as well.
 Forecast means are clamped to [0, capacity] for scoring and reporting;
 raw posterior values stay available on the result.  Reports render to
 CSV, aligned text, and JSON, all byte-deterministic for a fixed seed.
@@ -154,6 +158,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.system_ids:
             raise ValueError("system_ids must be nonempty")
+        repeated = [s for s in self.system_ids if self.system_ids.count(s) > 1]
+        if repeated:
+            raise ValueError(f"system_ids lists system {repeated[0]} more than once: {list(self.system_ids)}")
 
     def training_period_label(self) -> str:
         return TRAINING_PERIOD_LABELS.get(self.training_days, f"{self.training_days} days")
@@ -200,7 +207,7 @@ class ForecastResult:
     # (co)variance by the solar-elevation rule, not from the posterior
     prediction: gp.PosteriorPrediction
     mean_clamped: np.ndarray  # [0, capacity] for reporting
-    sd: np.ndarray
+    sd: np.ndarray | None  # None when the launch built no covariance
     truth: np.ndarray
     mae: float
     mae_daylight: float | None
@@ -272,7 +279,9 @@ def _forecast_once(
     day: int,
     seed: int,
     fit_options: FitOptions,
+    covariance: bool = True,
 ) -> ForecastResult:
+    """One launch of ``cfg`` on test day ``day``; with ``covariance=False`` it has no covariance and no sd."""
     start = cfg.forecast_start + day * geotime.STEPS_PER_DAY
     train, train_rows = training_set(series, start, cfg.training_days, cfg.training_stride)
 
@@ -292,11 +301,13 @@ def _forecast_once(
     spec = _fit(train, cfg.kernel, seed, fit_options) if cfg.refit else cfg.kernel
     # night steps are 0 W with zero variance; the posterior covers daylight only
     day_mask = daylight(series, wanted)
-    pred = gp.PosteriorPrediction(mean=np.zeros(cfg.horizon_steps), cov=np.zeros((cfg.horizon_steps,) * 2))
+    cov = np.zeros((cfg.horizon_steps,) * 2) if covariance else None
+    pred = gp.PosteriorPrediction(mean=np.zeros(cfg.horizon_steps), cov=cov)
     if day_mask.any():
-        day_pred = gp.posterior(train, query[day_mask], spec)
+        day_pred = gp.posterior(train, query[day_mask], spec, covariance=covariance)
         pred.mean[day_mask] = day_pred.mean
-        pred.cov[np.ix_(day_mask, day_mask)] = day_pred.cov
+        if covariance:
+            pred.cov[np.ix_(day_mask, day_mask)] = day_pred.cov
     clamped = np.clip(pred.mean, 0.0, series.capacity_w)
     error = mae(horizon.power_w, clamped)
     mae_daylight = mae(horizon.power_w[day_mask], clamped[day_mask]) if day_mask.any() else None
@@ -308,7 +319,7 @@ def _forecast_once(
         time_index=wanted,
         prediction=pred,
         mean_clamped=clamped,
-        sd=pred.std,
+        sd=pred.std if covariance else None,
         truth=horizon.power_w.copy(),
         mae=error,
         mae_daylight=mae_daylight,
@@ -479,9 +490,11 @@ def run_grid(
     failures are recorded, never fatal.  Equal configs (``==``) are one
     cell: each distinct (config, system) cell runs once, seeded from the
     index of the first equal row, and every equal row reports its outcome,
-    failures included.  Execution may be parallel (``jobs``); assembly
-    order is deterministic regardless, and per-cell seeds derive from
-    (seed, first equal config index, system, day).
+    failures included.  A cell is scored by the MAE of its mean, so each
+    launch computes the posterior mean alone and builds no covariance.
+    Execution may be parallel (``jobs``); assembly order is deterministic
+    regardless, and per-cell seeds derive from (seed, first equal config
+    index, system, day).
     """
     if not configs:
         raise ValueError("empty experiment grid")
@@ -500,7 +513,7 @@ def run_grid(
         day_maes = []
         try:
             for day in range(cfg.test_days):
-                result = _forecast_once(series, cfg, day, _cell_seed(seed, ci, sid, day), fit_options)
+                result = _forecast_once(series, cfg, day, _cell_seed(seed, ci, sid, day), fit_options, covariance=False)
                 day_maes.append(result.mae)
         except (CoverageError, EmptyDatasetError, ConditioningError, FitError, ValueError) as exc:
             return None, f"{type(exc).__name__}: {exc}"

@@ -25,10 +25,13 @@ it whole.  A non-finite Gram raises ``ValueError`` naming the kernel.
 Because every Gram is checked as it is built, its factor is never
 rescanned: after the factorisation a posterior makes one triangular
 solve, against the cross block and the targets together, which gives its
-mean and its covariance.  A posterior's prior block ``K(X*, X*)`` is built
-as one triangle too, the solve's product is subtracted from that triangle
-in place by one ``dsyrk``, and the triangle is mirrored to the other side:
-no symmetrising pass, and the covariance is exactly symmetric.
+mean and its covariance.  A posterior asked for its mean alone
+(``covariance=False``, as every grid cell is, since a cell is scored by
+the MAE of its mean) stops there and builds no m x m array.  Otherwise
+its prior block ``K(X*, X*)`` is built after the solve as one triangle
+too, the solve's product is subtracted from that triangle in place by one
+``dsyrk``, and the triangle is mirrored to the other side: no
+symmetrising pass, and the covariance is exactly symmetric.
 
 Every dense product goes through :mod:`scipy.linalg.blas`, the BLAS that
 the factorisations and solves already run on; nothing calls numpy's
@@ -149,14 +152,19 @@ class TrainingSet:
 
 @dataclass
 class PosteriorPrediction:
-    """Predictive mean (watts) and covariance (watts^2) at query inputs."""
+    """Predictive mean (watts) and covariance (watts^2) at query inputs; ``cov`` is None for a mean-only posterior."""
 
     mean: np.ndarray
-    cov: np.ndarray
+    cov: np.ndarray | None
 
     @property
     def std(self) -> np.ndarray:
-        """Per-point predictive standard deviation, watts."""
+        """Per-point predictive standard deviation, watts.
+
+        Raises ``ValueError`` when the posterior was computed without its covariance.
+        """
+        if self.cov is None:
+            raise ValueError("posterior was computed without its covariance (covariance=False): no standard deviation")
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
 
 
@@ -250,13 +258,15 @@ def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
         K = build()
 
 
-def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPrediction:
-    """Posterior mean and covariance at ``query_X`` given training data.
+def posterior(train: TrainingSet, query_X, spec: KernelSpec, covariance: bool = True) -> PosteriorPrediction:
+    """Posterior mean and, with ``covariance``, covariance at ``query_X`` given training data.
 
     Computes ``m* = mu + K(X*,X) K(X,X)^-1 (y - mu)`` and
     ``C* = K(X*,X*) - K(X*,X) K(X,X)^-1 K(X*,X)^T`` on centred/scaled
     targets, then maps back to watts.  With no training rows the prior is
     returned: constant mean ``target_mean`` and covariance ``K(X*,X*)``.
+    An empty query returns a mean of shape (0,) and a (0, 0) covariance
+    before anything is factorised.
 
     After the factorisation ``K = L L^T``, one triangular solve gives both:
     ``[V | z] = L^-1 [K(X*,X)^T | y]``, so ``m* = mu + V^T z`` and
@@ -264,13 +274,18 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     The cross block is built straight into that Fortran-ordered right-hand
     side, each row block scaled and checked finite while in cache, and the
     solve overwrites it; the factor is read once and never rescanned.
-    ``K(X*,X*)`` is built as one triangle, row i from column i on, the
-    lower triangle of its Fortran view; one in-place ``dsyrk`` subtracts
-    ``V^T V`` there, and :func:`_mirror_upper` copies the triangle to the
-    other side and clips the diagonal at 0, so the covariance is exactly
-    symmetric and the prior block's buffer is the only m x m array.  The
-    prior (no training rows) gets the same triangle and the same finish.
-    A non-finite query row raises ``ValueError`` naming the row.
+
+    With ``covariance=False`` the posterior returns after the mean, with
+    ``cov=None``: no ``K(X*,X*)``, no m x m array.  A forecast scored by the
+    MAE of its mean (every grid cell) needs nothing more.  Otherwise
+    ``K(X*,X*)`` is built after the solve as one triangle, row i from
+    column i on, the lower triangle of its Fortran view; one in-place
+    ``dsyrk`` subtracts ``V^T V`` there, and :func:`_mirror_upper` copies
+    the triangle to the other side and clips the diagonal at 0, so the
+    covariance is exactly symmetric and the prior block's buffer is the
+    only m x m array.  The prior (no training rows) gets the same triangle
+    and the same finish.  A non-finite query row raises ``ValueError``
+    naming the row.
     """
     # fresh array: query samples are never "the same list" as training rows
     query_X = np.array(query_X, dtype=float, ndmin=2)
@@ -282,10 +297,9 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     spec.validate(ndim=train.ndim)
 
     m = query_X.shape[0]
-    # the prior block's upper triangle, the lower one of the Fortran view Kss.T
-    Kss = kernels.main_matrix(spec, query_X, query_X, same_samples=True, upper=True)
-    if train.n == 0:
-        return PosteriorPrediction(mean=np.full(m, train.target_mean), cov=_mirror_upper(Kss))
+    if train.n == 0 or m == 0:
+        cov = _prior_block(query_X, spec) if covariance else None
+        return PosteriorPrediction(mean=np.full(m, train.target_mean), cov=cov)
 
     s2 = train.target_scale**2
     L = _cholesky_with_jitter(_gram_builder(train.inputs, spec, s2), spec)
@@ -297,9 +311,18 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec) -> PosteriorPredict
     scipy.linalg.solve_triangular(L, rhs, lower=True, overwrite_b=True, check_finite=False)
     V, z = rhs[:, :m], rhs[:, m]
     mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
+    if not covariance:
+        return PosteriorPrediction(mean=mean, cov=None)
+    # the prior block's upper triangle, the lower one of the Fortran view Kss.T
+    Kss = kernels.main_matrix(spec, query_X, query_X, same_samples=True, upper=True)
     # K(X*, X*) - s2 V^T V on the filled triangle, in Kss's buffer
     blas.dsyrk(-s2, V, beta=1.0, c=Kss.T, trans=1, lower=1, overwrite_c=1)
     return PosteriorPrediction(mean=mean, cov=_mirror_upper(Kss))
+
+
+def _prior_block(query_X: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """``K(X*, X*)`` built as one triangle and mirrored: the covariance of a posterior with no training rows."""
+    return _mirror_upper(kernels.main_matrix(spec, query_X, query_X, same_samples=True, upper=True))
 
 
 def _mirror_upper(K: np.ndarray) -> np.ndarray:

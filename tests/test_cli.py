@@ -281,6 +281,16 @@ def test_negative_forecast_start_exits_two_naming_its_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_experiment_system_exits_two_naming_it(tmp_path, capsys):
+    # a repeated id would run each launch twice and double the box-plot samples
+    paths = make_bundle(tmp_path)
+    cfg = experiment_config(tmp_path, paths, systems=[1, 1])
+    assert main(["experiment", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "system 1 more than once" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forecast_writes_48_rows_and_round_trips(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     cfg = write_config(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvgp import experiments as ex
-from pvgp import geotime, gp, pipeline
+from pvgp import geotime, gp, kernels, pipeline
 from pvgp.experiments import (
     CLOUD_GIVEN,
     CLOUD_PERSISTENCE,
@@ -112,6 +112,12 @@ def test_config_rejects_unknown_patch_and_horizon():
         make_config(cloud_mode="oracle")
 
 
+def test_config_rejects_a_repeated_system_id():
+    # a repeated id would run each launch of the cell twice and write each day's sample twice
+    with pytest.raises(ValueError, match=r"system 2 more than once"):
+        make_config(system_ids=(1, 2, 2))
+
+
 def test_config_json_round_trip():
     cfg = make_config(test_days=3, training_stride=2, refit=False)
     assert ExperimentConfig.from_jsonable(cfg.to_jsonable()) == cfg
@@ -169,9 +175,9 @@ def spy_posterior(monkeypatch):
     calls = []
     real = gp.posterior
 
-    def spy(train, query, spec):
+    def spy(train, query, spec, **kwargs):
         calls.append((train.inputs.copy(), np.array(query, dtype=float)))
-        return real(train, query, spec)
+        return real(train, query, spec, **kwargs)
 
     monkeypatch.setattr(gp, "posterior", spy)
     return calls
@@ -384,9 +390,9 @@ def count_forecasts(monkeypatch) -> list:
     calls = []
     launch = ex._forecast_once
 
-    def spy(series, cfg, day, seed, fit_options):
+    def spy(series, cfg, day, seed, fit_options, **kwargs):
         calls.append((cfg, day))
-        return launch(series, cfg, day, seed, fit_options)
+        return launch(series, cfg, day, seed, fit_options, **kwargs)
 
     monkeypatch.setattr(ex, "_forecast_once", spy)
     return calls
@@ -440,6 +446,48 @@ def test_grid_repeated_refit_row_equals_its_first_occurrence(monkeypatch):
     # seeded from the first equal row's index: the cell alone, at index 0, reads the same
     alone = run_grid([fitted], {(1, 6): series}, seed=4, fit_options=opts)
     assert alone.rows[0].per_system == report.rows[2].per_system
+
+
+def test_grid_cell_mae_equals_a_forecast_48h_replay():
+    # a grid launch builds no covariance; its mean, and so its MAE, is a full forecast's
+    _, series = scattered_series(days=33, seed=3, patch=2)
+    datasets = {(1, patch): series for patch in (2, 6, 12)}
+    configs = set_one_configs((1,), forecast_start=30 * STEPS_PER_DAY, test_days=2, training_stride=24, refit=False)
+    configs.append(replace(configs[2], refit=True))
+    opts = FitOptions(restarts=1, max_iter=40)
+    report = run_grid(configs, datasets, seed=5, fit_options=opts)
+    for ci, cfg in enumerate(configs):
+        first = configs.index(cfg)
+        replays = [
+            forecast_48h(
+                series,
+                replace(cfg, forecast_start=cfg.forecast_start + day * STEPS_PER_DAY),
+                seed=ex._cell_seed(5, first, 1, day),
+                fit_options=opts,
+            ).mae
+            for day in range(2)
+        ]
+        assert [s[3] for s in report.samples if s[0] == ci] == replays, cfg.key()
+        assert report.rows[ci].per_system == {1: float(np.mean(replays))}, cfg.key()
+
+
+def test_grid_launch_builds_no_query_block(monkeypatch):
+    # a daylight launch builds the Gram and the cross block; a forecast also builds K(X*, X*)
+    _, series = scattered_series()
+    cfg = make_config(horizon_steps=STEPS_48H, forecast_start=2 * STEPS_PER_DAY, training_stride=3, refit=False)
+    calls = []
+    real = kernels.main_matrix
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "main_matrix", spy)
+    report = run_grid([cfg], {(1, 6): series})
+    assert not report.rows[0].failures and len(calls) == 2
+    del calls[:]
+    result = forecast_48h(series, cfg)
+    assert len(calls) == 3 and calls[2] == int(ex.daylight(series, result.time_index).sum())
 
 
 def test_grid_rejects_empty():

@@ -260,6 +260,60 @@ def test_posterior_bitwise_equals_out_of_place_factorisation():
             assert np.array_equal(pred.cov, cov), spec.to_text()
 
 
+def test_posterior_without_covariance_gives_the_same_mean_and_no_cov():
+    rng = np.random.default_rng(34)
+    n = 120
+    for family in (SQUARED_EXPONENTIAL, MATERN, PERIODIC):
+        spec = random_spec(rng, 2, family)
+        X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+        train = TrainingSet.from_arrays(X, rng.normal(5.0, 3.0, n))
+        Q = np.column_stack([np.arange(n, n + 30.0), rng.uniform(0, 1, 30)])
+        full = gp.posterior(train, Q, spec)
+        mean_only = gp.posterior(train, Q, spec, covariance=False)
+        assert np.array_equal(mean_only.mean, full.mean), spec.to_text()
+        assert mean_only.cov is None
+    prior = TrainingSet(inputs=np.empty((0, 2)), targets=np.empty(0), target_mean=4.0, target_scale=2.0)
+    pred = gp.posterior(prior, Q, spec, covariance=False)
+    assert np.array_equal(pred.mean, np.full(30, 4.0)) and pred.cov is None
+
+
+def test_posterior_without_covariance_allocates_no_query_block():
+    n, m = 50, 2000
+    rng = np.random.default_rng(35)
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
+    query = np.column_stack([np.arange(float(n), n + m), rng.uniform(0, 1, m)])
+    spec = kernels.parse("periodic(matern12; h=850.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=4.0)")
+    tracemalloc.start()
+    try:
+        gp.posterior(train, query, spec, covariance=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 0.25 * m * m
+
+
+def test_posterior_std_without_covariance_says_so():
+    pred = gp.PosteriorPrediction(mean=np.zeros(3), cov=None)
+    with pytest.raises(ValueError, match="without its covariance"):
+        pred.std
+
+
+def test_posterior_with_an_empty_query_returns_before_factorising(monkeypatch):
+    rng = np.random.default_rng(36)
+    train = random_train(rng, 20, 2)
+    spec = random_spec(rng, 2)
+
+    def no_factorisation(build, spec):
+        raise AssertionError("an empty query factorised the Gram")
+
+    monkeypatch.setattr(gp, "_cholesky_with_jitter", no_factorisation)
+    pred = gp.posterior(train, np.empty((0, 2)), spec)
+    assert pred.mean.shape == (0,) and pred.cov.shape == (0, 0)
+    pred = gp.posterior(train, np.empty((0, 2)), spec, covariance=False)
+    assert pred.mean.shape == (0,) and pred.cov is None
+
+
 def test_posterior_matches_textbook_cho_solve_form():
     # alpha = K^-1 y by cho_solve, mean = Ks alpha, cov = Kss - v^T v with v = L^-1 Ks^T
     rng = np.random.default_rng(32)
