@@ -264,15 +264,17 @@ def _load_series(cfg: dict, system_id: int):
     return _assemble_kept(cfg, power, stack, kept, patch)[(system_id, patch)]
 
 
-def _print_filter_summary(meta, result, out) -> None:
+def _print_filter_summary(meta, power, result, out) -> None:
+    """Kept and removed systems, every skipped metadata row, and the count and first five of the skipped power rows."""
     print(f"kept {len(result.kept)} system(s)", file=out)
     print(f"removed {len(result.removed)} system(s)", file=out)
     for removal in result.removed:
         print(f"  system {removal.system.system_id}: {removal.reason} ({removal.detail})", file=out)
-    if meta.skipped:
-        print(f"skipped {len(meta.skipped)} metadata row(s)", file=out)
-        for lineno, reason in meta.skipped:
-            print(f"  line {lineno}: {reason}", file=out)
+    for what, skipped, shown in (("metadata", meta.skipped, None), ("power", power.skipped, 5)):
+        if skipped:
+            print(f"skipped {len(skipped)} {what} row(s)", file=out)
+            for lineno, reason in sorted(skipped)[:shown]:
+                print(f"  line {lineno}: {reason}", file=out)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -281,7 +283,7 @@ def _print_filter_summary(meta, result, out) -> None:
 def cmd_ingest(cfg: dict, args) -> int:
     meta, power, stack, result = _load_bundle(cfg)
     outdir = _write_effective_config(cfg)
-    _print_filter_summary(meta, result, sys.stdout)
+    _print_filter_summary(meta, power, result, sys.stdout)
     patch = cfg["hrv"]["patch_px"]
     datasets = _assemble_kept(cfg, power, stack, result.kept, patch)
     for (sid, _), series in sorted(datasets.items()):

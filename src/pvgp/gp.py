@@ -46,8 +46,9 @@ factor gives the likelihood and, through :class:`LmlGradient`, its exact
 gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
 every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
 Its weights live in ``K^-1``'s buffer and its amplitude and noise terms
-are closed forms.  The free ones are the template's ``hyperparameters()``,
-bounded by one per-field table, set from the optimiser's vector in one ``replace``.
+are closed forms; a 2-D periodic fit holds 5 n x n arrays.  The free ones
+are the template's ``hyperparameters()``, bounded by one per-field table,
+set from the optimiser's vector in one ``replace``.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ class LmlGradient:
     ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` (Rasmussen & Williams
     2006, section 5.4.1).  The weights ``alpha alpha^T - K^-1`` are formed in
     ``K^-1``'s buffer and the amplitude and noise terms are closed forms, so a
-    2-D periodic fit holds 7 n x n arrays.  The jitter is treated as a constant.
+    2-D periodic fit holds 5 n x n arrays: this buffer and the evaluator's
+    Gram, cloud-axis ``|dx|``, chord and scratch.  The jitter is treated as a constant.
     """
 
     def __init__(self, train: TrainingSet, params):

@@ -6,7 +6,8 @@ input geometry of a block once -- the per-axis distances ``|x_d - x'_d|``
 and the periodic chord ``2|sin(pi*dt/T)|``, the chord rebuilt only when T
 changes -- and evaluates ``K_main`` and each shape hyperparameter's
 ``d log K_main / d log theta`` (roughness, period, lengthscales, alpha)
-element-wise from it into reused buffers for the fitter in :mod:`pvgp.gp`.
+element-wise from it for the fitter in :mod:`pvgp.gp`, into ``K`` and one
+scratch buffer: the distance variables are rebuilt where they are read.
 ``main_matrix`` is the one-shot form used for posteriors: it runs the
 evaluator over row blocks written straight into the result, which may be
 a buffer the caller owns (``out``), so that :mod:`pvgp.gp` can factorise
@@ -459,13 +460,15 @@ class _TimePhases(NamedTuple):
 class GramEvaluator:
     """Main-kernel block ``K_main(A, B)`` and its log-hyperparameter derivatives.
 
-    The input geometry of the block -- the per-axis distances ``|x_d - x'_d|``
-    and the periodic chord ``2|sin(pi*dt/T)|`` -- is computed on first use
-    and kept; the chord is rebuilt only when T changes.  :meth:`gram` writes
-    ``K_main`` into one buffer (``out``, when given) that every call reuses,
-    and :meth:`log_derivative` writes ``d log K_main / d log theta`` for one
-    shape hyperparameter of the spec last passed to :meth:`gram` into
-    another, so ``dK_main / d log theta = K_main * log_derivative``.
+    It keeps the block's input geometry -- the per-axis distances
+    ``|x_d - x'_d|`` and the periodic chord ``2|sin(pi*dt/T)|``, computed on
+    first use, the chord rebuilt only when T changes -- ``K`` and one scratch
+    buffer.  :meth:`gram` writes ``K_main`` into ``K`` (``out``, when given)
+    and :meth:`log_derivative` writes ``d log K_main / d log theta``, for one
+    shape hyperparameter of the spec last passed to :meth:`gram`, into the
+    scratch, so ``dK_main / d log theta = K_main * log_derivative``.  Each
+    distance variable is rebuilt from the geometry where it is read, so no
+    derivative depends on which were asked for before it.
 
     ``same_samples`` marks A and B as the same ordered sample list, A
     starting ``row_offset`` samples in, which is what lets the index-keyed
@@ -497,10 +500,11 @@ class GramEvaluator:
     # -- geometry ---------------------------------------------------------
 
     def absdiff(self, axis: int) -> np.ndarray:
-        """``|A[:, axis] - B[:, axis]^T|``, computed once."""
+        """``|A[:, axis] - B[:, axis]^T|``, computed once in its own buffer."""
         d = self._absdiff.get(axis)
         if d is None:
-            d = self._absdiff[axis] = np.abs(self.A[:, axis : axis + 1] - self.B[:, axis : axis + 1].T)
+            d = self._absdiff[axis] = np.subtract(self.A[:, axis : axis + 1], self.B[:, axis : axis + 1].T)
+            np.abs(d, out=d)
         return d
 
     def chord(self, period: float) -> np.ndarray:
@@ -523,6 +527,33 @@ class GramEvaluator:
 
     # -- evaluation -------------------------------------------------------
 
+    def _variables(self, spec: KernelSpec) -> list:
+        """Builders of the distance variables of ``spec``'s factors: the warp's, then the stationary one's."""
+        periodic = spec.family == PERIODIC
+        return [self._warp_variable] * periodic + [self._stationary_variable] * (self.A.shape[1] > periodic)
+
+    def _warp_variable(self, spec: KernelSpec, out: np.ndarray) -> np.ndarray:
+        """``s^2/2`` (se/rq) or ``s`` (matern), ``s = chord / w``."""
+        x = np.divide(self.chord(spec.period), spec.roughness, out=out)
+        if _distance_power(spec) == 2:
+            x *= x
+            x *= 0.5
+        return x
+
+    def _stationary_variable(self, spec: KernelSpec, out: np.ndarray) -> np.ndarray:
+        """Distance variable of the stationary factor, accumulated one axis at a time."""
+        axes = range(spec.family == PERIODIC, self.A.shape[1])
+        squared = _distance_power(spec) == 2 or len(axes) > 1
+        for k, axis in enumerate(axes):
+            r = np.divide(self.absdiff(axis), spec.lengthscales[axis], out=out if k == 0 else None)
+            if squared:
+                r *= r
+            if k:
+                out += r
+        if squared and _distance_power(spec) == 1:
+            np.sqrt(out, out=out)
+        return out
+
     def gram(self, spec: KernelSpec) -> np.ndarray:
         """``K_main`` under ``spec``, written into the reused output buffer."""
         self._spec = spec
@@ -534,62 +565,45 @@ class GramEvaluator:
                 rows = np.arange(max(0, min(K.shape[0], K.shape[1] - self.row_offset)))
                 K[rows, rows + self.row_offset] = h2
             return K
-        # distance variables of the factors: the warp's, then the stationary one's
-        if spec.family == PERIODIC:
-            axes = range(1, self.A.shape[1])
-            xw = np.divide(self.chord(spec.period), spec.roughness, out=self._buffer("warp"))
-            if _distance_power(spec) == 2:
-                xw *= xw
-                xw *= 0.5
-            terms = [xw]
-        else:
-            axes, terms = range(self.A.shape[1]), []
-        if len(axes):
-            terms.append(self._stationary_variable(spec, axes))
+        first, *rest = self._variables(spec)
         if _is_exponential(spec):
             # exp(-a) exp(-b) = exp(-(a + b)): one exp per entry, and h^2 after
-            # it, so that k(x, x) = h^2 exactly
-            np.negative(terms[0], out=K)
-            for x in terms[1:]:
-                K -= x
+            # it, so that k(x, x) = h^2 exactly; the first variable is built in K
+            np.negative(first(spec, K), out=K)
+            for variable in rest:
+                K -= variable(spec, self._buffer("scratch"))
             np.exp(K, out=K)
             K *= h2
         else:
             K.fill(h2)
-            for x in terms:
-                K *= _shape_value(spec, x)
+            for variable in (first, *rest):
+                K *= _shape_value(spec, variable(spec, self._buffer("scratch")))
         return K
-
-    def _stationary_variable(self, spec: KernelSpec, axes) -> np.ndarray:
-        """Distance variable of the stationary factor, accumulated one axis at a time."""
-        x = self._buffer("stationary")
-        squared = _distance_power(spec) == 2 or len(axes) > 1
-        for k, axis in enumerate(axes):
-            r = np.divide(self.absdiff(axis), spec.lengthscales[axis], out=x if k == 0 else None)
-            if squared:
-                r *= r
-            if k:
-                x += r
-        if squared and _distance_power(spec) == 1:
-            np.sqrt(x, out=x)
-        return x
 
     def log_derivative(self, param: Hyperparameter) -> np.ndarray:
         """``d log K_main / d log value`` of the shape hyperparameter ``param`` at the spec of the last :meth:`gram`."""
-        return _LOG_DERIVATIVES[param.field](self, self._spec, param)
-
-    def _d_roughness(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
-        # x scales as w^-power
-        xw = self._buffers["warp"]
-        g = np.multiply(xw, -_distance_power(spec), out=self._buffer("derivative"))
-        g *= _shape_dlog(spec, xw)
+        spec, scratch = self._spec, self._buffer("scratch")
+        if param.field == "alpha":
+            # the rq factors' terms, summed, each variable rebuilt into the scratch in turn
+            return sum(_shape_dlog_alpha(spec.alpha, variable(spec, scratch)) for variable in self._variables(spec))
+        # the variable that param scales; x becomes dx/dlog value in place once d log shape / dx is taken
+        variable = self._stationary_variable if param.field == "lengthscales" else self._warp_variable
+        x = variable(spec, scratch)
+        dlog = _shape_dlog(spec, x)
+        g = _DX_DLOG[param.field](self, spec, param, x)
+        g *= dlog
         return g
 
-    def _d_period(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
+    def _dx_roughness(self, spec: KernelSpec, param: Hyperparameter, x: np.ndarray) -> np.ndarray:
+        # x scales as w^-power, as a single stationary axis's x does as ls^-power
+        x *= -_distance_power(spec)
+        return x
+
+    def _dx_period(self, spec: KernelSpec, param: Hyperparameter, x: np.ndarray) -> np.ndarray:
         # ds/dlog T = -(2/w) (pi dt/T) cos(pi dt/T) sign(sin(pi dt/T));
         # dx/ds = s for se/rq, 1 for matern
         phase = self.absdiff(0) * (np.pi / spec.period)
-        g = np.sin(phase, out=self._buffer("derivative"))
+        g = np.sin(phase, out=x)
         np.sign(g, out=g)
         g *= phase
         g *= np.cos(phase, out=phase)
@@ -597,48 +611,31 @@ class GramEvaluator:
         if _distance_power(spec) == 2:
             g *= self.chord(spec.period)
             g /= spec.roughness
-        g *= _shape_dlog(spec, self._buffers["warp"])
         return g
 
-    def _d_lengthscale(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
-        periodic = spec.family == PERIODIC
+    def _dx_lengthscale(self, spec: KernelSpec, param: Hyperparameter, x: np.ndarray) -> np.ndarray:
+        if self.A.shape[1] - (spec.family == PERIODIC) == 1:
+            return self._dx_roughness(spec, param, x)
         power = _distance_power(spec)
-        x = self._buffers["stationary"]
-        g = self._buffer("derivative")
-        if self.A.shape[1] - periodic == 1:
-            # a single stationary axis: x scales as ls^-power
-            np.multiply(x, -power, out=g)
+        # dx/dlog ls_d = -2 q_d (se/rq) or -q_d / x (matern), q_d = (dx_d / ls_d)^2;
+        # q_d is 0 wherever x is; only a matern's -q_d / x reads x, so only its q_d takes a new array
+        g = np.divide(self.absdiff(param.index), spec.lengthscales[param.index], out=x if power == 2 else None)
+        g *= g
+        if power == 2:
+            g *= -2.0
         else:
-            # dx/dlog ls_d = -2 q_d (se/rq) or -q_d / x (matern), q_d = (dx_d / ls_d)^2;
-            # q_d is 0 wherever x is
-            np.divide(self.absdiff(param.index), spec.lengthscales[param.index], out=g)
-            g *= g
-            if power == 2:
-                g *= -2.0
-            else:
-                np.divide(g, x, out=g, where=x > 0)
-                np.negative(g, out=g)
-        g *= _shape_dlog(spec, x)
-        return g
-
-    def _d_alpha(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
-        periodic = spec.family == PERIODIC
-        g = self._buffer("derivative")
-        g.fill(0.0)
-        if periodic:
-            g += _shape_dlog_alpha(spec.alpha, self._buffers["warp"])
-        if self.A.shape[1] > periodic:
-            g += _shape_dlog_alpha(spec.alpha, self._buffers["stationary"])
+            np.divide(g, x, out=g, where=x > 0)
+            np.negative(g, out=g)
         return g
 
 
-# shape hyperparameter field -> its block of d log K_main / d log value; the
-# amplitude's is 2 everywhere, and pvgp.gp takes it and the noise's in closed form
-_LOG_DERIVATIVES = {
-    "roughness": GramEvaluator._d_roughness,
-    "period": GramEvaluator._d_period,
-    "lengthscales": GramEvaluator._d_lengthscale,
-    "alpha": GramEvaluator._d_alpha,
+# shape hyperparameter field -> dx / d log value of the distance variable x it
+# scales, in x's buffer; the amplitude's block is 2 everywhere, and pvgp.gp
+# takes it and the noise's in closed form
+_DX_DLOG = {
+    "roughness": GramEvaluator._dx_roughness,
+    "period": GramEvaluator._dx_period,
+    "lengthscales": GramEvaluator._dx_lengthscale,
 }
 
 

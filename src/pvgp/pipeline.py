@@ -237,18 +237,20 @@ def _parse_timestamp(text: str) -> dt.datetime:
 
 
 def load_metadata(path, projection: TransverseMercator = BRITISH_NATIONAL_GRID) -> MetadataLoad:
-    """Read the metadata CSV; malformed rows are skipped and reported."""
+    """Read the metadata CSV; malformed rows are skipped and reported with their file line number."""
     path = Path(path)
     systems: list[PvSystem] = []
     skipped: list[tuple[int, str]] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         required = {"system_id", "latitude", "longitude", "capacity_w"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ValueError(f"{path}: metadata header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # the reader skips blank lines but counts them
+            lineno = reader.line_num
             try:
-                if any(not (row.get(k) or "").strip() for k in required):
+                if any(not row[k].strip() for k in required):
                     raise ValueError("missing field")
                 system_id = int(row["system_id"])
                 lat = float(row["latitude"])
@@ -270,18 +272,19 @@ def load_power(path) -> PowerData:
     """Read the power CSV and place readings on the 5-minute index.
 
     The epoch is midnight UTC of the first day present, so day boundaries
-    land on multiples of 288.  Misaligned or malformed rows are skipped and
-    recorded with their CSV line number.
+    land on multiples of 288.  Misaligned or malformed rows, a short one
+    included, are skipped and recorded with their file line number.
     """
     path = Path(path)
-    rows: list[tuple[int, dt.datetime, int, float]] = []  # (CSV line, time, system, watts)
+    rows: list[tuple[int, dt.datetime, int, float]] = []  # (file line, time, system, watts)
     skipped: list[tuple[int, str]] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         required = {"timestamp_utc", "system_id", "power_w"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ValueError(f"{path}: power header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             try:
                 when = _parse_timestamp(row["timestamp_utc"])
                 rows.append((lineno, when, int(row["system_id"]), float(row["power_w"])))
@@ -452,22 +455,30 @@ def read_hrv_csv(path, epoch, origin_easting, origin_northing, pixel_size, width
     """CSV fallback reader (``t,px,py,value``; t in POSIX epoch seconds).
 
     The format carries no geometry header, so geometry is passed in.
-    Cells absent from the file default to 0.
+    Cells absent from the file default to 0.  A short or malformed row, and
+    a pixel outside ``width`` x ``height``, raise ``ValueError`` naming the
+    file and line.
     """
     path = Path(path)
     grids: dict[int, np.ndarray] = {}
     epoch_s = int(epoch.timestamp())
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or not {"t", "px", "py", "value"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: HRV CSV header must be t,px,py,value")
         for row in reader:
-            t_s = int(row["t"])
+            where = f"{path}: line {reader.line_num}"
+            try:
+                t_s, px, py, value = int(row["t"]), int(row["px"]), int(row["py"]), float(row["value"])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if not (0 <= px < width and 0 <= py < height):
+                raise ValueError(f"{where}: pixel (px={px}, py={py}) is outside the {width} x {height} raster")
             offset = t_s - epoch_s
             if offset % geotime.STEP_SECONDS:
                 raise AlignmentError(f"{path}: t={t_s}s is off the 5-minute grid")
             grid = grids.setdefault(offset // geotime.STEP_SECONDS, np.zeros((height, width), dtype=np.float32))
-            grid[int(row["py"]), int(row["px"])] = float(row["value"])
+            grid[py, px] = value
     indices = np.array(sorted(grids), dtype=np.int64)
     frames = np.stack([grids[int(t)] for t in indices]) if indices.size else np.empty((0, height, width), np.float32)
     return HrvRasterStack(

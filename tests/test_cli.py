@@ -140,6 +140,39 @@ def test_ingest_reports_removed_and_skipped(tmp_path, capsys):
     assert "skipped 1 metadata row(s)" in out
 
 
+def test_ingest_reports_skipped_power_rows_by_file_line(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    power = tmp_path / "data" / "power.csv"
+    lines = power.read_text().splitlines()
+    # a blank line, a short row and six unparseable ones after the good rows
+    bad = ["", "2021-06-13T00:00:00Z,1"] + [f"2021-06-13T00:00:00Z,1,x{k}" for k in range(6)]
+    power.write_text("\n".join(lines + bad) + "\n")
+    cfg = write_config(tmp_path / "i.json", paths={**paths, "output_dir": str(tmp_path / "out")})
+    assert main(["ingest", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    first = len(lines) + 2  # the short row, after the blank line
+    assert "skipped 7 power row(s)" in out
+    shown = [line for line in out.splitlines() if line.startswith("  line ")]
+    assert [line.split(":")[0] for line in shown] == [f"  line {first + k}" for k in range(5)]
+
+
+def test_ingest_of_a_csv_raster_with_a_pixel_outside_it_exits_two_naming_the_line(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    hrv = tmp_path / "data" / "hrv.csv"
+    t0 = int(dt.datetime(2021, 6, 1, tzinfo=dt.timezone.utc).timestamp())
+    hrv.write_text(f"t,px,py,value\n{t0},0,0,1.0\n{t0},16,0,1.0\n")
+    geometry = {"origin_easting": 0.0, "origin_northing": 0.0, "pixel_size": 1000.0, "width": 16, "height": 16}
+    cfg = write_config(
+        tmp_path / "i.json",
+        paths={**paths, "hrv": str(hrv), "output_dir": str(tmp_path / "out")},
+        hrv={"csv_geometry": geometry},
+    )
+    assert main(["ingest", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{hrv}: line 3:" in err and "outside the 16 x 16 raster" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     paths = {"metadata": str(tmp_path / "nope.csv"), "power": "x", "hrv": "y", "output_dir": str(tmp_path / "out")}
     cfg = write_config(tmp_path / "c.json", paths=paths)

@@ -326,6 +326,36 @@ def test_gram_evaluator_log_derivatives_match_finite_differences():
             assert np.allclose(block, fd, rtol=1e-6, atol=1e-8 * np.abs(K).max()), (spec.to_text(), p)
 
 
+def test_gram_evaluator_log_derivatives_do_not_depend_on_call_order():
+    # each derivative rebuilds its distance variable from the cached geometry,
+    # so no block depends on which blocks were asked for before it
+    rng = np.random.default_rng(14)
+    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
+    bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
+    for ndim in (1, 2):
+        t = np.sort(rng.uniform(0, 60, 40))
+        X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, 40)])
+        ls = (2.0, 0.5)[:ndim]
+        specs = [KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=ls)]
+        specs += [KernelSpec(RATIONAL_QUADRATIC, amplitude=1.3, lengthscales=ls, alpha=1.7)]
+        specs += [KernelSpec(MATERN, amplitude=1.1, lengthscales=ls, nu=nu) for nu in MATERN_NUS]
+        specs += [KernelSpec(PERIODIC, amplitude=1.2, lengthscales=ls, roughness=0.8, period=23.3, **b) for b in bases]
+        for spec in specs:
+            params = [p for p in spec.hyperparameters() if p.field not in ("noise_variance", "amplitude")]
+
+            def fresh(p):
+                ev = kernels.GramEvaluator(X, X, same_samples=True)
+                ev.gram(spec)
+                return ev.log_derivative(p).copy()
+
+            want = [fresh(p) for p in params]
+            ev = kernels.GramEvaluator(X, X, same_samples=True)
+            ev.gram(spec)
+            for k in [*reversed(range(len(params))), *range(len(params)), *rng.integers(0, len(params), 6)]:
+                assert np.array_equal(ev.log_derivative(params[k]), want[k]), (spec.to_text(), params[k])
+            assert np.array_equal(ev.K, kernels.main_matrix(spec, X, X, same_samples=True)), spec.to_text()
+
+
 def test_hyperparameters_name_every_scalar_the_spec_reads():
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
     bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]

@@ -118,6 +118,37 @@ def test_load_power_epoch_and_alignment(tmp_path):
     assert data.skipped[0][0] == 4
 
 
+def test_load_power_skips_a_short_row(tmp_path):
+    p = tmp_path / "power.csv"
+    p.write_text(
+        "timestamp_utc,system_id,power_w\n"
+        "2021-06-13T00:00:00Z,1,100.0\n"
+        "2021-06-13T00:00:00Z,1\n"  # no power_w
+        "2021-06-13T00:05:00Z,1,110.0\n"
+    )
+    data = load_power(p)
+    assert data.series[1][1].tolist() == [100.0, 110.0]
+    assert [line for line, _ in data.skipped] == [3]
+
+
+def test_csv_readers_count_blank_lines_in_line_numbers(tmp_path):
+    # csv.DictReader skips a blank line but the file still has it
+    p = tmp_path / "power.csv"
+    p.write_text(
+        "timestamp_utc,system_id,power_w\n"
+        "2021-06-01T06:00:00Z,1,100.0\n"
+        "\n"
+        "2021-06-01T06:05:00Z,1,oops\n"
+        "2021-06-01T06:07:00Z,1,120.0\n"  # off-grid
+    )
+    assert sorted(line for line, _ in load_power(p).skipped) == [4, 5]
+    meta = tmp_path / "meta.csv"
+    write_metadata(meta, ["1,51.5,-0.12,2460", "", "2,52.2,0.1,", "3,53.4,-2.9,2820"])
+    load = load_metadata(meta)
+    assert [line for line, _ in load.skipped] == [4]
+    assert [s.provenance for s in load.systems] == ["meta.csv:2", "meta.csv:5"]
+
+
 # -- filtering --------------------------------------------------------------------
 
 
@@ -404,6 +435,25 @@ def test_hrv_csv_fallback(tmp_path):
     assert stack.frames[0, 0, 0] == 100.0
     assert stack.frames[0, 0, 1] == 200.0
     assert stack.frames[1, 1, 0] == 300.0
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("{t0},-1,0,5.0", "outside the 2 x 2 raster"),
+        ("{t0},2,0,5.0", "outside the 2 x 2 raster"),
+        ("{t0},0,2,5.0", "outside the 2 x 2 raster"),
+        ("{t0},0,1", "could not convert"),
+        ("{t0},x,1,5.0", "invalid literal"),
+    ],
+)
+def test_hrv_csv_rejects_a_row_it_cannot_place_naming_file_and_line(tmp_path, row, reason):
+    path = tmp_path / "stack.csv"
+    t0 = int(EPOCH.timestamp())
+    path.write_text("t,px,py,value\n" f"{t0},0,0,100.0\n\n" + row.format(t0=t0) + "\n")
+    with pytest.raises(ValueError, match=reason) as info:
+        read_hrv_csv(path, EPOCH, origin_easting=0.0, origin_northing=0.0, pixel_size=1000.0, width=2, height=2)
+    assert f"{path}: line 4:" in str(info.value)
 
 
 def random_stack(seed=3):
