@@ -170,7 +170,7 @@ def _same_type(value, default) -> bool:
 
 # the lower bound of each key that no library check covers; null passes.  Checked
 # after the command line's overrides, before any output is written
-_MINIMUM = {"jobs": 1, "experiment.forecast_start_index": 0}
+_MINIMUM = {"seed": 0, "jobs": 1, "experiment.forecast_start_index": 0}
 
 
 def _check_minima(cfg: dict) -> None:

@@ -487,7 +487,8 @@ def run_grid(
     """Execute every (config, system, test day) cell and collect MAEs.
 
     ``datasets`` maps (system_id, patch_px) to an assembled series.  Cell
-    failures are recorded, never fatal.  Equal configs (``==``) are one
+    failures are recorded, never fatal; a negative ``seed`` raises
+    ``ValueError`` before any cell runs.  Equal configs (``==``) are one
     cell: each distinct (config, system) cell runs once, seeded from the
     index of the first equal row, and every equal row reports its outcome,
     failures included.  A cell is scored by the MAE of its mean, so each
@@ -498,6 +499,8 @@ def run_grid(
     """
     if not configs:
         raise ValueError("empty experiment grid")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     fit_options = fit_options or FitOptions()
 
     first: dict[ExperimentConfig, int] = {}

@@ -390,7 +390,7 @@ class LmlGradient:
             elif p.field == "noise_variance":
                 self.value[k] = spec.noise_variance * trace  # dK/dlog sigma^2 = sigma^2 I / s2
             else:
-                self.value[k] = np.einsum("ij,ij->", W, self._evaluator.log_derivative(p))
+                self.value[k] = np.einsum("ij,ij->", W, self._evaluator.log_derivative(spec, p))
         self.value *= 0.5 / s2
 
 

@@ -15,14 +15,15 @@ the Gram in the memory it was built in.  For a factorisation it fills
 only the triangle the factorisation reads (``upper``: row i from column i
 on) and hands each row block to the caller's ``finish`` while it is in
 cache, where :mod:`pvgp.gp` adds the noise, scales and checks finiteness;
-the ``sin`` and ``cos`` of the time columns that the chord is built from
-are computed once per call and sliced to each row block.  Shapes that
-are ``exp(-x)`` (se, matern12) multiply as one ``exp`` of the summed
-distance variables, so a periodic se or matern12 Gram costs one ``exp``
-per entry.  A spec is flat: :meth:`KernelSpec.hyperparameters` lists the
-scalars it reads, each a :class:`Hyperparameter` addressing one by
-field, and :func:`with_hyperparameters` sets any of them in one
-``replace``.  Five families are supported:
+the ``sin`` and ``cos`` of B's time column that the chord is built from
+are computed once per call and sliced to each row block, and each row
+block computes those of its own rows.  Shapes that are ``exp(-x)`` (se,
+matern12) multiply as one ``exp`` of the summed distance variables, so a
+periodic se or matern12 Gram costs one ``exp`` per entry.  A spec is
+flat: :meth:`KernelSpec.hyperparameters` lists the scalars it reads, each
+a :class:`Hyperparameter` addressing one by field, and
+:func:`with_hyperparameters` sets any of them in one ``replace``.  Five
+families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
 * ``se``           -- squared exponential, ``h^2 * exp(-r2)``
@@ -72,7 +73,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -435,26 +435,10 @@ def with_hyperparameters(spec: KernelSpec, params, values) -> KernelSpec:
     return replace(spec, lengthscales=tuple(lengthscales), **changes)
 
 
-class _TimePhases(NamedTuple):
-    """``sin`` and ``cos`` of ``pi*t/T`` on the time columns of A (as a column) and B, at period T."""
-
-    period: float
-    sin_a: np.ndarray
-    cos_a: np.ndarray
-    sin_b: np.ndarray
-    cos_b: np.ndarray
-
-    @classmethod
-    def of(cls, A: np.ndarray, B: np.ndarray, period: float) -> "_TimePhases":
-        a = A[:, 0:1] * (np.pi / period)
-        b = B[:, 0] * (np.pi / period)
-        return cls(period, np.sin(a), np.cos(a), np.sin(b), np.cos(b))
-
-    def rows(self, start: int, stop: int, first: int) -> "_TimePhases":
-        """The phases of the row block ``A[start:stop]`` against ``B[first:]``."""
-        return self._replace(
-            sin_a=self.sin_a[start:stop], cos_a=self.cos_a[start:stop], sin_b=self.sin_b[first:], cos_b=self.cos_b[first:]
-        )
+def _phases(t: np.ndarray, period: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """``T`` and the ``sin`` and ``cos`` of ``pi*t/T`` on the time values ``t``."""
+    t = t * (np.pi / period)
+    return period, np.sin(t), np.cos(t)
 
 
 class GramEvaluator:
@@ -465,21 +449,21 @@ class GramEvaluator:
     first use, the chord rebuilt only when T changes -- ``K`` and one scratch
     buffer.  :meth:`gram` writes ``K_main`` into ``K`` (``out``, when given)
     and :meth:`log_derivative` writes ``d log K_main / d log theta``, for one
-    shape hyperparameter of the spec last passed to :meth:`gram`, into the
-    scratch, so ``dK_main / d log theta = K_main * log_derivative``.  Each
-    distance variable is rebuilt from the geometry where it is read, so no
-    derivative depends on which were asked for before it.
+    shape hyperparameter of the spec it is given, into the scratch, so
+    ``dK_main / d log theta = K_main * log_derivative``.  Each distance
+    variable is rebuilt from the geometry where it is read, so no derivative
+    depends on which blocks or Grams were asked for before it.
 
     ``same_samples`` marks A and B as the same ordered sample list, A
     starting ``row_offset`` samples in, which is what lets the index-keyed
-    ``whitenoise`` family contribute its diagonal.  ``phases``, when given,
-    are the time columns' ``sin``/``cos`` at one period, sliced to this
-    block by a caller that evaluates a larger block in row blocks, so that
-    they are computed once for all of its row blocks.
+    ``whitenoise`` family contribute its diagonal.  ``b_phases``, when given,
+    is ``(T, sin, cos)`` of B's time column at period T, from a caller that
+    evaluates a larger block in row blocks against the same B; the chord
+    computes the phases of A's own rows.
     """
 
     def __init__(
-        self, A: np.ndarray, B: np.ndarray, same_samples: bool = False, row_offset: int = 0, out=None, phases=None
+        self, A: np.ndarray, B: np.ndarray, same_samples: bool = False, row_offset: int = 0, out=None, b_phases=None
     ):
         self.A, self.B = A, B
         self.same_samples = same_samples
@@ -487,9 +471,8 @@ class GramEvaluator:
         self.K = np.empty((A.shape[0], B.shape[0])) if out is None else out
         self._buffers: dict[str, np.ndarray] = {}
         self._absdiff: dict[int, np.ndarray] = {}
-        self._phases: _TimePhases | None = phases
+        self._b_phases = b_phases
         self._chord_period: float | None = None
-        self._spec: KernelSpec | None = None
 
     def _buffer(self, name: str) -> np.ndarray:
         buf = self._buffers.get(name)
@@ -515,11 +498,11 @@ class GramEvaluator:
         """
         u = self._buffer("chord")
         if self._chord_period != period:
-            p = self._phases
-            if p is None or p.period != period:
-                p = _TimePhases.of(self.A, self.B, period)
-            np.multiply(p.sin_a, p.cos_b, out=u)
-            u -= p.cos_a * p.sin_b
+            _, sin_a, cos_a = _phases(self.A[:, 0:1], period)
+            b = self._b_phases
+            _, sin_b, cos_b = b if b is not None and b[0] == period else _phases(self.B[:, 0], period)
+            np.multiply(sin_a, cos_b, out=u)
+            u -= cos_a * sin_b
             np.abs(u, out=u)
             u *= 2.0
             self._chord_period = period
@@ -556,7 +539,6 @@ class GramEvaluator:
 
     def gram(self, spec: KernelSpec) -> np.ndarray:
         """``K_main`` under ``spec``, written into the reused output buffer."""
-        self._spec = spec
         K = self.K
         h2 = spec.amplitude**2
         if spec.family == WHITE_NOISE:
@@ -580,9 +562,9 @@ class GramEvaluator:
                 K *= _shape_value(spec, variable(spec, self._buffer("scratch")))
         return K
 
-    def log_derivative(self, param: Hyperparameter) -> np.ndarray:
-        """``d log K_main / d log value`` of the shape hyperparameter ``param`` at the spec of the last :meth:`gram`."""
-        spec, scratch = self._spec, self._buffer("scratch")
+    def log_derivative(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
+        """``d log K_main / d log value`` of the shape hyperparameter ``param`` at ``spec``."""
+        scratch = self._buffer("scratch")
         if param.field == "alpha":
             # the rq factors' terms, summed, each variable rebuilt into the scratch in turn
             return sum(_shape_dlog_alpha(spec.alpha, variable(spec, scratch)) for variable in self._variables(spec))
@@ -671,16 +653,16 @@ def main_matrix(
     if upper and shape[0] != shape[1]:
         raise ValueError(f"upper needs a square block, got {shape}")
     K = np.empty(shape) if out is None else out
-    # the chord's sin/cos once for the whole block, not once per row block
-    phases = _TimePhases.of(A, B, spec.period) if spec.family == PERIODIC else None
+    # the chord's sin/cos of B's time column once for the whole block, not once per row block
+    T, sin_b, cos_b = _phases(B[:, 0], spec.period) if spec.family == PERIODIC else (None, None, None)
     rows = max(1, _BLOCK_ELEMENTS // max(B.shape[0], 1))
     for start in range(0, A.shape[0], rows):
         stop = start + rows
         first = start if upper else 0
         block = K[start:stop, first:]
-        block_phases = None if phases is None else phases.rows(start, stop, first)
+        b_phases = None if T is None else (T, sin_b[first:], cos_b[first:])
         GramEvaluator(
-            A[start:stop], B[first:], same_samples, row_offset=start - first, out=block, phases=block_phases
+            A[start:stop], B[first:], same_samples, row_offset=start - first, out=block, b_phases=b_phases
         ).gram(spec)
         if finish is not None:
             finish(block)

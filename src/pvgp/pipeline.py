@@ -237,10 +237,15 @@ def _parse_timestamp(text: str) -> dt.datetime:
 
 
 def load_metadata(path, projection: TransverseMercator = BRITISH_NATIONAL_GRID) -> MetadataLoad:
-    """Read the metadata CSV; malformed rows are skipped and reported with their file line number."""
+    """Read the metadata CSV; malformed rows are skipped and reported with their file line number.
+
+    A ``system_id`` already read is skipped as well, naming the line that
+    kept it: the first well-formed row in file order wins.
+    """
     path = Path(path)
     systems: list[PvSystem] = []
     skipped: list[tuple[int, str]] = []
+    first_line: dict[int, int] = {}  # system id -> the file line it was read from
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")
         required = {"system_id", "latitude", "longitude", "capacity_w"}
@@ -259,9 +264,12 @@ def load_metadata(path, projection: TransverseMercator = BRITISH_NATIONAL_GRID) 
                 if capacity <= 0:
                     raise ValueError(f"capacity_w must be > 0, got {capacity}")
                 location = GeoPoint.from_latlon(lat, lon, projection)
+                if system_id in first_line:
+                    raise ValueError(f"duplicate system {system_id} (first on line {first_line[system_id]})")
             except (ValueError, KeyError) as exc:
                 skipped.append((lineno, str(exc)))
                 continue
+            first_line[system_id] = lineno
             systems.append(
                 PvSystem(system_id=system_id, location=location, capacity_w=capacity, provenance=f"{path.name}:{lineno}")
             )
@@ -273,7 +281,9 @@ def load_power(path) -> PowerData:
 
     The epoch is midnight UTC of the first day present, so day boundaries
     land on multiples of 288.  Misaligned or malformed rows, a short one
-    included, are skipped and recorded with their file line number.
+    included, are skipped and recorded with their file line number.  So is
+    a reading for a system and step already read, naming the line that
+    kept it: the first well-formed row in file order wins.
     """
     path = Path(path)
     rows: list[tuple[int, dt.datetime, int, float]] = []  # (file line, time, system, watts)
@@ -294,22 +304,26 @@ def load_power(path) -> PowerData:
         raise EmptyDatasetError(f"{path}: no parseable power rows")
     epoch = min(r[1] for r in rows).replace(hour=0, minute=0, second=0, microsecond=0)
 
-    per_system: dict[int, list[tuple[int, float]]] = {}
+    per_system: dict[int, list[tuple[int, int, float]]] = {}  # system -> (index, file line, watts)
     for lineno, when, system_id, power in rows:
         try:
             idx = timestamp_to_index(when, epoch)
         except AlignmentError as exc:
             skipped.append((lineno, str(exc)))
             continue
-        per_system.setdefault(system_id, []).append((idx, power))
+        per_system.setdefault(system_id, []).append((idx, lineno, power))
 
     series = {}
-    for system_id, pairs in per_system.items():
-        pairs.sort()
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        watts = np.array([p[1] for p in pairs], dtype=float)
-        keep = np.concatenate([[True], np.diff(idx) > 0]) if idx.size else np.array([], dtype=bool)
-        series[system_id] = (idx[keep], watts[keep])
+    for system_id, readings in per_system.items():
+        readings.sort()  # by index, then by file line: the first reading of a step leads its run
+        idx = np.array([r[0] for r in readings], dtype=np.int64)
+        first = np.concatenate([[True], np.diff(idx) > 0])
+        for k in np.flatnonzero(~first):
+            kept = readings[np.searchsorted(idx, idx[k])][1]
+            when = geotime.index_to_iso(int(idx[k]), epoch)
+            skipped.append((readings[k][1], f"duplicate reading for system {system_id} at {when} (first on line {kept})"))
+        watts = np.array([r[2] for r in readings], dtype=float)
+        series[system_id] = (idx[first], watts[first])
     return PowerData(epoch_utc=epoch, series=series, skipped=skipped)
 
 

@@ -158,7 +158,7 @@ def lml_gradient_full_w(train, spec, params):
         elif p.field == "noise_variance":
             dK = spec.noise_variance * np.eye(n) / s2
         else:
-            dK = K_main * evaluator.log_derivative(p) / s2
+            dK = K_main * evaluator.log_derivative(spec, p) / s2
         grad.append(0.5 * float(np.sum(W * dK)))
     return np.array(grad)
 

@@ -156,6 +156,28 @@ def test_ingest_reports_skipped_power_rows_by_file_line(tmp_path, capsys):
     assert [line.split(":")[0] for line in shown] == [f"  line {first + k}" for k in range(5)]
 
 
+def test_ingest_skips_repeated_rows_and_keeps_the_first(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    clean = write_config(tmp_path / "clean.json", paths={**paths, "output_dir": str(tmp_path / "clean")})
+    assert main(["ingest", "--config", clean]) == 0
+    capsys.readouterr()
+    meta, power = tmp_path / "data" / "metadata.csv", tmp_path / "data" / "power.csv"
+    row = meta.read_text().splitlines()[1].split(",")
+    with meta.open("a") as fh:
+        fh.write(",".join(row[:-1] + ["1500.0"]) + "\n")  # system 1 again, at half its capacity
+    lines = power.read_text().splitlines()
+    when, sid, _ = lines[200].split(",")
+    power.write_text("\n".join(lines + [f"{when},{sid},1.0"]) + "\n")
+    cfg = write_config(tmp_path / "dup.json", paths={**paths, "output_dir": str(tmp_path / "dup")})
+    assert main(["ingest", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "kept 1 system(s)" in out
+    assert "skipped 1 metadata row(s)\n  line 3: duplicate system 1 (first on line 2)" in out, out
+    assert f"  line {len(lines) + 1}: duplicate reading for system {sid} at " in out and "(first on line 201)" in out, out
+    name = "assembled_1_6px.csv"
+    assert (tmp_path / "dup" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
 def test_ingest_of_a_csv_raster_with_a_pixel_outside_it_exits_two_naming_the_line(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     hrv = tmp_path / "data" / "hrv.csv"
@@ -268,6 +290,23 @@ def test_jobs_below_one_exits_two_naming_its_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'jobs'" in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_two_naming_its_key(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    out = tmp_path / "out"
+    doc = {"paths": {**paths, "output_dir": str(out)}, "fit": {"restarts": 1, "max_iter": 40}}
+    runs = [
+        ["experiment", "--config", write_config(tmp_path / "c.json", **doc), "--seed", "-1"],
+        ["experiment", "--config", write_config(tmp_path / "d.json", **doc, seed=-3)],
+        ["fit", "--system", "1", "--config", write_config(tmp_path / "c.json", **doc), "--seed", "-1"],
+        ["synth", "--config", write_config(tmp_path / "c.json", **doc), "--seed", "-1"],
+    ]
+    for args in runs:
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seed'" in err and "got -" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

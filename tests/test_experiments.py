@@ -385,6 +385,14 @@ def test_grid_deterministic_and_parallel_consistent():
     assert a.to_csv() == b.to_csv()
 
 
+def test_grid_rejects_a_negative_seed_before_any_cell_runs(monkeypatch):
+    # every cell would fail alike on SeedSequence's own error, which names no key
+    calls = count_forecasts(monkeypatch)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        run_grid([make_config()], {}, seed=-1)
+    assert calls == []
+
+
 def count_forecasts(monkeypatch) -> list:
     """Spy on the launches ``run_grid`` makes: the list gets each launch's (config, day)."""
     calls = []

@@ -316,7 +316,7 @@ def test_gram_evaluator_log_derivatives_match_finite_differences():
         ev = kernels.GramEvaluator(X, X, same_samples=True)
         K = ev.gram(spec).copy()
         for p in params:
-            block = K * ev.log_derivative(p)
+            block = K * ev.log_derivative(spec, p)
             step = 1e-6
             up, down = (
                 kernels.main_matrix(kernels.with_hyperparameters(spec, [p], [p.get(spec) * math.exp(s)]), X, X, same_samples=True)
@@ -327,8 +327,9 @@ def test_gram_evaluator_log_derivatives_match_finite_differences():
 
 
 def test_gram_evaluator_log_derivatives_do_not_depend_on_call_order():
-    # each derivative rebuilds its distance variable from the cached geometry,
-    # so no block depends on which blocks were asked for before it
+    # each derivative rebuilds its distance variable from the cached geometry
+    # and reads the spec it is given, so no block depends on which blocks or
+    # Grams were asked for before it, nor on whether a Gram was
     rng = np.random.default_rng(14)
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
     bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
@@ -336,24 +337,37 @@ def test_gram_evaluator_log_derivatives_do_not_depend_on_call_order():
         t = np.sort(rng.uniform(0, 60, 40))
         X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, 40)])
         ls = (2.0, 0.5)[:ndim]
+        other = KernelSpec(PERIODIC, amplitude=0.6, lengthscales=ls, roughness=2.1, period=17.0, base=MATERN, nu=1.5)
         specs = [KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=ls)]
         specs += [KernelSpec(RATIONAL_QUADRATIC, amplitude=1.3, lengthscales=ls, alpha=1.7)]
         specs += [KernelSpec(MATERN, amplitude=1.1, lengthscales=ls, nu=nu) for nu in MATERN_NUS]
         specs += [KernelSpec(PERIODIC, amplitude=1.2, lengthscales=ls, roughness=0.8, period=23.3, **b) for b in bases]
         for spec in specs:
             params = [p for p in spec.hyperparameters() if p.field not in ("noise_variance", "amplitude")]
-
-            def fresh(p):
-                ev = kernels.GramEvaluator(X, X, same_samples=True)
-                ev.gram(spec)
-                return ev.log_derivative(p).copy()
-
-            want = [fresh(p) for p in params]
+            # each block from a fresh evaluator that never ran gram
+            want = [kernels.GramEvaluator(X, X, same_samples=True).log_derivative(spec, p).copy() for p in params]
             ev = kernels.GramEvaluator(X, X, same_samples=True)
             ev.gram(spec)
             for k in [*reversed(range(len(params))), *range(len(params)), *rng.integers(0, len(params), 6)]:
-                assert np.array_equal(ev.log_derivative(params[k]), want[k]), (spec.to_text(), params[k])
+                assert np.array_equal(ev.log_derivative(spec, params[k]), want[k]), (spec.to_text(), params[k])
             assert np.array_equal(ev.K, kernels.main_matrix(spec, X, X, same_samples=True)), spec.to_text()
+            # after a Gram at another period and roughness
+            ev.gram(other)
+            for p, block in zip(params, want):
+                assert np.array_equal(ev.log_derivative(spec, p), block), (spec.to_text(), p)
+
+
+def test_main_matrix_cross_row_blocks_match_one_periodic_block():
+    rng = np.random.default_rng(16)
+    A = np.column_stack([rng.uniform(0, 200, 300), rng.uniform(0, 1, 300)])
+    B = np.column_stack([rng.uniform(0, 200, 700), rng.uniform(0, 1, 700)])
+    assert 300 * 700 > 2 * kernels._BLOCK_ELEMENTS  # several row blocks
+    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
+    bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
+    for b in bases:
+        spec = KernelSpec(PERIODIC, amplitude=1.2, lengthscales=(1.0, 0.7), roughness=0.8, period=23.3, **b)
+        whole = kernels.GramEvaluator(A, B).gram(spec)
+        assert np.array_equal(kernels.main_matrix(spec, A, B), whole), spec.to_text()
 
 
 def test_hyperparameters_name_every_scalar_the_spec_reads():

@@ -98,6 +98,17 @@ def test_load_metadata_out_of_range_latitude(tmp_path):
     assert "91" in load.skipped[0][1]
 
 
+def test_load_metadata_keeps_the_first_of_repeated_system_ids(tmp_path):
+    p = tmp_path / "meta.csv"
+    write_metadata(p, ["1,51.5,-0.12,3000", "2,52.2,0.1,3870", "1,51.5,-0.12,1500", "1,51.5,-0.12,"])
+    load = load_metadata(p)
+    assert [(s.system_id, s.capacity_w, s.provenance) for s in load.systems] == [
+        (1, 3000.0, "meta.csv:2"),
+        (2, 3870.0, "meta.csv:3"),
+    ]
+    assert load.skipped == [(4, "duplicate system 1 (first on line 2)"), (5, "missing field")]
+
+
 # -- power loading ----------------------------------------------------------------
 
 
@@ -129,6 +140,24 @@ def test_load_power_skips_a_short_row(tmp_path):
     data = load_power(p)
     assert data.series[1][1].tolist() == [100.0, 110.0]
     assert [line for line, _ in data.skipped] == [3]
+
+
+def test_load_power_keeps_the_first_of_repeated_readings(tmp_path):
+    p = tmp_path / "power.csv"
+    p.write_text(
+        "timestamp_utc,system_id,power_w\n"
+        "2021-06-01T10:00:00Z,1,500.0\n"
+        "2021-06-01T10:00:00Z,1,100.0\n"  # same system and step: skipped
+        "2021-06-01T10:00:00Z,2,300.0\n"  # another system at that step is kept
+        "2021-06-01T09:55:00Z,1,450.0\n"
+        "2021-06-01T10:00:00+00:00,1,700.0\n"  # the same step written another way
+    )
+    data = load_power(p)
+    assert data.series[1][0].tolist() == [119, 120]
+    assert data.series[1][1].tolist() == [450.0, 500.0]
+    assert data.series[2][1].tolist() == [300.0]
+    reason = "duplicate reading for system 1 at 2021-06-01T10:00:00Z (first on line 2)"
+    assert data.skipped == [(3, reason), (6, reason)]
 
 
 def test_csv_readers_count_blank_lines_in_line_numbers(tmp_path):
