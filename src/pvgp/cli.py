@@ -282,10 +282,10 @@ def _print_filter_summary(meta, power, result, out) -> None:
 
 def cmd_ingest(cfg: dict, args) -> int:
     meta, power, stack, result = _load_bundle(cfg)
-    outdir = _write_effective_config(cfg)
-    _print_filter_summary(meta, power, result, sys.stdout)
     patch = cfg["hrv"]["patch_px"]
     datasets = _assemble_kept(cfg, power, stack, result.kept, patch)
+    outdir = _write_effective_config(cfg)
+    _print_filter_summary(meta, power, result, sys.stdout)
     for (sid, _), series in sorted(datasets.items()):
         path = outdir / f"assembled_{sid}_{patch}px.csv"
         lines = ["time_index,timestamp_utc,hrv_mean,power_w"]

@@ -100,7 +100,6 @@ class FitOptions:
 
     restarts: int = gp.FIT_RESTARTS
     max_iter: int = gp.MAX_FIT_ITERATIONS
-    optimize_period: bool = False
 
     def __post_init__(self):
         for name in ("restarts", "max_iter"):
@@ -675,6 +674,7 @@ def generate_synthetic(
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
+    pipeline._check_sensor_max(sensor_max)
     epoch = start_utc.replace(hour=0, minute=0, second=0, microsecond=0)
     n = days * geotime.STEPS_PER_DAY
     rng = np.random.default_rng(seed)

@@ -438,31 +438,25 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
 # -- hyperparameter fitting -------------------------------------------------
 
 
-# (lo, hi, margin) per hyperparameter field, from the target scale s, the range r
-# of the field's input axis and the template's period T: restarts after the
-# first draw log-uniformly from [lo, hi], and the box is [lo/margin, hi*margin].
-# w scales a warped distance in [0, 2]; a margin of 1 keeps a freed T near the
-# known cycle instead of degenerating into a quasi-stationary kernel.
+# (lo, hi, margin) per hyperparameter field, from the target scale s and the
+# range r of the field's input axis: restarts after the first draw
+# log-uniformly from [lo, hi], and the box is [lo/margin, hi*margin].  w scales
+# a warped distance in [0, 2].
 _BOUNDS = {
-    "amplitude": lambda s, r, T: (0.01 * s, 10.0 * s, 100.0),
-    "roughness": lambda s, r, T: (0.1, 10.0, 100.0),
-    "lengthscales": lambda s, r, T: (1.0, max(10.0 * r, 2.0), 100.0),
-    "alpha": lambda s, r, T: (0.1, 100.0, 100.0),
-    "period": lambda s, r, T: (0.5 * T, 2.0 * T, 1.0),
-    "noise_variance": lambda s, r, T: (1e-6 * s**2, 1.0 * s**2, 100.0),
+    "amplitude": lambda s, r: (0.01 * s, 10.0 * s, 100.0),
+    "roughness": lambda s, r: (0.1, 10.0, 100.0),
+    "lengthscales": lambda s, r: (1.0, max(10.0 * r, 2.0), 100.0),
+    "alpha": lambda s, r: (0.1, 100.0, 100.0),
+    "noise_variance": lambda s, r: (1e-6 * s**2, 1.0 * s**2, 100.0),
 }
 
 
-def _free_parameters(train: TrainingSet, spec: KernelSpec, optimize_period: bool):
-    """The fit's free hyperparameters with the logs of their :data:`_BOUNDS` init range and box.
-
-    Every hyperparameter of ``spec`` is free, its period only with ``optimize_period``.
-    """
-    params = [p for p in spec.hyperparameters() if p.field != "period" or optimize_period]
+def _free_parameters(train: TrainingSet, spec: KernelSpec):
+    """``spec``'s free hyperparameters with the logs of their :data:`_BOUNDS` init range and box."""
+    params = spec.hyperparameters()
     ranges = np.ptp(train.inputs, axis=0) if train.n else np.ones(train.ndim)
     bounds = [
-        _BOUNDS[p.field](train.target_scale, None if p.index is None else float(ranges[p.index]), spec.period)
-        for p in params
+        _BOUNDS[p.field](train.target_scale, None if p.index is None else float(ranges[p.index])) for p in params
     ]
     lo, hi, margin = np.log(bounds).T
     return params, (lo, hi), (lo - margin, hi + margin)
@@ -474,7 +468,6 @@ def fit_hyperparameters(
     restarts: int = FIT_RESTARTS,
     seed: int = 0,
     max_iter: int = MAX_FIT_ITERATIONS,
-    optimize_period: bool = False,
 ) -> KernelSpec:
     """Maximise the log marginal likelihood over positive hyperparameters.
 
@@ -488,16 +481,13 @@ def fit_hyperparameters(
     merged by best objective, ties broken by lowest restart index.
     Deterministic given ``seed``.
 
-    The period T is held fixed unless ``optimize_period`` is set: the
-    daily cycle is physically known, and the likelihood over T is sharply
-    multimodal (harmonics), so freeing it pays off only when the template
-    already starts near the true period.  A freed T is boxed to
-    [0.5, 2] times its starting value.
+    The period T, like the Matern nu, is a constant of the kernel: the
+    daily cycle is known, and the fit returns the template's T.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     spec_template.validate(ndim=train.ndim)
-    params, (lo, hi), (box_lo, box_hi) = _free_parameters(train, spec_template, optimize_period)
+    params, (lo, hi), (box_lo, box_hi) = _free_parameters(train, spec_template)
     gradient = LmlGradient(train, params)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -5,7 +5,7 @@ as a Gram block by one evaluator, :class:`GramEvaluator`: it computes the
 input geometry of a block once -- the per-axis distances ``|x_d - x'_d|``
 and the periodic chord ``2|sin(pi*dt/T)|``, the chord rebuilt only when T
 changes -- and evaluates ``K_main`` and each shape hyperparameter's
-``d log K_main / d log theta`` (roughness, period, lengthscales, alpha)
+``d log K_main / d log theta`` (roughness, lengthscales, alpha)
 element-wise from it for the fitter in :mod:`pvgp.gp`, into ``K`` and one
 scratch buffer: the distance variables are rebuilt where they are read.
 ``main_matrix`` is the one-shot form used for posteriors: it runs the
@@ -20,7 +20,8 @@ are computed once per call and sliced to each row block, and each row
 block computes those of its own rows.  Shapes that are ``exp(-x)`` (se,
 matern12) multiply as one ``exp`` of the summed distance variables, so a
 periodic se or matern12 Gram costs one ``exp`` per entry.  A spec is
-flat: :meth:`KernelSpec.hyperparameters` lists the scalars it reads, each
+flat: :meth:`KernelSpec.hyperparameters` lists the scalars a fit frees
+(every one it reads but the constants ``T`` and ``nu``), each
 a :class:`Hyperparameter` addressing one by field, and
 :func:`with_hyperparameters` sets any of them in one ``replace``.  Five
 families are supported:
@@ -176,10 +177,11 @@ class KernelSpec:
         self.validate()
 
     def hyperparameters(self) -> tuple[Hyperparameter, ...]:
-        """Every scalar the family and shape read, in order: ``h``, ``w``, lengthscales, ``alpha``, ``T``, ``sigma^2``.
+        """Every scalar a fit frees, in order: ``h``, ``w``, lengthscales, ``alpha``, ``sigma^2``.
 
         The lengthscales start at axis 1 on a periodic spec and are none on
-        ``whitenoise``; any other field is read unless construction cleared it.
+        ``whitenoise``; any other field is freed unless construction cleared
+        it.  The period ``T``, like ``nu``, is a constant of the kernel.
         """
 
         def read(*names):
@@ -187,7 +189,7 @@ class KernelSpec:
 
         first = len(self.lengthscales) if self.family == WHITE_NOISE else int(self.family == PERIODIC)
         lengthscales = [Hyperparameter("lengthscales", d) for d in range(first, len(self.lengthscales))]
-        return (*read("amplitude", "roughness"), *lengthscales, *read("alpha", "period", "noise_variance"))
+        return (*read("amplitude", "roughness"), *lengthscales, *read("alpha", "noise_variance"))
 
     @property
     def shape(self) -> str | None:
@@ -209,14 +211,12 @@ class KernelSpec:
         if fam != WHITE_NOISE and any(not (v > 0 and math.isfinite(v)) for v in self.lengthscales):
             raise KernelSpecError(f"lengthscales must be > 0, got {self.lengthscales}")
         if fam == PERIODIC:
-            if not (self.roughness is not None and self.roughness > 0):
-                raise KernelSpecError("periodic kernel needs roughness w > 0")
-            if not (self.period is not None and self.period > 0):
-                raise KernelSpecError("periodic kernel needs period T > 0")
+            _require_positive(self.roughness, "periodic kernel needs a finite roughness w > 0")
+            _require_positive(self.period, "periodic kernel needs a finite period T > 0")
             if self.base not in STATIONARY_FAMILIES:
                 raise KernelSpecError("periodic base must be a stationary family (se, rq, matern)")
-        if self.shape == RATIONAL_QUADRATIC and not (self.alpha is not None and self.alpha > 0):
-            raise KernelSpecError("rq kernel needs alpha > 0")
+        if self.shape == RATIONAL_QUADRATIC:
+            _require_positive(self.alpha, "rq kernel needs a finite alpha > 0")
         if self.shape == MATERN and self.nu not in MATERN_NUS:
             raise KernelSpecError(f"matern nu must be one of {MATERN_NUS}, got {self.nu}")
         if ndim is not None and fam != WHITE_NOISE and len(self.lengthscales) != ndim:
@@ -246,6 +246,12 @@ class KernelSpec:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _require_positive(value: float | None, message: str) -> None:
+    """Raise :class:`KernelSpecError` with ``message`` and ``value`` unless ``value`` is finite and > 0."""
+    if not (value is not None and value > 0 and math.isfinite(value)):
+        raise KernelSpecError(f"{message}, got {value}")
 
 
 def _shape_name(spec: KernelSpec) -> str:
@@ -581,20 +587,6 @@ class GramEvaluator:
         x *= -_distance_power(spec)
         return x
 
-    def _dx_period(self, spec: KernelSpec, param: Hyperparameter, x: np.ndarray) -> np.ndarray:
-        # ds/dlog T = -(2/w) (pi dt/T) cos(pi dt/T) sign(sin(pi dt/T));
-        # dx/ds = s for se/rq, 1 for matern
-        phase = self.absdiff(0) * (np.pi / spec.period)
-        g = np.sin(phase, out=x)
-        np.sign(g, out=g)
-        g *= phase
-        g *= np.cos(phase, out=phase)
-        g *= -2.0 / spec.roughness
-        if _distance_power(spec) == 2:
-            g *= self.chord(spec.period)
-            g /= spec.roughness
-        return g
-
     def _dx_lengthscale(self, spec: KernelSpec, param: Hyperparameter, x: np.ndarray) -> np.ndarray:
         if self.A.shape[1] - (spec.family == PERIODIC) == 1:
             return self._dx_roughness(spec, param, x)
@@ -616,7 +608,6 @@ class GramEvaluator:
 # takes it and the noise's in closed form
 _DX_DLOG = {
     "roughness": GramEvaluator._dx_roughness,
-    "period": GramEvaluator._dx_period,
     "lengthscales": GramEvaluator._dx_lengthscale,
 }
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -529,6 +530,12 @@ def _patch_window(stack: HrvRasterStack, system: PvSystem, patch_px: int) -> tup
     return slice(r0, r1), slice(c0, c1)
 
 
+def _check_sensor_max(sensor_max: float) -> None:
+    """Raise ``ValueError`` naming ``sensor_max`` unless it is finite and > 0: it scales every patch mean."""
+    if not (sensor_max > 0 and math.isfinite(sensor_max)):
+        raise ValueError(f"sensor_max must be finite and > 0, got {sensor_max}")
+
+
 def _patch_means(patches: np.ndarray, sensor_max: float) -> np.ndarray:
     """Mean of each patch over its last two axes, scaled to [0, 1]."""
     # float64 accumulation: sums of <=144 float32 values are exact, so the
@@ -544,6 +551,7 @@ def hrv_patch_mean(
     sensor_max: float = HRV_SENSOR_MAX,
 ) -> float:
     """Mean HRV brightness of the sky patch above a system at one frame, scaled to [0, 1]."""
+    _check_sensor_max(sensor_max)
     rows, cols = _patch_window(stack, system, patch_px)
     return float(_patch_means(stack.frame_at(t_index)[rows, cols], sensor_max))
 
@@ -562,8 +570,10 @@ def assemble(
     rows with power outside the physical range [0, 1.1 * capacity].  The
     join is one ``intersect1d`` of the two time indices and the patch means
     one gather over the kept frames, which reads only the patch from a
-    memory-mapped stack.
+    memory-mapped stack.  Raises ``ValueError`` naming ``sensor_max`` unless
+    it is finite and > 0.
     """
+    _check_sensor_max(sensor_max)
     lo, hi = window
     data = power.series.get(system.system_id)
     if data is None:

@@ -135,7 +135,7 @@ def test_optimizer_gradient_agrees_with_stencil():
         assert err <= 1e-4, f"trial {trial}: gradient rel err {err}"
 
     # the analytic gradient the optimiser consumes, over every parameter the
-    # fit can free (a freed period included), for all families in 1-D and 2-D
+    # fit frees, for all families in 1-D and 2-D
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
     bases += [dict(base=MATERN, nu=nu) for nu in (0.5, 1.5, 2.5)]
     for trial in range(60):

@@ -31,7 +31,7 @@ DEFAULT_CONFIG = {
     "filters": {"night_elevation_deg": -5.0, "overnight_power_fraction": 0.01, "overnight_min_nights": 3},
     "hrv": {"sensor_max": 1023.0, "patch_px": 6, "csv_geometry": None},
     "kernel": KERNEL,
-    "fit": {"restarts": 2, "max_iter": 200, "optimize_period": False},
+    "fit": {"restarts": 2, "max_iter": 200},
     "forecast": {"training_days": 1, "training_stride": 1, "refit": True},
     "experiment": {
         "protocol": "set_two",
@@ -350,6 +350,53 @@ def test_negative_forecast_start_exits_two_naming_its_key(tmp_path, capsys):
         assert main([*args, "--config", write_config(tmp_path / "c.json", **doc, **extra)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(word in err for word in named), err
+    assert not out.exists()
+
+
+def test_optimize_period_config_key_exits_two_naming_it(tmp_path, capsys):
+    # the period is a constant of the kernel: no fit frees it, so the key is gone
+    paths = make_bundle(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", paths={**paths, "output_dir": str(out)}, fit={"optimize_period": True})
+    for args in (["fit", "--system", "1"], ["forecast", "--system", "1", "--start", "2021-06-02T10:00:00Z"], ["experiment"]):
+        assert main([*args, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'fit.optimize_period'" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sensor_max", [0, -1023.0])
+def test_sensor_max_that_is_not_positive_exits_two_naming_it_before_any_output(tmp_path, capsys, sensor_max):
+    # a patch mean is divided by it: 0 gives a cloud-blind forecast with every hrv_mean 1.0
+    paths = make_bundle(tmp_path)
+    out = tmp_path / "out"
+    doc = {"paths": {**paths, "output_dir": str(out)}, "hrv": {"sensor_max": sensor_max}, "experiment": {"test_days": 1}}
+    cfg = write_config(tmp_path / "c.json", **doc)
+    commands = [
+        ["ingest"],
+        ["synth"],
+        ["fit", "--system", "1"],
+        ["forecast", "--system", "1", "--start", "2021-06-02T10:00:00Z"],
+        ["experiment"],
+    ]
+    for args in commands:
+        assert main([*args, "--config", cfg]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sensor_max" in err, (args, err)
+    assert not out.exists()
+
+
+def test_kernel_with_an_infinite_period_exits_two_naming_it(tmp_path, capsys):
+    # T = inf makes the time factor 1 everywhere; no fit would correct it
+    paths = make_bundle(tmp_path)
+    out = tmp_path / "out"
+    kernel = "periodic(matern12; h=500.0, ls=[1.0, 0.3], w=1.0, T=inf) + whitenoise(sigma2=100.0)"
+    forecast = {"training_days": 1, "training_stride": 6, "refit": False}
+    cfg = write_config(tmp_path / "c.json", paths={**paths, "output_dir": str(out)}, kernel=kernel, forecast=forecast)
+    for args in (["fit", "--system", "1"], ["forecast", "--system", "1", "--start", "2021-06-02T10:00:00Z"]):
+        assert main([*args, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "period T" in err and "inf" in err, err
     assert not out.exists()
 
 

@@ -634,6 +634,12 @@ def test_generate_synthetic_rejects_bad_args():
         generate_synthetic("clear-sky", days=0, system=LONDON_SYSTEM, seed=0)
 
 
+def test_generate_synthetic_rejects_a_sensor_max_that_is_not_finite_and_positive():
+    for sensor_max in (0.0, -1023.0, np.inf):
+        with pytest.raises(ValueError, match="sensor_max"):
+            generate_synthetic("clear-sky", days=1, system=LONDON_SYSTEM, seed=0, sensor_max=sensor_max)
+
+
 def test_bundle_write_round_trips_through_loaders(tmp_path):
     bundle = generate_synthetic("scattered", days=2, system=LONDON_SYSTEM, seed=1)
     paths = bundle.write(tmp_path)

@@ -505,8 +505,8 @@ def test_lml_increases_with_noise_on_pure_noise_data():
 
 
 def test_lml_gradient_matches_full_weight_matrix_oracle():
-    # every hyperparameter free, alpha and the period included, for each
-    # family and each periodic base in 1-D and 2-D
+    # every hyperparameter free, alpha included, for each family and each
+    # periodic base in 1-D and 2-D
     rng = np.random.default_rng(45)
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
     bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
@@ -533,16 +533,15 @@ def test_lml_gradient_matches_full_weight_matrix_oracle():
 def test_lml_gradient_holds_at_most_five_grams_between_evaluations():
     # K^-1's buffer carries the trace weights; the rest is the evaluator's
     # Gram, its geometry (one |dx| and the chord) and its one scratch buffer,
-    # where each distance variable is rebuilt (the fit's default: T fixed)
+    # where each distance variable is rebuilt
     n = 1000
     rng = np.random.default_rng(46)
     X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
     train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
     spec = kernels.parse("periodic(matern12; h=85.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=400.0)")
-    params = [p for p in spec.hyperparameters() if p.field != "period"]
     tracemalloc.start()
     try:
-        gradient = gp.LmlGradient(train, params)
+        gradient = gp.LmlGradient(train, spec.hyperparameters())
         for h in (85.0, 90.0):
             gp.log_marginal_likelihood(train, replace(spec, amplitude=h), gradient)
         held, peak = tracemalloc.get_traced_memory()
@@ -658,25 +657,35 @@ def test_fit_factorises_once_per_objective_evaluation(monkeypatch):
 
 
 def test_free_parameters_take_their_bounds_from_one_table():
-    # target scale 2, input ranges 30 (time) and 0.75 (cloud), T = 24: every bound is exact
+    # target scale 2, input ranges 30 (time) and 0.75 (cloud): every bound is exact
     X = np.column_stack([[0.0, 10.0, 20.0, 30.0], [0.25, 0.5, 0.75, 1.0]])
     train = TrainingSet.from_arrays(X, [-2.0, 2.0, -2.0, 2.0])
     spec = KernelSpec(PERIODIC, lengthscales=(1.0, 1.0), alpha=2.0, roughness=1.0, period=24.0, base=RATIONAL_QUADRATIC)
-    rows = {
+    expected = {
         "amplitude": (None, 0.02, 20.0, 100.0),
         "roughness": (None, 0.1, 10.0, 100.0),
         "lengthscales": (1, 1.0, 7.5, 100.0),
         "alpha": (None, 0.1, 100.0, 100.0),
-        "period": (None, 12.0, 48.0, 1.0),
         "noise_variance": (None, 4e-6, 4.0, 100.0),
     }
-    for optimize_period in (False, True):
-        expected = {field: row for field, row in rows.items() if field != "period" or optimize_period}
-        params, (lo, hi), (box_lo, box_hi) = gp._free_parameters(train, spec, optimize_period)
-        assert [(p.field, p.index) for p in params] == [(field, row[0]) for field, row in expected.items()]
-        lo_, hi_, margin = (np.log([row[k] for row in expected.values()]) for k in (1, 2, 3))
-        assert np.array_equal(lo, lo_) and np.array_equal(hi, hi_)
-        assert np.array_equal(box_lo, lo_ - margin) and np.array_equal(box_hi, hi_ + margin)
+    params, (lo, hi), (box_lo, box_hi) = gp._free_parameters(train, spec)
+    assert [(p.field, p.index) for p in params] == [(field, row[0]) for field, row in expected.items()]
+    lo_, hi_, margin = (np.log([row[k] for row in expected.values()]) for k in (1, 2, 3))
+    assert np.array_equal(lo, lo_) and np.array_equal(hi, hi_)
+    assert np.array_equal(box_lo, lo_ - margin) and np.array_equal(box_hi, hi_ + margin)
+
+
+@pytest.mark.parametrize("base", ["matern12", "se"])
+def test_fit_returns_the_template_period_exactly(base):
+    # T, like nu, is a constant of the kernel: no fit moves it off the template's 290
+    t = np.arange(0.0, 3 * 288.0, 12.0)
+    rng = np.random.default_rng(47)
+    X = np.column_stack([t, rng.uniform(0, 1, t.size)])
+    y = 1000.0 * np.clip(np.sin(2 * np.pi * t / 288.0), 0.0, None) * (1.0 - 0.5 * X[:, 1])
+    template = kernels.parse(f"periodic({base}; h=300.0, ls=[1.0, 0.5], w=1.0, T=290.0) + whitenoise(sigma2=100.0)")
+    fitted = gp.fit_hyperparameters(TrainingSet.from_arrays(X, y), template, restarts=2, seed=3, max_iter=60)
+    assert fitted.period == 290.0
+    assert fitted != template
 
 
 def test_fit_rejects_zero_restarts():

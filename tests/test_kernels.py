@@ -370,7 +370,7 @@ def test_main_matrix_cross_row_blocks_match_one_periodic_block():
         assert np.array_equal(kernels.main_matrix(spec, A, B), whole), spec.to_text()
 
 
-def test_hyperparameters_name_every_scalar_the_spec_reads():
+def test_hyperparameters_name_every_scalar_a_fit_frees():
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
     bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
     for ndim in (1, 2):
@@ -381,10 +381,11 @@ def test_hyperparameters_name_every_scalar_the_spec_reads():
         cases += [(KernelSpec(RATIONAL_QUADRATIC, lengthscales=ls, alpha=1.7), stationary + [("alpha", None)])]
         cases += [(KernelSpec(MATERN, lengthscales=ls, nu=nu), stationary) for nu in MATERN_NUS]
         for b in bases:
-            # the periodic warp's roughness w stands for the time axis's lengthscale
+            # the periodic warp's roughness w stands for the time axis's lengthscale;
+            # the period T, like nu, is a constant of the kernel
             middle = [("lengthscales", 1)][: ndim - 1] + [("alpha", None)] * (b["base"] == RATIONAL_QUADRATIC)
             spec = KernelSpec(PERIODIC, lengthscales=ls, roughness=0.8, period=23.3, **b)
-            cases.append((spec, [("roughness", None)] + middle + [("period", None)]))
+            cases.append((spec, [("roughness", None)] + middle))
         for spec, middle in cases:
             expected = [("amplitude", None)] + middle + [("noise_variance", None)]
             assert [(p.field, p.index) for p in spec.hyperparameters()] == expected, spec.to_text()
@@ -530,3 +531,21 @@ def test_spec_validation_rejects_bad_hyperparameters():
         spec_se(sigma2=-0.1)
     with pytest.raises(KernelSpecError):
         spec_se().validate(ndim=2)
+
+
+@pytest.mark.parametrize(
+    "text, field, named",
+    [
+        ("periodic(matern12; h=1.0, ls=[1.0, 1.0], w=inf, T=288.0)", "roughness", "roughness w"),
+        ("periodic(matern12; h=1.0, ls=[1.0, 1.0], w=1.0, T=inf)", "period", "period T"),
+        ("rq(h=1.0, ls=[1.0], alpha=inf)", "alpha", "alpha"),
+        ("periodic(rq; h=1.0, ls=[1.0], alpha=inf, w=1.0, T=288.0)", "alpha", "alpha"),
+    ],
+)
+def test_non_finite_roughness_period_or_alpha_is_rejected_naming_it(text, field, named):
+    # T = inf would make the time factor 1 everywhere: a forecast without the daily cycle
+    with pytest.raises(KernelSpecError, match=named):
+        kernels.parse(text)
+    valid = kernels.parse(text.replace("inf", "2.0"))
+    with pytest.raises(KernelSpecError, match=named):
+        replace(valid, **{field: math.inf})

@@ -323,6 +323,16 @@ def test_assemble_full_day():
     assert np.all(series.hrv_mean == pytest.approx(200.0 / 1023.0))
 
 
+@pytest.mark.parametrize("sensor_max", [0.0, -1023.0, np.inf, np.nan])
+def test_patch_means_reject_a_sensor_max_that_is_not_finite_and_positive(sensor_max):
+    # a patch mean is divided by it: 0 gives every mean 1.0, a negative one 0.0
+    power = make_power(np.arange(288), np.linspace(0, 100, 288))
+    with pytest.raises(ValueError, match="sensor_max"):
+        assemble(make_system(), power, full_day_stack(), 2, (0, 288), sensor_max=sensor_max)
+    with pytest.raises(ValueError, match="sensor_max"):
+        hrv_patch_mean(full_day_stack(), make_system(), 2, 0, sensor_max=sensor_max)
+
+
 def test_assemble_counts_missing_frame_as_gap():
     stack = make_stack(np.full((287, 16, 16), 200.0, dtype=np.float32), [i for i in range(288) if i != 100])
     power = make_power(np.arange(288), np.full(288, 50.0))
