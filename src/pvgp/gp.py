@@ -46,16 +46,20 @@ factor gives the likelihood and, through :class:`LmlGradient`, its exact
 gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
 every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
 Its weights live in ``K^-1``'s buffer and its amplitude and noise terms
-are closed forms; a 2-D periodic fit holds 5 n x n arrays.  The free ones
-are the template's ``hyperparameters()``, bounded by one per-field table,
-set from the optimiser's vector in one ``replace``.
+are closed forms; a 2-D periodic fit holds 5 n x n arrays.  The amplitude
+is not among the free ones: the objective is the likelihood maximised over
+it in closed form, a concentrated likelihood (Roustant, Ginsbourger &
+Deville 2012), so the optimiser moves only the shape parameters and the
+noise ratio ``lambda = sigma^2 / h^2``.  They are the template's
+``hyperparameters()`` but ``h``, bounded by one per-field table, set from
+the optimiser's vector in one ``replace``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -354,11 +358,20 @@ class LmlGradient:
     ``K^-1``'s buffer and the amplitude and noise terms are closed forms, so a
     2-D periodic fit holds 5 n x n arrays: this buffer and the evaluator's
     Gram, cloud-axis ``|dx|``, chord and scratch.  The jitter is treated as a constant.
+
+    Params without the amplitude make it :attr:`concentrated`: the amplitude
+    is solved in closed form rather than differentiated, its best ``c``
+    (``h^2`` in units of the target variance) is left in :attr:`scale` by
+    each evaluation, and the noise entry is the derivative by
+    ``log lambda``, ``lambda = sigma^2 / h^2`` (see
+    :func:`log_marginal_likelihood`).
     """
 
     def __init__(self, train: TrainingSet, params):
         self.params = list(params)
         self.value = np.zeros(len(self.params))
+        self.concentrated = all(p.field != "amplitude" for p in self.params)
+        self.scale = 1.0
         self._evaluator = kernels.GramEvaluator(train.inputs, train.inputs, same_samples=True)
         self._K = np.empty((train.n, train.n))
 
@@ -401,13 +414,27 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
     Gram including the noise term.  With ``gradient`` (an
     :class:`LmlGradient` built for ``train``), the Gram comes from its cached
     geometry and ``gradient.value`` is filled from the same factorisation.
+
+    A ``gradient.concentrated`` gradient concentrates the amplitude out.
+    The Gram over the spec's own ``h^2`` is ``A = R + lambda I``, with R of
+    unit amplitude, so the spec's h is not read.  From A's factor,
+    ``q = y^T A^-1 y`` and ``c = q / n``, clamped so that ``h = sqrt(c s2)``
+    stays in the amplitude's :data:`_BOUNDS` box (``c = 1`` with no rows).
+    The value returned is the plain likelihood at ``h^2 = c s2`` and
+    ``sigma^2 = lambda c s2``,
+    ``-q / 2c - (n/2) log c - 1/2 log|A| - (n/2) log 2pi``; its gradient is
+    the plain one's weights with ``alpha / sqrt(c)`` in place of alpha,
+    ``1/2 tr((beta beta^T / c - A^-1) dA/dlog theta)``, ``beta = A^-1 y``.
+    c is left in ``gradient.scale``.
     """
     spec.validate(ndim=train.ndim)
     if train.n == 0:
         if gradient is not None:
             gradient.value[:] = 0.0
         return 0.0
-    s2 = train.target_scale**2
+    concentrated = gradient is not None and gradient.concentrated
+    # concentrated, the Gram over the spec's own h^2 is A = R + lambda I
+    s2 = spec.amplitude**2 if concentrated else train.target_scale**2
     if gradient is None:
         build = _gram_builder(train.inputs, spec, s2)
     else:
@@ -416,9 +443,15 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
     y = train.scaled_targets()
     # the Gram was checked finite as it was built, so its factor is not rescanned
     alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
-    value = float(-0.5 * blas.ddot(y, alpha) - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
+    q, c = blas.ddot(y, alpha), 1.0
+    if concentrated:
+        lo, hi, margin = _BOUNDS["amplitude"](1.0, None)
+        c = gradient.scale = min(max(q / train.n, (lo / margin) ** 2), (hi * margin) ** 2)
+    value = -0.5 * q / c - 0.5 * train.n * math.log(c)
+    value = float(value - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
     if gradient is not None:
-        gradient.fill(spec, L, alpha, s2)
+        # with K = c A, alpha alpha^T - K^-1 times dK is (beta beta^T / c - A^-1) dA, beta = A^-1 y
+        gradient.fill(spec, L, alpha / math.sqrt(c), s2)
     return value
 
 
@@ -441,19 +474,22 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
 # (lo, hi, margin) per hyperparameter field, from the target scale s and the
 # range r of the field's input axis: restarts after the first draw
 # log-uniformly from [lo, hi], and the box is [lo/margin, hi*margin].  w scales
-# a warped distance in [0, 2].
+# a warped distance in [0, 2].  The amplitude is solved in closed form within
+# its box.  The noise row bounds lambda = sigma^2 / h^2; its box floor is the
+# factorisation's first jitter, 1e-10 of A's mean diagonal of about 1, below
+# which lambda means nothing.
 _BOUNDS = {
     "amplitude": lambda s, r: (0.01 * s, 10.0 * s, 100.0),
     "roughness": lambda s, r: (0.1, 10.0, 100.0),
     "lengthscales": lambda s, r: (1.0, max(10.0 * r, 2.0), 100.0),
     "alpha": lambda s, r: (0.1, 100.0, 100.0),
-    "noise_variance": lambda s, r: (1e-6 * s**2, 1.0 * s**2, 100.0),
+    "noise_variance": lambda s, r: (1e-6, 1.0, 1e4),
 }
 
 
 def _free_parameters(train: TrainingSet, spec: KernelSpec):
-    """``spec``'s free hyperparameters with the logs of their :data:`_BOUNDS` init range and box."""
-    params = spec.hyperparameters()
+    """``spec``'s free hyperparameters but the amplitude, with the logs of their :data:`_BOUNDS` init range and box."""
+    params = [p for p in spec.hyperparameters() if p.field != "amplitude"]
     ranges = np.ptp(train.inputs, axis=0) if train.n else np.ones(train.ndim)
     bounds = [
         _BOUNDS[p.field](train.target_scale, None if p.index is None else float(ranges[p.index])) for p in params
@@ -471,15 +507,21 @@ def fit_hyperparameters(
 ) -> KernelSpec:
     """Maximise the log marginal likelihood over positive hyperparameters.
 
-    Works in log space with L-BFGS-B.  Each objective evaluation is one
-    Cholesky factorisation, which yields both the likelihood and its
-    analytic gradient (:class:`LmlGradient`); the input geometry is built
-    once per call and shared by every restart.  The template's
-    :meth:`~pvgp.kernels.KernelSpec.hyperparameters` are fitted.  Restart 0
-    starts from their values; every further restart starts from a
-    log-uniform draw within their :data:`_BOUNDS` init ranges.  Results are
-    merged by best objective, ties broken by lowest restart index.
-    Deterministic given ``seed``.
+    The objective is the likelihood maximised over the amplitude in closed
+    form (:func:`log_marginal_likelihood` with a concentrated
+    :class:`LmlGradient`).  L-BFGS-B works in log space on the rest of the
+    template's :meth:`~pvgp.kernels.KernelSpec.hyperparameters`: the shape
+    parameters and the noise ratio ``lambda = sigma^2 / h^2``.  Each
+    objective evaluation is one Cholesky factorisation, which yields the
+    likelihood, the amplitude's best ``c`` and the analytic gradient; the
+    input geometry is built once per call and shared by every restart.
+    Restart 0 starts from the template's shape values and ``lambda``;
+    every further restart starts from a log-uniform draw within their
+    :data:`_BOUNDS` init ranges.  Results are merged by best objective,
+    ties broken by lowest restart index.  The fitted spec carries
+    ``h = sqrt(c s2)`` and ``sigma^2 = lambda c s2``, with the c of the
+    evaluation at the optimum, so it does not depend on the template's h
+    beyond its ``lambda``.  Deterministic given ``seed``.
 
     The period T, like the Matern nu, is a constant of the kernel: the
     daily cycle is known, and the fit returns the template's T.
@@ -489,22 +531,28 @@ def fit_hyperparameters(
     spec_template.validate(ndim=train.ndim)
     params, (lo, hi), (box_lo, box_hi) = _free_parameters(train, spec_template)
     gradient = LmlGradient(train, params)
+    # at h = 1 the spec's noise variance is lambda, and the optimiser's vector is its log
+    unit = replace(spec_template, amplitude=1.0)
+    scales: dict[tuple, float] = {}  # each evaluated point's c
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            spec = kernels.with_hyperparameters(spec_template, params, map(math.exp, x))
+            spec = kernels.with_hyperparameters(unit, params, map(math.exp, x))
             value = -log_marginal_likelihood(train, spec, gradient)
         except (ConditioningError, FloatingPointError, kernels.KernelSpecError):
             return 1e25, np.zeros(x.size)
         jac = -gradient.value
         if not (math.isfinite(value) and np.isfinite(jac).all()):
             return 1e25, np.zeros(x.size)
+        scales[tuple(x)] = gradient.scale
         return value, jac
 
     box = list(zip(box_lo, box_hi))
     rng = np.random.default_rng(seed)
 
-    template_values = np.array([max(p.get(spec_template), 1e-300) for p in params])
+    # restart 0 starts at the template's lambda, divided twice by h so that a tiny h gives inf, not an error
+    ratio = spec_template.noise_variance / spec_template.amplitude / spec_template.amplitude
+    template_values = np.array([max(ratio if p.field == "noise_variance" else p.get(unit), 1e-300) for p in params])
     template_start = np.clip(np.log(template_values), box_lo, box_hi)
 
     best: tuple[float, int, np.ndarray] | None = None
@@ -523,4 +571,6 @@ def fit_hyperparameters(
             best = (f, r, result.x.copy())
     if best is None:
         raise FitError(f"all {restarts} restart(s) failed to produce a finite objective")
-    return kernels.with_hyperparameters(spec_template, params, map(math.exp, best[2]))
+    fitted = kernels.with_hyperparameters(unit, params, map(math.exp, best[2]))
+    h2 = scales[tuple(best[2])] * train.target_scale**2
+    return replace(fitted, amplitude=math.sqrt(h2), noise_variance=fitted.noise_variance * h2)

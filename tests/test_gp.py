@@ -51,6 +51,20 @@ def random_train(rng, n, ndim, spec=None):
     return TrainingSet.from_arrays(X, y)
 
 
+def family_specs(ndim):
+    """se, rq, matern12/32/52 and a periodic spec of each base, in ``ndim`` dimensions."""
+    ls = (3.0, 0.6)[:ndim]
+    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
+    bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
+    return [
+        KernelSpec(SQUARED_EXPONENTIAL, amplitude=2.1, lengthscales=ls, noise_variance=0.3),
+        KernelSpec(RATIONAL_QUADRATIC, amplitude=2.1, lengthscales=ls, alpha=1.7, noise_variance=0.3),
+        *[KernelSpec(MATERN, amplitude=2.1, lengthscales=ls, nu=nu, noise_variance=0.3) for nu in MATERN_NUS],
+        *[KernelSpec(PERIODIC, amplitude=2.1, lengthscales=ls, roughness=0.9, period=23.3, **b, noise_variance=0.3)
+          for b in bases],
+    ]
+
+
 def rel_err(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     denom = np.linalg.norm(want)
@@ -501,6 +515,81 @@ def test_lml_increases_with_noise_on_pure_noise_data():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+# -- the concentrated likelihood ------------------------------------------------
+
+
+def test_concentrated_lml_is_the_lml_at_its_best_amplitude():
+    # without the amplitude among its parameters, the gradient concentrates it
+    # out: the value is the plain LML at h^2 = c s2 and sigma^2 = lambda c s2
+    rng = np.random.default_rng(48)
+    for ndim in (1, 2):
+        for spec in family_specs(ndim):
+            train = random_train(rng, 60, ndim)
+            # the parameters a fit frees: all but the amplitude
+            gradient = gp.LmlGradient(train, gp._free_parameters(train, spec)[0])
+            value = gp.log_marginal_likelihood(train, spec, gradient)
+            h2 = gradient.scale * train.target_scale**2
+            ratio = spec.noise_variance / spec.amplitude**2
+            best = replace(spec, amplitude=math.sqrt(h2), noise_variance=ratio * h2)
+            assert value == pytest.approx(gp.log_marginal_likelihood(train, best), rel=1e-10), spec.to_text()
+            for k in (0.9, 1.1):
+                other = replace(spec, amplitude=math.sqrt(k * h2), noise_variance=ratio * k * h2)
+                assert gp.log_marginal_likelihood(train, other) < value, spec.to_text()
+            # and it does not read the spec's own amplitude
+            assert gp.log_marginal_likelihood(train, replace(spec, amplitude=1.0, noise_variance=ratio), gradient) \
+                == pytest.approx(value, rel=1e-12), spec.to_text()
+
+
+def test_concentrated_gradient_matches_a_stencil_of_the_concentrated_value():
+    # over the shape parameters and log lambda, lambda = sigma^2 / h^2, which at h = 1 is sigma^2
+    rng = np.random.default_rng(49)
+    for ndim in (1, 2):
+        for spec in family_specs(ndim):
+            train = random_train(rng, 60, ndim)
+            params = gp._free_parameters(train, spec)[0]
+            unit = replace(spec, amplitude=1.0, noise_variance=spec.noise_variance / spec.amplitude**2)
+
+            def value(x):
+                spec_x = kernels.with_hyperparameters(unit, params, np.exp(x))
+                return gp.log_marginal_likelihood(train, spec_x, gp.LmlGradient(train, params))
+
+            x0 = np.log([p.get(unit) for p in params])
+            gradient = gp.LmlGradient(train, params)
+            gp.log_marginal_likelihood(train, unit, gradient)
+            want = stencil_gradient(value, x0)
+            assert np.linalg.norm(gradient.value - want) <= 1e-6 * np.linalg.norm(want), spec.to_text()
+
+
+@pytest.mark.parametrize("k", [2.0, 0.25])
+def test_fit_does_not_depend_on_how_the_amplitude_was_anchored(k):
+    # h times k and sigma^2 times k^2 keep lambda; a power of two scales it exactly
+    t = np.arange(0.0, 3 * 288.0, 24.0)
+    rng = np.random.default_rng(50)
+    X = np.column_stack([t, rng.uniform(0, 1, t.size)])
+    y = 1000.0 * np.clip(np.sin(2 * np.pi * t / 288.0), 0.0, None) * (1.0 - 0.5 * X[:, 1])
+    train = TrainingSet.from_arrays(X, y + rng.normal(0.0, 5.0, t.size))
+    template = kernels.parse("periodic(se; h=300.0, ls=[1.0, 0.5], w=1.0, T=288.0) + whitenoise(sigma2=900.0)")
+    scaled = replace(template, amplitude=k * template.amplitude, noise_variance=k * k * template.noise_variance)
+    fitted = gp.fit_hyperparameters(train, template, restarts=2, seed=4)
+    assert gp.fit_hyperparameters(train, scaled, restarts=2, seed=4) == fitted
+    assert fitted != template
+
+
+def test_fit_from_a_template_whose_h_squared_underflows_starts_on_the_noise_ratio_box():
+    # h^2 = 0 in floating point: lambda = sigma^2 / h^2 is inf, and restart 0 starts at the box's ceiling
+    train, truth = make_se_data(3, n=20)
+    fitted = gp.fit_hyperparameters(train, replace(truth, amplitude=1e-170), restarts=1, seed=0)
+    assert all(math.isfinite(p.get(fitted)) and p.get(fitted) > 0 for p in fitted.hyperparameters())
+
+
+def test_fit_on_no_rows_returns_a_finite_spec():
+    train = TrainingSet.from_arrays(np.empty((0, 1)), [])
+    fitted = gp.fit_hyperparameters(train, KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(2.0,), noise_variance=0.1))
+    # c = 1 with no rows: h is the target scale
+    assert fitted.amplitude == train.target_scale == 1.0
+    assert all(math.isfinite(p.get(fitted)) for p in fitted.hyperparameters())
+
+
 # -- finite-difference gradient -------------------------------------------------
 
 
@@ -508,19 +597,8 @@ def test_lml_gradient_matches_full_weight_matrix_oracle():
     # every hyperparameter free, alpha included, for each family and each
     # periodic base in 1-D and 2-D
     rng = np.random.default_rng(45)
-    bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
-    bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
     for ndim in (1, 2):
-        ls = (3.0, 0.6)[:ndim]
-        specs = [
-            KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.4),
-            KernelSpec(SQUARED_EXPONENTIAL, amplitude=2.1, lengthscales=ls, noise_variance=0.3),
-            KernelSpec(RATIONAL_QUADRATIC, amplitude=2.1, lengthscales=ls, alpha=1.7, noise_variance=0.3),
-            *[KernelSpec(MATERN, amplitude=2.1, lengthscales=ls, nu=nu, noise_variance=0.3) for nu in MATERN_NUS],
-            *[KernelSpec(PERIODIC, amplitude=2.1, lengthscales=ls, roughness=0.9, period=23.3, **b, noise_variance=0.3)
-              for b in bases],
-        ]
-        for spec in specs:
+        for spec in [KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.4), *family_specs(ndim)]:
             train = random_train(rng, 80, ndim)
             params = spec.hyperparameters()
             gradient = gp.LmlGradient(train, params)
@@ -631,6 +709,10 @@ def test_fit_constant_zero_targets_drives_noise_down():
     template = KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.0, lengthscales=(2.0,), noise_variance=0.1)
     fitted = gp.fit_hyperparameters(train, template, restarts=2, seed=0)
     assert fitted.noise_variance < 1e-4 * train.target_scale**2
+    # y^T A^-1 y = 0, so c sits on the floor of the amplitude's box
+    lo, _, margin = gp._BOUNDS["amplitude"](train.target_scale, None)
+    assert fitted.amplitude == pytest.approx(lo / margin, rel=1e-12)
+    assert all(math.isfinite(p.get(fitted)) and p.get(fitted) > 0 for p in fitted.hyperparameters())
 
 
 def test_fit_factorises_once_per_objective_evaluation(monkeypatch):
@@ -657,16 +739,16 @@ def test_fit_factorises_once_per_objective_evaluation(monkeypatch):
 
 
 def test_free_parameters_take_their_bounds_from_one_table():
-    # target scale 2, input ranges 30 (time) and 0.75 (cloud): every bound is exact
+    # target scale 2, input ranges 30 (time) and 0.75 (cloud): every bound is exact;
+    # the amplitude is solved in closed form, and the noise row is in units of h^2
     X = np.column_stack([[0.0, 10.0, 20.0, 30.0], [0.25, 0.5, 0.75, 1.0]])
     train = TrainingSet.from_arrays(X, [-2.0, 2.0, -2.0, 2.0])
     spec = KernelSpec(PERIODIC, lengthscales=(1.0, 1.0), alpha=2.0, roughness=1.0, period=24.0, base=RATIONAL_QUADRATIC)
     expected = {
-        "amplitude": (None, 0.02, 20.0, 100.0),
         "roughness": (None, 0.1, 10.0, 100.0),
         "lengthscales": (1, 1.0, 7.5, 100.0),
         "alpha": (None, 0.1, 100.0, 100.0),
-        "noise_variance": (None, 4e-6, 4.0, 100.0),
+        "noise_variance": (None, 1e-6, 1.0, 1e4),
     }
     params, (lo, hi), (box_lo, box_hi) = gp._free_parameters(train, spec)
     assert [(p.field, p.index) for p in params] == [(field, row[0]) for field, row in expected.items()]
