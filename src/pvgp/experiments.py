@@ -38,6 +38,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -125,7 +126,9 @@ class ExperimentConfig:
     the ``training_days`` of data ending at each launch, subsampled to
     every ``training_stride``-th step (a desk-scale control; 1 keeps the
     full 5-minute cadence).  ``refit=False`` uses the kernel template's
-    hyperparameters as-is instead of refitting per launch.
+    hyperparameters as-is instead of refitting per launch.  Each integer
+    field and system id must be an integer (numpy's too, not a bool) and is
+    kept as an ``int``; ``refit`` must be a bool.
     """
 
     training_days: int
@@ -140,7 +143,12 @@ class ExperimentConfig:
     refit: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "system_ids", tuple(int(s) for s in self.system_ids))
+        kept = {name: _integer(name, getattr(self, name)) for name in _INTEGER_FIELDS}
+        kept["system_ids"] = tuple(_integer("system_ids", s) for s in self.system_ids)
+        if not isinstance(self.refit, bool):
+            raise ValueError(f"refit must be true or false, got {self.refit!r}")
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
         self.validate()
 
     def validate(self) -> None:
@@ -192,6 +200,16 @@ class ExperimentConfig:
         if unknown or missing:
             raise ValueError(f"experiment config: unknown key(s) {unknown}, missing key(s) {missing}")
         return cls(**{**data, "kernel": parse_kernel(data["kernel"])})
+
+
+_INTEGER_FIELDS = ("training_days", "patch_px", "horizon_steps", "forecast_start", "test_days", "training_stride")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an integer (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass

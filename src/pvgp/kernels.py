@@ -20,11 +20,11 @@ are computed once per call and sliced to each row block, and each row
 block computes those of its own rows.  Shapes that are ``exp(-x)`` (se,
 matern12) multiply as one ``exp`` of the summed distance variables, so a
 periodic se or matern12 Gram costs one ``exp`` per entry.  A spec is
-flat: :meth:`KernelSpec.hyperparameters` lists the scalars a fit frees
-(every one it reads but the constants ``T`` and ``nu``), each
-a :class:`Hyperparameter` addressing one by field, and
-:func:`with_hyperparameters` sets any of them in one ``replace``.  Five
-families are supported:
+flat: :meth:`KernelSpec.hyperparameters` lists the scalars a fit sets
+(every one it reads but the constants ``T`` and ``nu``; the fit solves
+``h`` in closed form and frees the rest), each a :class:`Hyperparameter`
+addressing one by field, and :func:`with_hyperparameters` sets any of
+them in one ``replace``.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
 * ``se``           -- squared exponential, ``h^2 * exp(-r2)``
@@ -177,11 +177,12 @@ class KernelSpec:
         self.validate()
 
     def hyperparameters(self) -> tuple[Hyperparameter, ...]:
-        """Every scalar a fit frees, in order: ``h``, ``w``, lengthscales, ``alpha``, ``sigma^2``.
+        """Every scalar a fit sets, in order: ``h``, ``w``, lengthscales, ``alpha``, ``sigma^2``.
 
-        The lengthscales start at axis 1 on a periodic spec and are none on
-        ``whitenoise``; any other field is freed unless construction cleared
-        it.  The period ``T``, like ``nu``, is a constant of the kernel.
+        The fit solves ``h`` in closed form and frees the rest.  The
+        lengthscales start at axis 1 on a periodic spec and are none on
+        ``whitenoise``; any other field is listed unless construction
+        cleared it.  The period ``T``, like ``nu``, is a constant of the kernel.
         """
 
         def read(*names):
@@ -441,21 +442,21 @@ def with_hyperparameters(spec: KernelSpec, params, values) -> KernelSpec:
     return replace(spec, lengthscales=tuple(lengthscales), **changes)
 
 
-def _phases(t: np.ndarray, period: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """``T`` and the ``sin`` and ``cos`` of ``pi*t/T`` on the time values ``t``."""
+def _phases(t: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``sin`` and ``cos`` of ``pi*t/T`` on the time values ``t``."""
     t = t * (np.pi / period)
-    return period, np.sin(t), np.cos(t)
+    return np.sin(t), np.cos(t)
 
 
 class GramEvaluator:
     """Main-kernel block ``K_main(A, B)`` and its log-hyperparameter derivatives.
 
     It keeps the block's input geometry -- the per-axis distances
-    ``|x_d - x'_d|`` and the periodic chord ``2|sin(pi*dt/T)|``, computed on
-    first use, the chord rebuilt only when T changes -- ``K`` and one scratch
-    buffer.  :meth:`gram` writes ``K_main`` into ``K`` (``out``, when given)
-    and :meth:`log_derivative` writes ``d log K_main / d log theta``, for one
-    shape hyperparameter of the spec it is given, into the scratch, so
+    ``|x_d - x'_d|`` and the periodic chord ``2|sin(pi*dt/T)|``, the chord
+    rebuilt only when T changes -- ``K`` and one scratch buffer; all but
+    ``K`` are allocated on first use.  :meth:`gram` writes ``K_main`` into
+    ``K`` (``out``, when given), and :meth:`log_derivative` writes one shape
+    hyperparameter's ``d log K_main / d log theta`` into the scratch, so
     ``dK_main / d log theta = K_main * log_derivative``.  Each distance
     variable is rebuilt from the geometry where it is read, so no derivative
     depends on which blocks or Grams were asked for before it.
@@ -463,9 +464,9 @@ class GramEvaluator:
     ``same_samples`` marks A and B as the same ordered sample list, A
     starting ``row_offset`` samples in, which is what lets the index-keyed
     ``whitenoise`` family contribute its diagonal.  ``b_phases``, when given,
-    is ``(T, sin, cos)`` of B's time column at period T, from a caller that
-    evaluates a larger block in row blocks against the same B; the chord
-    computes the phases of A's own rows.
+    is ``(sin, cos)`` of B's time column at the period of the spec asked
+    for, from a caller that evaluates a larger block in row blocks against
+    the same B; the chord computes the phases of A's own rows.
     """
 
     def __init__(
@@ -475,16 +476,18 @@ class GramEvaluator:
         self.same_samples = same_samples
         self.row_offset = row_offset
         self.K = np.empty((A.shape[0], B.shape[0])) if out is None else out
-        self._buffers: dict[str, np.ndarray] = {}
         self._absdiff: dict[int, np.ndarray] = {}
         self._b_phases = b_phases
+        self._chord: np.ndarray | None = None
         self._chord_period: float | None = None
+        self._scratch: np.ndarray | None = None
 
-    def _buffer(self, name: str) -> np.ndarray:
-        buf = self._buffers.get(name)
-        if buf is None:
-            buf = self._buffers[name] = np.empty(self.K.shape)
-        return buf
+    @property
+    def scratch(self) -> np.ndarray:
+        """The one scratch buffer, allocated on first use."""
+        if self._scratch is None:
+            self._scratch = np.empty(self.K.shape)
+        return self._scratch
 
     # -- geometry ---------------------------------------------------------
 
@@ -502,11 +505,12 @@ class GramEvaluator:
         Expanded as ``sin(a)cos(b) - cos(a)sin(b)`` so that only 2(n + m)
         trigonometric values are evaluated, not n*m.
         """
-        u = self._buffer("chord")
+        if self._chord is None:
+            self._chord = np.empty(self.K.shape)
+        u = self._chord
         if self._chord_period != period:
-            _, sin_a, cos_a = _phases(self.A[:, 0:1], period)
-            b = self._b_phases
-            _, sin_b, cos_b = b if b is not None and b[0] == period else _phases(self.B[:, 0], period)
+            sin_a, cos_a = _phases(self.A[:, 0:1], period)
+            sin_b, cos_b = self._b_phases if self._b_phases is not None else _phases(self.B[:, 0], period)
             np.multiply(sin_a, cos_b, out=u)
             u -= cos_a * sin_b
             np.abs(u, out=u)
@@ -559,57 +563,41 @@ class GramEvaluator:
             # it, so that k(x, x) = h^2 exactly; the first variable is built in K
             np.negative(first(spec, K), out=K)
             for variable in rest:
-                K -= variable(spec, self._buffer("scratch"))
+                K -= variable(spec, self.scratch)
             np.exp(K, out=K)
             K *= h2
         else:
             K.fill(h2)
             for variable in (first, *rest):
-                K *= _shape_value(spec, variable(spec, self._buffer("scratch")))
+                K *= _shape_value(spec, variable(spec, self.scratch))
         return K
 
     def log_derivative(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
         """``d log K_main / d log value`` of the shape hyperparameter ``param`` at ``spec``."""
-        scratch = self._buffer("scratch")
+        scratch = self.scratch
         if param.field == "alpha":
             # the rq factors' terms, summed, each variable rebuilt into the scratch in turn
             return sum(_shape_dlog_alpha(spec.alpha, variable(spec, scratch)) for variable in self._variables(spec))
         # the variable that param scales; x becomes dx/dlog value in place once d log shape / dx is taken
-        variable = self._stationary_variable if param.field == "lengthscales" else self._warp_variable
-        x = variable(spec, scratch)
+        lengthscale = param.field == "lengthscales"
+        x = (self._stationary_variable if lengthscale else self._warp_variable)(spec, scratch)
         dlog = _shape_dlog(spec, x)
-        g = _DX_DLOG[param.field](self, spec, param, x)
+        power = _distance_power(spec)
+        if not lengthscale or self.A.shape[1] - (spec.family == PERIODIC) == 1:
+            # x scales as w^-power, as a single stationary axis's x does as ls^-power
+            g = np.multiply(x, -power, out=x)
+        else:
+            # dx/dlog ls_d = -2 q_d (se/rq) or -q_d / x (matern), q_d = (dx_d / ls_d)^2;
+            # q_d is 0 wherever x is; only a matern's -q_d / x reads x, so only its q_d takes a new array
+            g = np.divide(self.absdiff(param.index), spec.lengthscales[param.index], out=x if power == 2 else None)
+            g *= g
+            if power == 2:
+                g *= -2.0
+            else:
+                np.divide(g, x, out=g, where=x > 0)
+                np.negative(g, out=g)
         g *= dlog
         return g
-
-    def _dx_roughness(self, spec: KernelSpec, param: Hyperparameter, x: np.ndarray) -> np.ndarray:
-        # x scales as w^-power, as a single stationary axis's x does as ls^-power
-        x *= -_distance_power(spec)
-        return x
-
-    def _dx_lengthscale(self, spec: KernelSpec, param: Hyperparameter, x: np.ndarray) -> np.ndarray:
-        if self.A.shape[1] - (spec.family == PERIODIC) == 1:
-            return self._dx_roughness(spec, param, x)
-        power = _distance_power(spec)
-        # dx/dlog ls_d = -2 q_d (se/rq) or -q_d / x (matern), q_d = (dx_d / ls_d)^2;
-        # q_d is 0 wherever x is; only a matern's -q_d / x reads x, so only its q_d takes a new array
-        g = np.divide(self.absdiff(param.index), spec.lengthscales[param.index], out=x if power == 2 else None)
-        g *= g
-        if power == 2:
-            g *= -2.0
-        else:
-            np.divide(g, x, out=g, where=x > 0)
-            np.negative(g, out=g)
-        return g
-
-
-# shape hyperparameter field -> dx / d log value of the distance variable x it
-# scales, in x's buffer; the amplitude's block is 2 everywhere, and pvgp.gp
-# takes it and the noise's in closed form
-_DX_DLOG = {
-    "roughness": GramEvaluator._dx_roughness,
-    "lengthscales": GramEvaluator._dx_lengthscale,
-}
 
 
 def main_matrix(
@@ -645,13 +633,13 @@ def main_matrix(
         raise ValueError(f"upper needs a square block, got {shape}")
     K = np.empty(shape) if out is None else out
     # the chord's sin/cos of B's time column once for the whole block, not once per row block
-    T, sin_b, cos_b = _phases(B[:, 0], spec.period) if spec.family == PERIODIC else (None, None, None)
+    sin_b, cos_b = _phases(B[:, 0], spec.period) if spec.family == PERIODIC else (None, None)
     rows = max(1, _BLOCK_ELEMENTS // max(B.shape[0], 1))
     for start in range(0, A.shape[0], rows):
         stop = start + rows
         first = start if upper else 0
         block = K[start:stop, first:]
-        b_phases = None if T is None else (T, sin_b[first:], cos_b[first:])
+        b_phases = None if sin_b is None else (sin_b[first:], cos_b[first:])
         GramEvaluator(
             A[start:stop], B[first:], same_samples, row_offset=start - first, out=block, b_phases=b_phases
         ).gram(spec)

@@ -605,6 +605,23 @@ def test_report_names_bad_row_config_keys(tmp_path, capsys):
         assert err.startswith("error:") and key in err and ("unknown" if key == "'wibble'" else "missing") in err
 
 
+def test_report_names_a_non_integer_row_config_field(tmp_path, capsys):
+    config = ex.ExperimentConfig(
+        training_days=1, patch_px=6, kernel=ex.default_kernel(), horizon_steps=48, cloud_mode="given",
+        forecast_start=408, system_ids=(1,),
+    )
+    payload = json.loads(ex.ExperimentReport([ex.ReportRow(config, {1: 10.0}, {})], [(0, 1, 0, 10.0)], seed=0).to_json())
+    for key, value in (("training_days", True), ("patch_px", 6.0), ("refit", 1)):
+        broken = copy.deepcopy(payload)
+        broken["rows"][0]["config"][key] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report document: row 0:") and f"{key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_names_missing_top_level_keys(tmp_path, capsys):
     cases = [({"seed": 0, "samples": []}, "['rows']"), ({}, "['rows', 'samples', 'seed']"), ([], "a JSON object")]
     # a malformed row or sample is named by its index and the missing key or wrong shape

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import inspect
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -118,9 +119,25 @@ def test_config_rejects_a_repeated_system_id():
         make_config(system_ids=(1, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("training_days", 2.0), ("training_days", True), ("patch_px", 6.0), ("horizon_steps", 48.0),
+     ("forecast_start", 864.5), ("forecast_start", True), ("test_days", 2.5), ("test_days", True),
+     ("training_stride", 2.0), ("training_stride", True), ("system_ids", (1.9,)), ("system_ids", (2, True)),
+     ("refit", 1), ("refit", "no")],
+)
+def test_config_rejects_a_non_integer_or_bool_field_naming_it(field, value):
+    # a float or bool passed the range checks and surfaced later as a mislabelled row or a TypeError
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        make_config(**{field: value})
+
+
 def test_config_json_round_trip():
     cfg = make_config(test_days=3, training_stride=2, refit=False)
     assert ExperimentConfig.from_jsonable(cfg.to_jsonable()) == cfg
+    # numpy integers are kept as ints, so the config still writes as JSON
+    cfg = make_config(training_days=np.int64(2), system_ids=(np.int32(3),))
+    assert ExperimentConfig.from_jsonable(json.loads(json.dumps(cfg.to_jsonable()))) == cfg
 
 
 # -- forecasts ------------------------------------------------------------------------

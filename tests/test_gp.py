@@ -611,22 +611,25 @@ def test_lml_gradient_matches_full_weight_matrix_oracle():
 def test_lml_gradient_holds_at_most_five_grams_between_evaluations():
     # K^-1's buffer carries the trace weights; the rest is the evaluator's
     # Gram, its geometry (one |dx| and the chord) and its one scratch buffer,
-    # where each distance variable is rebuilt
+    # where each distance variable is rebuilt; on the plain parameter list and
+    # on the concentrated one that the fit runs, without the amplitude
     n = 1000
     rng = np.random.default_rng(46)
     X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
     train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
     spec = kernels.parse("periodic(matern12; h=85.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=400.0)")
-    tracemalloc.start()
-    try:
-        gradient = gp.LmlGradient(train, spec.hyperparameters())
-        for h in (85.0, 90.0):
-            gp.log_marginal_likelihood(train, replace(spec, amplitude=h), gradient)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held <= 5.05 * 8 * n * n
-    assert peak <= 5.2 * 8 * n * n
+    for concentrated, params in ((False, spec.hyperparameters()), (True, gp._free_parameters(train, spec)[0])):
+        tracemalloc.start()
+        try:
+            gradient = gp.LmlGradient(train, params)
+            for h in (85.0, 90.0):
+                gp.log_marginal_likelihood(train, replace(spec, amplitude=h), gradient)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gradient.concentrated == concentrated
+        assert held <= 5.05 * 8 * n * n, params
+        assert peak <= 5.2 * 8 * n * n, params
 
 
 def test_fd_gradient_agrees_with_higher_order_stencil():
