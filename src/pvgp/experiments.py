@@ -163,6 +163,8 @@ class ExperimentConfig:
         for name in ("training_days", "test_days", "training_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.forecast_start < 0:
+            raise ValueError(f"forecast_start must be >= 0, got {self.forecast_start}")
         if not self.system_ids:
             raise ValueError("system_ids must be nonempty")
         repeated = [s for s in self.system_ids if self.system_ids.count(s) > 1]

@@ -464,9 +464,10 @@ class GramEvaluator:
     ``same_samples`` marks A and B as the same ordered sample list, A
     starting ``row_offset`` samples in, which is what lets the index-keyed
     ``whitenoise`` family contribute its diagonal.  ``b_phases``, when given,
-    is ``(sin, cos)`` of B's time column at the period of the spec asked
-    for, from a caller that evaluates a larger block in row blocks against
-    the same B; the chord computes the phases of A's own rows.
+    is ``(T, sin, cos)``: the period and ``_phases`` of B's time column at
+    it, from a caller that evaluates a larger block in row blocks against
+    the same B.  The chord uses them at that T only and computes B's phases
+    itself at any other; it always computes the phases of A's own rows.
     """
 
     def __init__(
@@ -510,7 +511,10 @@ class GramEvaluator:
         u = self._chord
         if self._chord_period != period:
             sin_a, cos_a = _phases(self.A[:, 0:1], period)
-            sin_b, cos_b = self._b_phases if self._b_phases is not None else _phases(self.B[:, 0], period)
+            if self._b_phases is not None and self._b_phases[0] == period:
+                _, sin_b, cos_b = self._b_phases
+            else:
+                sin_b, cos_b = _phases(self.B[:, 0], period)
             np.multiply(sin_a, cos_b, out=u)
             u -= cos_a * sin_b
             np.abs(u, out=u)
@@ -639,7 +643,7 @@ def main_matrix(
         stop = start + rows
         first = start if upper else 0
         block = K[start:stop, first:]
-        b_phases = None if sin_b is None else (sin_b[first:], cos_b[first:])
+        b_phases = None if sin_b is None else (spec.period, sin_b[first:], cos_b[first:])
         GramEvaluator(
             A[start:stop], B[first:], same_samples, row_offset=start - first, out=block, b_phases=b_phases
         ).gram(spec)

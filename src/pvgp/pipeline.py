@@ -9,8 +9,12 @@ patch above the system from every joined frame.
 File formats
 ------------
 * Metadata CSV, header ``system_id,latitude,longitude,capacity_w``.
-* Power CSV, header ``timestamp_utc,system_id,power_w`` with ISO-8601 UTC
-  timestamps on 5-minute boundaries.
+* Power CSV, header ``timestamp_utc,system_id,power_w``, timestamps on
+  5-minute boundaries.  A timestamp is any ISO 8601 form
+  ``datetime.fromisoformat`` reads once stripped and with each ``Z`` read
+  as ``+00:00``; an offset is converted to UTC, and a stamp without one is
+  read as UTC.  The writer's ``YYYY-MM-DDTHH:MM:SSZ`` is the form
+  converted in array operations; any other is parsed one row at a time.
 * HRV raster stack, binary: magic ``HRV1``, little-endian header
   (origin_easting f64, origin_northing f64, pixel_size f64, width u32,
   height u32, frame_count u32), then per frame an i64 of POSIX epoch
@@ -45,7 +49,6 @@ from .geotime import (
     TransverseMercator,
     BRITISH_NATIONAL_GRID,
     solar_elevation_deg,
-    timestamp_to_index,
 )
 
 __all__ = [
@@ -232,9 +235,50 @@ class FilterResult:
     removed: list[Removal]
 
 
+_POSIX0 = dt.datetime(1970, 1, 1, tzinfo=UTC)
+_DAY_US = 86_400_000_000
+_MICROSECOND = dt.timedelta(microseconds=1)
+_STEP_US = geotime.STEP_SECONDS * 1_000_000
+_CHUNK_ROWS = 4096  # rows whose strings are alive at once
+# the writer's stamp YYYY-MM-DDTHH:MM:SSZ, each digit written as 0, and its largest
+# character less that of the form: 9 at a digit, 0 at a separator
+_STAMP_FORM = "0000-00-00T00:00:00Z"
+_STAMP_ZERO = np.array([[ord(c)] for c in _STAMP_FORM], dtype=np.uint32)
+_STAMP_MAX = np.array([[9 * (c == "0")] for c in _STAMP_FORM], dtype=np.uint32)
+
+
 def _parse_timestamp(text: str) -> dt.datetime:
     t = dt.datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     return t.replace(tzinfo=UTC) if t.tzinfo is None else t.astimezone(UTC)
+
+
+def _writer_stamps_us(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """POSIX microseconds of the stamps in the writer's ``YYYY-MM-DDTHH:MM:SSZ`` form.
+
+    Returns the microseconds and a mask of the stamps read; a stamp in any
+    other form, or naming a date or time that does not exist, is left for
+    :func:`_parse_timestamp`.
+    """
+    n = len(stamps)
+    # one row per character of the form, one column per stamp; below "0" wraps to a large uint32
+    chars = (np.array(stamps, dtype="<U20").view(np.uint32).reshape(n, 20).T - _STAMP_ZERO).copy()
+    read = (np.fromiter(map(len, stamps), dtype=np.int64, count=n) == 20) & (chars <= _STAMP_MAX).all(axis=0)
+    chars[:, ~read] = 0
+
+    def field(first: int, stop: int) -> np.ndarray:
+        value = chars[first].astype(np.int64)
+        for k in range(first + 1, stop):
+            value = value * 10 + chars[k]
+        return value
+
+    year, month, day = field(0, 4), field(5, 7), field(8, 10)
+    hour, minute, second = field(11, 13), field(14, 16), field(17, 19)
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]").astype(np.int64)
+    month_days = (months + 1).astype("datetime64[D]").astype(np.int64) - days
+    read &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    read &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    return ((days + day - 1) * 86400 + hour * 3600 + minute * 60 + second) * 1_000_000, read
 
 
 def load_metadata(path, projection: TransverseMercator = BRITISH_NATIONAL_GRID) -> MetadataLoad:
@@ -284,48 +328,136 @@ def load_power(path) -> PowerData:
     land on multiples of 288.  Misaligned or malformed rows, a short one
     included, are skipped and recorded with their file line number.  So is
     a reading for a system and step already read, naming the line that
-    kept it: the first well-formed row in file order wins.
+    kept it: the first well-formed row in file order wins.  ``skipped``
+    lists the malformed rows, then the misaligned ones, each in file order,
+    then each system's repeated readings by step.
+
+    Rows are converted a chunk at a time, the writer's stamps in one array
+    pass (:func:`_writer_stamps_us`) and any other stamp one at a time.
     """
     path = Path(path)
-    rows: list[tuple[int, dt.datetime, int, float]] = []  # (file line, time, system, watts)
+    chunks = []  # per chunk: file lines, POSIX microseconds, system codes, watts of the rows read
     skipped: list[tuple[int, str]] = []
+    systems: dict[int, int] = {}  # system id -> code, in order of first sight
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
+        reader = csv.reader(fh)
+        header = next(reader, None)
         required = {"timestamp_utc", "system_id", "power_w"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        if header is None or not required <= set(header):
             raise ValueError(f"{path}: power header must contain {sorted(required)}")
-        for row in reader:
-            lineno = reader.line_num
-            try:
-                when = _parse_timestamp(row["timestamp_utc"])
-                rows.append((lineno, when, int(row["system_id"]), float(row["power_w"])))
-            except (ValueError, KeyError) as exc:
-                skipped.append((lineno, str(exc)))
-    if not rows:
+        column = {name: k for k, name in enumerate(header)}  # a repeated name keeps its last column, as csv.DictReader does
+        columns = [column["timestamp_utc"], column["system_id"], column["power_w"]]
+        for lines, rows in _row_chunks(reader, max(columns) + 1):
+            chunks.append(_parse_rows(lines, *([row[k] for row in rows] for k in columns), systems, skipped))
+    parts = [np.concatenate(part) for part in zip(*chunks)]
+    if not parts or not parts[0].size:
         raise EmptyDatasetError(f"{path}: no parseable power rows")
-    epoch = min(r[1] for r in rows).replace(hour=0, minute=0, second=0, microsecond=0)
+    line, us, code, watts = parts
+    epoch_us = int(us.min()) // _DAY_US * _DAY_US
+    epoch = _POSIX0 + dt.timedelta(microseconds=epoch_us)
+    offset = us - epoch_us
+    aligned = offset % _STEP_US == 0
+    for k in np.flatnonzero(~aligned).tolist():
+        when = _POSIX0 + dt.timedelta(microseconds=int(us[k]))
+        skipped.append((int(line[k]), f"{when.isoformat()} is not on a 5-minute boundary relative to {epoch.isoformat()}"))
+    idx, line, code, watts = offset[aligned] // _STEP_US, line[aligned], code[aligned], watts[aligned]
 
-    per_system: dict[int, list[tuple[int, int, float]]] = {}  # system -> (index, file line, watts)
-    for lineno, when, system_id, power in rows:
-        try:
-            idx = timestamp_to_index(when, epoch)
-        except AlignmentError as exc:
-            skipped.append((lineno, str(exc)))
-            continue
-        per_system.setdefault(system_id, []).append((idx, lineno, power))
-
+    # systems in order of their first aligned row; within one, by index, a stable sort keeping file order
+    present, first_row = np.unique(code, return_index=True)
+    order = np.lexsort((idx, code))
+    idx, line, code, watts = idx[order], line[order], code[order], watts[order]
+    system_ids = list(systems)
     series = {}
-    for system_id, readings in per_system.items():
-        readings.sort()  # by index, then by file line: the first reading of a step leads its run
-        idx = np.array([r[0] for r in readings], dtype=np.int64)
-        first = np.concatenate([[True], np.diff(idx) > 0])
-        for k in np.flatnonzero(~first):
-            kept = readings[np.searchsorted(idx, idx[k])][1]
-            when = geotime.index_to_iso(int(idx[k]), epoch)
-            skipped.append((readings[k][1], f"duplicate reading for system {system_id} at {when} (first on line {kept})"))
-        watts = np.array([r[2] for r in readings], dtype=float)
-        series[system_id] = (idx[first], watts[first])
+    for c in present[np.argsort(first_row)].tolist():
+        lo, hi = np.searchsorted(code, [c, c + 1])
+        system_id, steps, step_lines = system_ids[c], idx[lo:hi], line[lo:hi]
+        first = np.concatenate([[True], np.diff(steps) > 0])
+        for k in np.flatnonzero(~first).tolist():
+            kept = step_lines[np.searchsorted(steps, steps[k])]
+            when = geotime.index_to_iso(int(steps[k]), epoch)
+            skipped.append((int(step_lines[k]), f"duplicate reading for system {system_id} at {when} (first on line {kept})"))
+        series[system_id] = (steps[first], watts[lo:hi][first])
     return PowerData(epoch_utc=epoch, series=series, skipped=skipped)
+
+
+def _row_chunks(reader, width: int):
+    """``(file lines, rows)`` of the reader's non-blank rows, ``_CHUNK_ROWS`` at a time.
+
+    A row's line is the file line it ends on, blank lines counted; a short
+    row is padded with ``""`` to ``width`` fields.  Rows read before a line
+    the reader cannot read are yielded before its error, so an earlier row
+    that raises raises first, as it would read one row at a time.
+    """
+    lines, rows = [], []
+    try:
+        for row in reader:
+            if not row:
+                continue
+            lines.append(reader.line_num)
+            rows.append(row if len(row) >= width else row + [""] * (width - len(row)))
+            if len(rows) == _CHUNK_ROWS:
+                yield lines, rows
+                lines, rows = [], []
+    except (csv.Error, UnicodeDecodeError):
+        if rows:
+            yield lines, rows
+        raise
+    if rows:
+        yield lines, rows
+
+
+def _parse_rows(lines, stamps, ids, watts, systems: dict[int, int], skipped: list) -> tuple[np.ndarray, ...]:
+    """File lines, POSIX microseconds, system codes and watts of one chunk's well-formed rows.
+
+    A malformed row is appended to ``skipped`` with the error of its first
+    bad field in the order stamp, id, watts; ``systems`` gives each new
+    system id the next code.
+    """
+    us, read = _writer_stamps_us(stamps)
+    stamp_errors = {}
+    for k in np.flatnonzero(~read).tolist():
+        try:
+            us[k] = (_parse_timestamp(stamps[k]) - _POSIX0) // _MICROSECOND
+        except ValueError as exc:
+            stamp_errors[k] = str(exc)
+    code, id_errors = _system_codes(ids, systems)
+    watts, watt_errors = _floats(watts)
+    errors = watt_errors | id_errors | stamp_errors
+    for k in sorted(errors):
+        skipped.append((lines[k], errors[k]))
+    ok = np.ones(len(lines), dtype=bool)
+    ok[list(errors)] = False
+    return np.array(lines, dtype=np.int64)[ok], us[ok], code[ok], watts[ok]
+
+
+def _system_codes(texts, systems: dict[int, int]) -> tuple[np.ndarray, dict[int, str]]:
+    """Each text's system code, -1 where ``int`` fails, and the failures' messages by position.
+
+    A chunk names few systems, so each distinct text is parsed once.
+    """
+    code_of, errors_of = {}, {}
+    for text in dict.fromkeys(texts):
+        try:
+            code_of[text] = systems.setdefault(int(text), len(systems))
+        except ValueError as exc:
+            code_of[text], errors_of[text] = -1, str(exc)
+    code = np.fromiter(map(code_of.__getitem__, texts), dtype=np.int64, count=len(texts))
+    return code, {k: errors_of[texts[k]] for k in np.flatnonzero(code < 0).tolist()}
+
+
+def _floats(texts) -> tuple[np.ndarray, dict[int, str]]:
+    """``float`` of each text, 0 where it fails, and the failures' messages by position."""
+    try:
+        return np.fromiter(map(float, texts), dtype=float, count=len(texts)), {}
+    except ValueError:
+        pass
+    values, errors = np.zeros(len(texts)), {}
+    for k, text in enumerate(texts):
+        try:
+            values[k] = float(text)
+        except ValueError as exc:
+            errors[k] = str(exc)
+    return values, errors
 
 
 def filter_systems(

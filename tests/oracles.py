@@ -5,15 +5,19 @@ loops, explicit inverses, brute-force summation) and kept free of the
 code paths it is meant to verify.
 """
 
+import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
+from pvgp import geotime
 from pvgp.gp import build_covariance
 from pvgp.kernels import PERIODIC, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, WHITE_NOISE, GramEvaluator
+from pvgp.pipeline import EmptyDatasetError, PowerData, _parse_timestamp
 
 # the library's documented jitter floor, shared so oracles factor the same matrix
 JITTER0 = 1e-10
@@ -227,6 +231,54 @@ def assemble_per_row(system, power, stack, patch_px, window, sensor_max=1023.0):
         hrv.append(min(1.0, max(0.0, mean / sensor_max)))
         pw.append(p)
     return np.array(times, dtype=np.int64), np.array(hrv), np.array(pw), gaps
+
+
+def load_power_per_row(path):
+    """The per-row power CSV reader: one ``csv.DictReader`` row, parsed stamp and index at a time.
+
+    Returns what ``load_power`` returns, ``skipped`` in the same order:
+    malformed rows, then misaligned rows, then each system's repeats.
+    """
+    path = Path(path)
+    rows = []  # (file line, time, system, watts)
+    skipped = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")
+        required = {"timestamp_utc", "system_id", "power_w"}
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            raise ValueError(f"{path}: power header must contain {sorted(required)}")
+        for row in reader:
+            lineno = reader.line_num
+            try:
+                when = _parse_timestamp(row["timestamp_utc"])
+                rows.append((lineno, when, int(row["system_id"]), float(row["power_w"])))
+            except (ValueError, KeyError) as exc:
+                skipped.append((lineno, str(exc)))
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no parseable power rows")
+    epoch = min(r[1] for r in rows).replace(hour=0, minute=0, second=0, microsecond=0)
+
+    per_system = {}  # system -> [(index, file line, watts)]
+    for lineno, when, system_id, power in rows:
+        try:
+            idx = geotime.timestamp_to_index(when, epoch)
+        except geotime.AlignmentError as exc:
+            skipped.append((lineno, str(exc)))
+            continue
+        per_system.setdefault(system_id, []).append((idx, lineno, power))
+
+    series = {}
+    for system_id, readings in per_system.items():
+        readings.sort()  # by index, then by file line: the first reading of a step leads its run
+        idx = np.array([r[0] for r in readings], dtype=np.int64)
+        first = np.concatenate([[True], np.diff(idx) > 0])
+        for k in np.flatnonzero(~first):
+            kept = readings[np.searchsorted(idx, idx[k])][1]
+            when = geotime.index_to_iso(int(idx[k]), epoch)
+            skipped.append((readings[k][1], f"duplicate reading for system {system_id} at {when} (first on line {kept})"))
+        watts = np.array([r[2] for r in readings], dtype=float)
+        series[system_id] = (idx[first], watts[first])
+    return PowerData(epoch_utc=epoch, series=series, skipped=skipped)
 
 
 def solar_elevation_psa(lat_deg, lon_deg, when):

@@ -622,6 +622,21 @@ def test_report_names_a_non_integer_row_config_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_report_names_a_negative_row_forecast_start(tmp_path, capsys):
+    config = ex.ExperimentConfig(
+        training_days=1, patch_px=6, kernel=ex.default_kernel(), horizon_steps=48, cloud_mode="given",
+        forecast_start=408, system_ids=(1,),
+    )
+    payload = json.loads(ex.ExperimentReport([ex.ReportRow(config, {1: 10.0}, {})], [(0, 1, 0, 10.0)], seed=0).to_json())
+    payload["rows"][0]["config"]["forecast_start"] = -5
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report document: row 0:") and "forecast_start must be >= 0, got -5" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_names_missing_top_level_keys(tmp_path, capsys):
     cases = [({"seed": 0, "samples": []}, "['rows']"), ({}, "['rows', 'samples', 'seed']"), ([], "a JSON object")]
     # a malformed row or sample is named by its index and the missing key or wrong shape

@@ -119,6 +119,13 @@ def test_config_rejects_a_repeated_system_id():
         make_config(system_ids=(1, 2, 2))
 
 
+def test_config_rejects_a_negative_forecast_start_naming_it():
+    # it used to construct and fail later naming the training window, not the field
+    with pytest.raises(ValueError, match=r"^forecast_start must be >= 0, got -5$"):
+        make_config(forecast_start=-5)
+    assert make_config(forecast_start=0).forecast_start == 0
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("training_days", 2.0), ("training_days", True), ("patch_px", 6.0), ("horizon_steps", 48.0),

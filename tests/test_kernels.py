@@ -370,6 +370,16 @@ def test_main_matrix_cross_row_blocks_match_one_periodic_block():
         assert np.array_equal(kernels.main_matrix(spec, A, B), whole), spec.to_text()
 
 
+def test_gram_evaluator_uses_handed_b_phases_only_at_their_period():
+    # phases of B taken at T=288 serve a T=288 spec; at any other T the chord computes its own
+    rng = np.random.default_rng(17)
+    X = np.column_stack([np.sort(rng.uniform(0, 60, 10)), rng.uniform(0, 1, 10)])
+    for period in (288.0, 23.3):
+        spec = KernelSpec(PERIODIC, amplitude=1.0, lengthscales=(1.0, 0.7), roughness=0.8, period=period, base=MATERN, nu=0.5)
+        ev = kernels.GramEvaluator(X, X, b_phases=(288.0, *kernels._phases(X[:, 0], 288.0)))
+        assert np.array_equal(ev.gram(spec), kernels.main_matrix(spec, X, X)), period
+
+
 def test_hyperparameters_name_every_scalar_a_fit_frees():
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.3)]
     bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]

@@ -1,6 +1,7 @@
 """Ingestion, filtering, patch averaging, and assembly."""
 
 import datetime as dt
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pvgp.pipeline import (
     write_hrv,
 )
 
-from oracles import assemble_per_row, patch_mean_oracle
+from oracles import assemble_per_row, load_power_per_row, patch_mean_oracle
 
 UTC = dt.timezone.utc
 EPOCH = dt.datetime(2021, 6, 1, tzinfo=UTC)
@@ -176,6 +177,135 @@ def test_csv_readers_count_blank_lines_in_line_numbers(tmp_path):
     load = load_metadata(meta)
     assert [line for line, _ in load.skipped] == [4]
     assert [s.provenance for s in load.systems] == ["meta.csv:2", "meta.csv:5"]
+
+
+def assert_loads_like_the_per_row_reader(path):
+    """``load_power`` returns or raises exactly what the per-row oracle does."""
+    try:
+        want = load_power_per_row(path)
+    except Exception as exc:  # compared below: the same type and text
+        want = exc
+    try:
+        got = load_power(path)
+    except Exception as exc:
+        got = exc
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert isinstance(got, PowerData), got
+    assert (got.epoch_utc, got.epoch_utc.tzinfo) == (want.epoch_utc, want.epoch_utc.tzinfo)
+    assert list(got.series) == list(want.series)
+    assert {type(k) for k in got.series} <= {int}
+    for system_id, (idx, watts) in want.series.items():
+        got_idx, got_watts = got.series[system_id]
+        assert (got_idx.dtype, got_watts.dtype) == (idx.dtype, watts.dtype)
+        np.testing.assert_array_equal(got_idx, idx)
+        np.testing.assert_array_equal(got_watts, watts)
+    assert got.skipped == want.skipped
+    assert {type(line) for line, _ in got.skipped} <= {int}
+
+
+HEADER = "timestamp_utc,system_id,power_w\n"
+GRID_ROWS = "".join(f"2024-02-{28 + k // 288:02d}T{k % 288 // 12:02d}:{k % 12 * 5:02d}:00Z,{1 + k % 3},{k}.5\n" for k in range(600))
+EDGE_FILES = {
+    "empty": "",
+    "blank header": "\n" + HEADER + "2021-06-01T00:00:00Z,1,1\n",
+    "header only": HEADER,
+    "missing column": "timestamp_utc,system_id\n2021-06-01T00:00:00Z,1\n",
+    "every row bad": HEADER + "x,1,1\n2021-06-01T00:00:00Z,y,1\n2021-06-01T00:00:00Z,1,z\n",
+    "every row misaligned": HEADER + "2021-06-01T00:03:00Z,1,1\n2021-06-01T00:09:00Z,2,1\n2021-06-01T01:00:00.5Z,1,1\n",
+    "reordered, extra and repeated columns": "power_w,note,system_id,timestamp_utc,system_id\n"
+    "5,a,9,2021-06-01T00:05:00Z,1\n6,b,1,2021-06-01T00:00:00Z,2\n7,c,1,2021-06-01T00:00:00Z\n",
+    "short and long rows": HEADER + "2021-06-01T00:00:00Z\n2021-06-01T00:00:00Z,1\n2021-06-01T00:05:00Z,1,3,extra,more\n",
+    "quoted fields and a field over two lines": HEADER + '"2021-06-01T00:00:00Z","1","2.5"\n'
+    '"2021-06-01T00:05:00Z",1,"3\n4"\n2021-06-01T00:10:00Z,1,4\n',
+    "blank lines": HEADER + "\n\n2021-06-01T00:00:00Z,1,1\n\n2021-06-01T00:02:00Z,1,1\n\n",
+    "offsets, naive, fractional and whitespace": HEADER + "2021-06-01T01:00:00+01:00,1,1\n2021-05-31T21:30:00-02:30,1,2\n"
+    "2021-06-01T00:10:00,1,3\n 2021-06-01T00:15:00Z ,1,4\n2021-06-01T00:20:00.000000Z,1,5\n2021-06-01T00:25:00.5Z,1,6\n"
+    "2021-06-01 00:30:00Z,1,7\n2021-06-01T00:35Z,1,8\n20210601T004000Z,1,9\n",
+    "impossible and out-of-range stamps": HEADER + "2021-02-29T00:00:00Z,1,1\n2024-02-29T00:00:00Z,1,2\n"
+    "2021-06-01T24:00:00Z,1,3\n2021-06-31T00:00:00Z,1,4\n2021-13-01T00:00:00Z,1,5\n0000-06-01T00:00:00Z,1,6\n"
+    "2021-06-01T00:60:00Z,1,7\n2021-06-01T00:00:60Z,1,8\n1900-02-29T00:00:00Z,1,9\n2000-02-29T00:00:00Z,1,10\n"
+    "2021-06-01t00:00:00z,1,11\n2021-06-0１T00:00:00Z,1,12\n2021-06-01T00:00:00ZZ,1,13\n",
+    "before 1970 and far future": HEADER + "1969-12-31T23:55:00Z,1,1\n9999-12-31T23:55:00Z,2,2\n0001-01-01T00:00:00Z,3,3\n",
+    "a stamp past the calendar's start": HEADER + "2021-06-01T00:00:00Z,1,1\n0001-01-01T00:00:00+01:00,1,2\n",
+    # the decoder meets the bad byte past its first 8 KiB block, after the earlier row raised
+    "a stamp past the calendar's start before an undecodable line": (
+        HEADER + "0001-01-01T00:00:00+01:00,1,2\n" + GRID_ROWS[:12000]
+    ).encode() + b"\xff,1,1\n",
+    "an over-long field": HEADER + "2021-06-01T00:00:00Z,1,1\n2021-06-01T00:05:00Z,1," + "9" * 200_000 + "\n",
+    "ids and watts": HEADER + "2021-06-01T00:00:00Z, 7 ,1\n2021-06-01T00:00:00Z,+8,nan\n2021-06-01T00:00:00Z,1_0,-inf\n"
+    "2021-06-01T00:00:00Z,99999999999999999999999,1e3\n2021-06-01T00:00:00Z,1.0,1\n2021-06-01T00:00:00Z,,1\n"
+    "2021-06-01T00:00:00Z,3,\n2021-06-01T00:00:00Z,3, 4 \n2021-06-01T00:00:00Z,x,y\n",
+    "repeats across systems and chunks": HEADER + GRID_ROWS * 8 + "2024-02-28T00:03:00Z,1,1\n",
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_FILES))
+def test_load_power_matches_the_per_row_reader_on_edge_cases(tmp_path, name):
+    path = tmp_path / "power.csv"
+    content = EDGE_FILES[name]
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert_loads_like_the_per_row_reader(path)
+
+
+def random_power_csv(rng: random.Random) -> str:
+    """A power CSV mixing the writer's rows with every kind of odd row the reader meets."""
+    names = ["timestamp_utc", "system_id", "power_w"] + rng.sample(["note", "system_id", "power_w", "x"], rng.randint(0, 2))
+    rng.shuffle(names)
+    start = dt.datetime(rng.choice([2021, 2023, 2024]), rng.choice([1, 2, 6, 12]), rng.randint(1, 28), tzinfo=UTC)
+
+    def stamp():
+        t = start + dt.timedelta(minutes=5 * rng.randint(0, 3 * 288))
+        kind = rng.random()
+        if kind < 0.75:
+            return t.strftime("%Y-%m-%dT%H:%M:%SZ")
+        t += dt.timedelta(minutes=rng.choice([0, 0, 1, 3]), seconds=rng.choice([0, 0, 30]))
+        return rng.choice([
+            t.astimezone(dt.timezone(dt.timedelta(hours=1))).isoformat(),
+            t.astimezone(dt.timezone(-dt.timedelta(hours=2, minutes=30))).isoformat(),
+            t.replace(tzinfo=None).isoformat(),
+            t.strftime("%Y-%m-%dT%H:%M:%S.250Z"),
+            t.strftime("%Y-%m-%dT24:00:00Z"),
+            t.strftime("%Y-02-30T%H:%M:%SZ"),
+            t.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            f" {t:%Y-%m-%dT%H:%M:%SZ}",
+            "garbage",
+            "",
+        ])
+
+    def field(name):
+        if name == "timestamp_utc":
+            return stamp()
+        if name == "system_id":
+            return str(rng.choice([1, 1, 2, 3, 40])) if rng.random() < 0.95 else rng.choice(["x", "", " 2", "1.5"])
+        if name == "power_w":
+            return f"{rng.uniform(0, 3000):.3f}" if rng.random() < 0.93 else rng.choice(["nan", "inf", "-inf", "w", "", "1e2"])
+        return rng.choice(["", "a", "b,c"])
+
+    lines = [",".join(names)]
+    for _ in range(rng.randint(1, 150)):
+        kind = rng.random()
+        if kind < 0.03:
+            lines.append("")
+            continue
+        if kind < 0.08 and len(lines) > 1:
+            lines.append(lines[rng.randrange(1, len(lines))])  # a repeated reading
+            continue
+        row = [field(name) for name in names]
+        if kind < 0.12:
+            row = row[: rng.randrange(len(row))]
+        elif kind < 0.15:
+            row += ["extra"]
+        lines.append(",".join(f'"{v}"' if "," in v or rng.random() < 0.05 else v for v in row))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_load_power_matches_the_per_row_reader_on_random_files(tmp_path, seed):
+    path = tmp_path / "power.csv"
+    path.write_text(random_power_csv(random.Random(seed)), encoding="utf-8")
+    assert_loads_like_the_per_row_reader(path)
 
 
 # -- filtering --------------------------------------------------------------------
