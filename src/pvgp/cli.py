@@ -36,10 +36,9 @@ import numpy as np
 
 from . import experiments as ex
 from . import geotime, gp, kernels, pipeline
-from .geotime import AlignmentError, ProjectionDomainError, TransverseMercator
+from .geotime import TransverseMercator
 from .gp import ConditioningError, FitError
-from .kernels import KernelSpecError
-from .pipeline import BoundaryBox, EmptyDatasetError
+from .pipeline import BoundaryBox
 
 __all__ = ["main", "DEFAULT_CONFIG", "load_config", "read_forecast_csv"]
 
@@ -118,7 +117,7 @@ DEFAULT_CONFIG = {
 
 def _merge(defaults, user, path=""):
     if not isinstance(user, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
+        raise ConfigError(f"config section {path[:-1] or '<root>'} must be an object")
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
         name = path + key
@@ -126,9 +125,7 @@ def _merge(defaults, user, path=""):
             raise ConfigError(f"unknown config key {name!r}")
         default = defaults[key]
         example = _EXAMPLE.get(name, default)
-        if key == "projection":
-            merged[key] = {**default, **TransverseMercator.from_mapping(value).to_mapping()}
-        elif example is None or (value is None and default is None):
+        if example is None or (value is None and default is None):
             merged[key] = copy.deepcopy(value)
         elif isinstance(example, dict) and example:
             if example is not default and not (isinstance(value, dict) and value.keys() == example.keys()):
@@ -336,8 +333,10 @@ def cmd_fit(cfg: dict, args) -> int:
 
 def cmd_forecast(cfg: dict, args) -> int:
     series = _load_series(cfg, args.system)
-    start_ts = dt.datetime.fromisoformat(args.start.replace("Z", "+00:00"))
-    start = geotime.timestamp_to_index(start_ts, series.epoch_utc)
+    try:
+        start = geotime.timestamp_to_index(dt.datetime.fromisoformat(args.start.replace("Z", "+00:00")), series.epoch_utc)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"--start {args.start}: {exc}") from exc
     if start < 0:
         raise ConfigError(f"--start {args.start} is before the data's first step: forecast start index {start}")
     horizon, runner = {"48h": (ex.STEPS_48H, ex.forecast_48h), "4h": (ex.STEPS_4H, ex.forecast_4h)}[args.horizon]
@@ -484,17 +483,7 @@ _COMMANDS = {
     "report": cmd_report,
 }
 
-_USAGE_ERRORS = (
-    ConfigError,
-    FileNotFoundError,
-    EmptyDatasetError,
-    KernelSpecError,
-    AlignmentError,
-    ProjectionDomainError,
-    pipeline.CoverageError,
-    ValueError,
-    KeyError,
-)
+_USAGE_ERRORS = (ValueError, KeyError, FileNotFoundError, csv.Error)
 
 
 def main(argv=None) -> int:

@@ -49,7 +49,7 @@ import numpy as np
 from . import geotime, gp, kernels, pipeline
 from .gp import ConditioningError, FitError, TrainingSet
 from .kernels import PERIODIC, RATIONAL_QUADRATIC, KernelSpec, parse as parse_kernel
-from .pipeline import AssembledSeries, CoverageError, EmptyDatasetError, HrvRasterStack, PowerData, PvSystem
+from .pipeline import AssembledSeries, CoverageError, HrvRasterStack, PowerData, PvSystem
 
 __all__ = [
     "CLOUD_GIVEN",
@@ -541,7 +541,7 @@ def run_grid(
             for day in range(cfg.test_days):
                 result = _forecast_once(series, cfg, day, _cell_seed(seed, ci, sid, day), fit_options, covariance=False)
                 day_maes.append(result.mae)
-        except (CoverageError, EmptyDatasetError, ConditioningError, FitError, ValueError) as exc:
+        except (ValueError, ConditioningError, FitError) as exc:
             return None, f"{type(exc).__name__}: {exc}"
         return day_maes, None
 
@@ -701,6 +701,10 @@ def generate_synthetic(
     pipeline._check_sensor_max(sensor_max)
     epoch = start_utc.replace(hour=0, minute=0, second=0, microsecond=0)
     n = days * geotime.STEPS_PER_DAY
+    try:
+        geotime.index_to_timestamp(n - 1, epoch)
+    except OverflowError:
+        raise ValueError(f"days must end the bundle on or before 9999-12-31, got {days} days from {epoch.date()}") from None
     rng = np.random.default_rng(seed)
 
     seconds = epoch.timestamp() + np.arange(n, dtype=float) * geotime.STEP_SECONDS

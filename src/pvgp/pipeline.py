@@ -15,6 +15,9 @@ File formats
   as ``+00:00``; an offset is converted to UTC, and a stamp without one is
   read as UTC.  The writer's ``YYYY-MM-DDTHH:MM:SSZ`` is the form
   converted in array operations; any other is parsed one row at a time.
+  A row whose stamp, id or watts cannot be read, a stamp whose conversion
+  to UTC leaves years 1-9999 included, is skipped; a line the CSV reader
+  cannot read is an error.
 * HRV raster stack, binary: magic ``HRV1``, little-endian header
   (origin_easting f64, origin_northing f64, pixel_size f64, width u32,
   height u32, frame_count u32), then per frame an i64 of POSIX epoch
@@ -311,7 +314,7 @@ def load_metadata(path, projection: TransverseMercator = BRITISH_NATIONAL_GRID) 
                 location = GeoPoint.from_latlon(lat, lon, projection)
                 if system_id in first_line:
                     raise ValueError(f"duplicate system {system_id} (first on line {first_line[system_id]})")
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 skipped.append((lineno, str(exc)))
                 continue
             first_line[system_id] = lineno
@@ -384,24 +387,19 @@ def _row_chunks(reader, width: int):
     """``(file lines, rows)`` of the reader's non-blank rows, ``_CHUNK_ROWS`` at a time.
 
     A row's line is the file line it ends on, blank lines counted; a short
-    row is padded with ``""`` to ``width`` fields.  Rows read before a line
-    the reader cannot read are yielded before its error, so an earlier row
-    that raises raises first, as it would read one row at a time.
+    row is padded with ``""`` to ``width`` fields.  A line the reader cannot
+    read raises at once: no row's conversion raises, so no earlier row's
+    error can take precedence over it.
     """
     lines, rows = [], []
-    try:
-        for row in reader:
-            if not row:
-                continue
-            lines.append(reader.line_num)
-            rows.append(row if len(row) >= width else row + [""] * (width - len(row)))
-            if len(rows) == _CHUNK_ROWS:
-                yield lines, rows
-                lines, rows = [], []
-    except (csv.Error, UnicodeDecodeError):
-        if rows:
+    for row in reader:
+        if not row:
+            continue
+        lines.append(reader.line_num)
+        rows.append(row if len(row) >= width else row + [""] * (width - len(row)))
+        if len(rows) == _CHUNK_ROWS:
             yield lines, rows
-        raise
+            lines, rows = [], []
     if rows:
         yield lines, rows
 
@@ -418,7 +416,7 @@ def _parse_rows(lines, stamps, ids, watts, systems: dict[int, int], skipped: lis
     for k in np.flatnonzero(~read).tolist():
         try:
             us[k] = (_parse_timestamp(stamps[k]) - _POSIX0) // _MICROSECOND
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             stamp_errors[k] = str(exc)
     code, id_errors = _system_codes(ids, systems)
     watts, watt_errors = _floats(watts)

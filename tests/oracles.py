@@ -252,7 +252,7 @@ def load_power_per_row(path):
             try:
                 when = _parse_timestamp(row["timestamp_utc"])
                 rows.append((lineno, when, int(row["system_id"]), float(row["power_w"])))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, OverflowError) as exc:
                 skipped.append((lineno, str(exc)))
     if not rows:
         raise EmptyDatasetError(f"{path}: no parseable power rows")

@@ -145,7 +145,7 @@ def test_optimizer_gradient_agrees_with_stencil():
         n = int(rng.integers(6, 12))
         t = np.sort(rng.choice(np.arange(100), size=n, replace=False)).astype(float)
         if family == PERIODIC:
-            spec = replace(spec, **bases[trial % len(bases)], period=_period_clear_of_kinks(rng, t))
+            spec = replace(spec, **bases[trial % len(bases)], period=float(rng.uniform(20.0, 60.0)))
         X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
         train = TrainingSet.from_arrays(X, rng.normal(0.0, 1.0, size=n))
         params = spec.hyperparameters()
@@ -158,22 +158,6 @@ def test_optimizer_gradient_agrees_with_stencil():
         g5 = stencil_gradient(objective, np.log([p.get(spec) for p in params]))
         err = np.linalg.norm(-gradient.value - g5) / max(np.linalg.norm(g5), 1.0)
         assert err <= 1e-4, f"analytic trial {trial} ({spec.to_text()}): gradient rel err {err}"
-
-
-def _period_clear_of_kinks(rng, t):
-    """A period T such that no time difference lies near a nonzero multiple of T.
-
-    The chord ``2|sin(pi*dt/T)|`` has a kink in T wherever dt is such a
-    multiple, and a stencil straddling it measures no derivative.  T is also
-    long enough that the stencil's steps in log T move no phase pi*dt/T by
-    more than 0.03 rad, which keeps its truncation error small.
-    """
-    dt = np.abs(t[:, None] - t[None, :])
-    while True:
-        period = float(rng.uniform(20.0, 60.0))
-        k = np.round(dt / period)
-        if np.all((k == 0) | (np.abs(dt - k * period) > 0.25)):
-            return period
 
 
 @criterion(4, "hyperparameter-recovery")

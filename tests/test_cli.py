@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pvgp import cli, geotime, gp, kernels
+from pvgp import cli, geotime, gp, kernels, pipeline
 from pvgp import experiments as ex
 from pvgp.cli import main, read_forecast_csv
 
@@ -195,6 +195,32 @@ def test_ingest_of_a_csv_raster_with_a_pixel_outside_it_exits_two_naming_the_lin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["metadata.csv", "power.csv"])
+def test_an_over_long_csv_field_exits_two_before_any_output(tmp_path, capsys, name):
+    # csv.field_size_limit() is 131072 characters: the reader raises csv.Error past it
+    paths = make_bundle(tmp_path)
+    with (tmp_path / "data" / name).open("a") as fh:
+        fh.write("9" * 200_000 + ",1,1,1\n")
+    cfg = write_config(tmp_path / "i.json", paths={**paths, "output_dir": str(tmp_path / "out")})
+    assert main(["ingest", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "field limit" in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_skips_a_power_stamp_before_the_calendar(tmp_path, capsys):
+    # in UTC the stamp falls in year 0, which datetime cannot hold
+    paths = make_bundle(tmp_path)
+    power = tmp_path / "data" / "power.csv"
+    lines = power.read_text().splitlines()
+    power.write_text("\n".join(lines + ["0001-01-01T00:00:00+01:00,1,2.0"]) + "\n")
+    cfg = write_config(tmp_path / "i.json", paths={**paths, "output_dir": str(tmp_path / "out")})
+    assert main(["ingest", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert f"skipped 1 power row(s)\n  line {len(lines) + 1}: date value out of range" in out, out
+    assert (tmp_path / "out" / "assembled_1_6px.csv").exists()
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     paths = {"metadata": str(tmp_path / "nope.csv"), "power": "x", "hrv": "y", "output_dir": str(tmp_path / "out")}
     cfg = write_config(tmp_path / "c.json", paths=paths)
@@ -218,13 +244,24 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 
 def test_config_value_of_the_wrong_type_exits_two_naming_its_key(tmp_path, capsys):
     out = str(tmp_path / "out")
-    cases = [({"jobs": "2"}, "'jobs'"), ({"experiment": {"test_days": "3"}}, "'experiment.test_days'")]
+    cases = [
+        ({"jobs": "2"}, "'jobs'"),
+        ({"experiment": {"test_days": "3"}}, "'experiment.test_days'"),
+        ({"projection": 5}, "config section projection must be an object"),
+        ({"boundary": 5}, "config section boundary must be an object"),
+        ({"projection": {"central_scale": None}}, "'projection.central_scale' must be float, got NoneType"),
+        ({"projection": {"central_scale": "0.9996"}}, "'projection.central_scale' must be float, got str"),
+        ({"projection": {"foo": 1.0}}, "unknown config key 'projection.foo'"),
+    ]
     for overrides, named in cases:
         cfg = write_config(tmp_path / "c.json", paths={"output_dir": out}, **overrides)
         assert main(["experiment", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
+        assert err.startswith("error:") and named in err, err
     assert not (tmp_path / "out").exists()
+    # a section's missing keys keep their defaults, and an integer stands for a float
+    cfg = write_config(tmp_path / "c.json", projection={"origin_lon_deg": -3})
+    assert cli.load_config(cfg)["projection"] == {**DEFAULT_CONFIG["projection"], "origin_lon_deg": -3}
 
 
 def test_config_list_entry_of_the_wrong_type_exits_two_naming_its_key(tmp_path, capsys):
@@ -351,6 +388,34 @@ def test_negative_forecast_start_exits_two_naming_its_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(word in err for word in named), err
     assert not out.exists()
+
+
+def test_forecast_start_outside_the_calendar_exits_two_naming_it(tmp_path, capsys):
+    # in UTC each start leaves years 1-9999
+    paths = make_bundle(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", paths={**paths, "output_dir": str(out)})
+    for start in ("0001-01-01T00:00:00+01:00", "9999-12-31T23:55:00-01:00"):
+        assert main(["forecast", "--config", cfg, "--system", "1", "--start", start]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --start {start}:") and "out of range" in err, err
+    assert not out.exists()
+
+
+def test_synth_past_the_calendar_exits_two_naming_days_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", synth={"start_date": "9999-12-25", "days": 12})
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: days must end the bundle on or before 9999-12-31, got 12 days from 9999-12-25"), err
+    assert not out.exists()
+    # the last step, not the day after it, must be in the calendar
+    system = pipeline.PvSystem(system_id=1, location=geotime.GeoPoint.from_latlon(51.5, -0.12), capacity_w=3000.0)
+    start = dt.datetime(9999, 12, 25, tzinfo=dt.timezone.utc)
+    bundle = ex.generate_synthetic("clear-sky", 7, system, seed=0, start_utc=start)
+    assert geotime.index_to_iso(7 * 288 - 1, bundle.power.epoch_utc) == "9999-12-31T23:55:00Z"
+    with pytest.raises(ValueError, match="days must end the bundle"):
+        ex.generate_synthetic("clear-sky", 8, system, seed=0, start_utc=start)
 
 
 def test_optimize_period_config_key_exits_two_naming_it(tmp_path, capsys):
