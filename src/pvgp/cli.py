@@ -298,12 +298,17 @@ def cmd_synth(cfg: dict, args) -> int:
     projection = TransverseMercator.from_mapping(cfg["projection"])
     location = geotime.GeoPoint.from_latlon(s["latitude"], s["longitude"], projection)
     system = pipeline.PvSystem(system_id=s["system_id"], location=location, capacity_w=s["capacity_w"])
+    # a calendar date: a time or an offset would be dropped, so neither is accepted
+    try:
+        start = dt.date.fromisoformat(s["start_date"])
+    except ValueError as exc:
+        raise ConfigError(f"config key 'synth.start_date' must be a date YYYY-MM-DD, got {s['start_date']!r}") from exc
     bundle = ex.generate_synthetic(
         s["scenario"],
         s["days"],
         system,
         seed=cfg["seed"],
-        start_utc=dt.datetime.fromisoformat(s["start_date"]).replace(tzinfo=geotime.UTC),
+        start_utc=dt.datetime.combine(start, dt.time(), tzinfo=geotime.UTC),
         sensor_max=cfg["hrv"]["sensor_max"],
         **{key: s[key] for key in _SYNTH_KEYS},
     )

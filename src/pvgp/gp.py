@@ -9,7 +9,11 @@ hand and specs returned by the fitter are directly comparable.
 
 Linear algebra goes through a Cholesky factorisation of the jittered Gram
 matrix; only the likelihood gradient forms ``K^-1``, from that factor,
-because its trace terms need every entry.  Jitter starts at
+because its trace terms need every entry.  The factorisation and the
+solves call LAPACK (``dpotrf``, ``dpotrs``, ``dtrtrs``) directly: the
+factor's other triangle is left as the build wrote it, since a solve, a
+log determinant and a prior draw read one triangle only, and only the
+gradient, which reads the whole square, zeroes it.  Jitter starts at
 ``1e-10 * mean(diag)`` and escalates tenfold up to ``1e-4`` before a
 :class:`ConditioningError` is raised naming the kernel.  Noise and jitter
 are added on the diagonal only, and one n x n buffer carries each
@@ -62,9 +66,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from . import kernels
 from .kernels import KernelSpec
@@ -205,7 +208,8 @@ def _finish(block: np.ndarray, spec: KernelSpec, s2: float, noise: float) -> Non
     """
     if noise > 0:
         _diagonal(block[:, : block.shape[0]])[...] += noise
-    block /= s2
+    if s2 != 1.0:  # the concentrated objective's Gram is already in units of h^2
+        block /= s2
     if not np.isfinite(block).all():
         raise ValueError(f"covariance has non-finite entries for kernel {spec.to_text()}")
 
@@ -235,13 +239,17 @@ def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
     least row i from column i on, checks that what it filled is finite, and
     returns it.  Its transpose ``K.T`` is a Fortran-ordered view of the
     same matrix whose lower triangle is that filled part, which each
-    attempt factorises in place after putting the jitter on its diagonal;
-    the factor returned is that view, with its upper triangle zeroed, so
-    the buffer that held the Gram holds the factor and no second n x n
-    array is made.  The factorisation reads only the filled triangle, so
-    it does not check finiteness itself.  A failed attempt has overwritten
-    the buffer, so ``build()`` refills it before the next one.  The jitter
-    is ``eps * mean(diag)`` of the Gram as first built.
+    attempt factorises in place with LAPACK ``dpotrf`` after putting the
+    jitter on its diagonal; the factor returned is that view, so the
+    buffer that held the Gram holds the factor and no second n x n array
+    is made.  Its upper triangle is left as the build wrote it, not
+    zeroed: every reader of the factor but :meth:`LmlGradient.fill` reads
+    the lower triangle only, and ``fill`` zeroes the other itself.  The
+    factorisation reads only the filled triangle, so it does not check
+    finiteness itself.  A failed attempt (``info > 0``: a leading minor is
+    not positive definite) has overwritten the buffer, so ``build()``
+    refills it before the next one.  The jitter is ``eps * mean(diag)`` of
+    the Gram as first built.
     """
     K = build()
     n = K.shape[0]
@@ -252,10 +260,10 @@ def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
     eps = JITTER_INITIAL
     while True:
         _diagonal(K)[...] = diag + eps * scale
-        try:
-            return scipy.linalg.cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            eps *= 10.0
+        L, info = lapack.dpotrf(K.T, lower=1, overwrite_a=1, clean=0)
+        if info == 0:
+            return L
+        eps *= 10.0  # info > 0: a leading minor is not positive definite
         if eps > JITTER_MAX * (1 + 1e-12):
             raise ConditioningError(
                 f"covariance factorisation failed at jitter {JITTER_MAX:g} for kernel {spec.to_text()}"
@@ -313,7 +321,7 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec, covariance: bool = 
     finish = functools.partial(_finish, spec=spec, s2=s2, noise=0.0)
     kernels.main_matrix(spec, query_X, train.inputs, out=rhs[:, :m].T, finish=finish)
     rhs[:, m] = train.scaled_targets()
-    scipy.linalg.solve_triangular(L, rhs, lower=True, overwrite_b=True, check_finite=False)
+    lapack.dtrtrs(L, rhs, lower=1, overwrite_b=1)
     V, z = rhs[:, :m], rhs[:, m]
     mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
     if not covariance:
@@ -330,17 +338,41 @@ def _prior_block(query_X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return _mirror_upper(kernels.main_matrix(spec, query_X, query_X, same_samples=True, upper=True))
 
 
-def _mirror_upper(K: np.ndarray) -> np.ndarray:
-    """Copy square K's upper triangle onto its lower one in place, a row block at a time, and clip its diagonal at 0."""
-    m = K.shape[0]
+def _below_diagonal(m: int) -> np.ndarray:
+    """Read-only (m, m) mask, true where column j < row i, as a view of one 2m-entry array.
+
+    Row i is ``flags[m - i : 2m - i]``, true in its first i entries: no
+    m x m array is made, and the mask costs about as much as one row.
+    """
+    flags = np.zeros(2 * m, dtype=bool)
+    flags[:m] = True
+    below = np.ndarray((m, m), dtype=bool, buffer=flags, offset=m, strides=(-1, 1))
+    below.flags.writeable = False
+    return below
+
+
+def _row_blocks(m: int):
+    """``(start, stop)`` of the row blocks of a square m x m matrix, each about :data:`kernels._BLOCK_ELEMENTS` entries."""
     rows = max(1, kernels._BLOCK_ELEMENTS // max(m, 1))
     for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        # K[i, :i] = K[:i, i] for the block's rows i; the mask keeps j < i
-        np.copyto(K[start:stop, :stop], K[:stop, start:stop].T, where=np.tri(stop - start, stop, start - 1, dtype=bool))
+        yield start, min(start + rows, m)
+
+
+def _mirror_upper(K: np.ndarray) -> np.ndarray:
+    """Copy square K's upper triangle onto its lower one in place, a row block at a time, and clip its diagonal at 0."""
+    below = _below_diagonal(K.shape[0])
+    for start, stop in _row_blocks(K.shape[0]):
+        # K[i, :i] = K[:i, i] for the block's rows i
+        np.copyto(K[start:stop, :stop], K[:stop, start:stop].T, where=below[start:stop, :stop])
     diagonal = _diagonal(K)
     np.clip(diagonal, 0.0, None, out=diagonal)
     return K
+
+
+def _zero_below_diagonal(K: np.ndarray, below: np.ndarray) -> None:
+    """Zero square K's strictly lower triangle in place, a row block at a time; ``below`` is its :func:`_below_diagonal`."""
+    for start, stop in _row_blocks(K.shape[0]):
+        np.copyto(K[start:stop, :stop], 0.0, where=below[start:stop, :stop])
 
 
 class LmlGradient:
@@ -374,6 +406,7 @@ class LmlGradient:
         self.scale = 1.0
         self._evaluator = kernels.GramEvaluator(train.inputs, train.inputs, same_samples=True)
         self._K = np.empty((train.n, train.n))
+        self._below = _below_diagonal(train.n)
 
     def covariance(self, spec: KernelSpec, s2: float) -> np.ndarray:
         """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer, :func:`_finish`-ed whole."""
@@ -384,16 +417,19 @@ class LmlGradient:
     def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray, s2: float) -> None:
         """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``.
 
-        L is overwritten with the trace weights.
+        L is overwritten with the trace weights.  They are summed over the
+        whole square, so the triangle the factorisation left as built is
+        zeroed first, a row block at a time.
         """
-        # K^-1 in the lower triangle; L's upper triangle of zeros is kept
-        inv, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
+        # K^-1 in the lower triangle; the upper one still holds what covariance() left there
+        inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
         if info:
             raise ConditioningError(f"covariance inverse failed (info {info}) for kernel {spec.to_text()}")
+        _zero_below_diagonal(inv.T, self._below)
         # every derivative block G is symmetric, so tr((alpha alpha^T - K^-1) G)
-        # = sum(W * G) with W = 2 tril(alpha alpha^T - K^-1) - diag(alpha alpha^T - K^-1)
-        inv *= -2.0
-        W = blas.dsyr(2.0, alpha, lower=1, a=inv, overwrite_a=1).T  # C-ordered, like K_main
+        # = sum(W * G) with W = 2 tril(alpha alpha^T - K^-1) - diag(alpha alpha^T - K^-1);
+        # W is held as -W / 2, from K^-1 in place, and the exact factor -2 comes back in the last scaling
+        W = blas.dsyr(-1.0, alpha, lower=1, a=inv, overwrite_a=1).T  # C-ordered, like K_main
         _diagonal(W)[...] *= 0.5
         trace = float(np.trace(W))
         W *= self._evaluator.K  # dK/dlog theta = K_main * log_derivative(theta) / s2
@@ -404,7 +440,7 @@ class LmlGradient:
                 self.value[k] = spec.noise_variance * trace  # dK/dlog sigma^2 = sigma^2 I / s2
             else:
                 self.value[k] = np.einsum("ij,ij->", W, self._evaluator.log_derivative(spec, p))
-        self.value *= 0.5 / s2
+        self.value *= -1.0 / s2  # the -2 of W, times the 1/2 of the trace, over s2
 
 
 def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlGradient | None = None) -> float:
@@ -442,7 +478,7 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
     L = _cholesky_with_jitter(build, spec)
     y = train.scaled_targets()
     # the Gram was checked finite as it was built, so its factor is not rescanned
-    alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
+    alpha, _ = lapack.dpotrs(L, y, lower=1)
     q, c = blas.ddot(y, alpha), 1.0
     if concentrated:
         lo, hi, margin = _BOUNDS["amplitude"](1.0, None)

@@ -3,7 +3,7 @@
 A kernel is described declaratively by :class:`KernelSpec` and evaluated
 as a Gram block by one evaluator, :class:`GramEvaluator`: it computes the
 input geometry of a block once -- the per-axis distances ``|x_d - x'_d|``
-and the periodic chord ``2|sin(pi*dt/T)|``, the chord rebuilt only when T
+and the periodic half chord ``|sin(pi*dt/T)|``, rebuilt only when T
 changes -- and evaluates ``K_main`` and each shape hyperparameter's
 ``d log K_main / d log theta`` (roughness, lengthscales, alpha)
 element-wise from it for the fitter in :mod:`pvgp.gp`, into ``K`` and one
@@ -19,7 +19,9 @@ the ``sin`` and ``cos`` of B's time column that the chord is built from
 are computed once per call and sliced to each row block, and each row
 block computes those of its own rows.  Shapes that are ``exp(-x)`` (se,
 matern12) multiply as one ``exp`` of the summed distance variables, so a
-periodic se or matern12 Gram costs one ``exp`` per entry.  A spec is
+periodic se or matern12 Gram costs one ``exp`` per entry; the warp's
+variable is built negated for it, and a unit amplitude is not multiplied
+in.  A spec is
 flat: :meth:`KernelSpec.hyperparameters` lists the scalars a fit sets
 (every one it reads but the constants ``T`` and ``nu``; the fit solves
 ``h`` in closed form and frees the rest), each a :class:`Hyperparameter`
@@ -452,7 +454,7 @@ class GramEvaluator:
     """Main-kernel block ``K_main(A, B)`` and its log-hyperparameter derivatives.
 
     It keeps the block's input geometry -- the per-axis distances
-    ``|x_d - x'_d|`` and the periodic chord ``2|sin(pi*dt/T)|``, the chord
+    ``|x_d - x'_d|`` and the periodic half chord ``|sin(pi*dt/T)|``,
     rebuilt only when T changes -- ``K`` and one scratch buffer; all but
     ``K`` are allocated on first use.  :meth:`gram` writes ``K_main`` into
     ``K`` (``out``, when given), and :meth:`log_derivative` writes one shape
@@ -501,10 +503,11 @@ class GramEvaluator:
         return d
 
     def chord(self, period: float) -> np.ndarray:
-        """Chord ``2|sin(pi*dt/T)|`` of the time axis on the circle, rebuilt when T changes.
+        """Half the chord of the time axis on the circle, ``|sin(pi*dt/T)|``, rebuilt when T changes.
 
         Expanded as ``sin(a)cos(b) - cos(a)sin(b)`` so that only 2(n + m)
-        trigonometric values are evaluated, not n*m.
+        trigonometric values are evaluated, not n*m.  The chord's factor 2
+        is put back by the warp, which divides by ``w / 2``.
         """
         if self._chord is None:
             self._chord = np.empty(self.K.shape)
@@ -518,7 +521,6 @@ class GramEvaluator:
             np.multiply(sin_a, cos_b, out=u)
             u -= cos_a * sin_b
             np.abs(u, out=u)
-            u *= 2.0
             self._chord_period = period
         return u
 
@@ -529,16 +531,23 @@ class GramEvaluator:
         periodic = spec.family == PERIODIC
         return [self._warp_variable] * periodic + [self._stationary_variable] * (self.A.shape[1] > periodic)
 
-    def _warp_variable(self, spec: KernelSpec, out: np.ndarray) -> np.ndarray:
-        """``s^2/2`` (se/rq) or ``s`` (matern), ``s = chord / w``."""
-        x = np.divide(self.chord(spec.period), spec.roughness, out=out)
+    def _warp_variable(self, spec: KernelSpec, out: np.ndarray, negated: bool = False) -> np.ndarray:
+        """``s^2/2`` (se/rq) or ``s`` (matern), ``s = chord / w``, or its negative when ``negated``.
+
+        ``chord / w`` is the half chord over ``w / 2``, and its negative the
+        half chord over ``-w / 2``: both exact, as scaling by 2 and negation are.
+        """
+        half = 0.5 * spec.roughness
         if _distance_power(spec) == 2:
+            x = np.divide(self.chord(spec.period), half, out=out)
             x *= x
-            x *= 0.5
+            x *= -0.5 if negated else 0.5
+        else:
+            x = np.divide(self.chord(spec.period), -half if negated else half, out=out)
         return x
 
-    def _stationary_variable(self, spec: KernelSpec, out: np.ndarray) -> np.ndarray:
-        """Distance variable of the stationary factor, accumulated one axis at a time."""
+    def _stationary_variable(self, spec: KernelSpec, out: np.ndarray, negated: bool = False) -> np.ndarray:
+        """Distance variable of the stationary factor, accumulated one axis at a time, or its negative when ``negated``."""
         axes = range(spec.family == PERIODIC, self.A.shape[1])
         squared = _distance_power(spec) == 2 or len(axes) > 1
         for k, axis in enumerate(axes):
@@ -549,6 +558,8 @@ class GramEvaluator:
                 out += r
         if squared and _distance_power(spec) == 1:
             np.sqrt(out, out=out)
+        if negated:
+            np.negative(out, out=out)
         return out
 
     def gram(self, spec: KernelSpec) -> np.ndarray:
@@ -564,12 +575,13 @@ class GramEvaluator:
         first, *rest = self._variables(spec)
         if _is_exponential(spec):
             # exp(-a) exp(-b) = exp(-(a + b)): one exp per entry, and h^2 after
-            # it, so that k(x, x) = h^2 exactly; the first variable is built in K
-            np.negative(first(spec, K), out=K)
+            # it, so that k(x, x) = h^2 exactly; the first variable is built negated in K
+            first(spec, K, negated=True)
             for variable in rest:
                 K -= variable(spec, self.scratch)
             np.exp(K, out=K)
-            K *= h2
+            if h2 != 1.0:  # the concentrated objective's unit amplitude
+                K *= h2
         else:
             K.fill(h2)
             for variable in (first, *rest):
@@ -587,20 +599,24 @@ class GramEvaluator:
         x = (self._stationary_variable if lengthscale else self._warp_variable)(spec, scratch)
         dlog = _shape_dlog(spec, x)
         power = _distance_power(spec)
+        # dx/dlog theta = -power * g
         if not lengthscale or self.A.shape[1] - (spec.family == PERIODIC) == 1:
-            # x scales as w^-power, as a single stationary axis's x does as ls^-power
-            g = np.multiply(x, -power, out=x)
+            # x scales as w^-power, as a single stationary axis's x does as ls^-power: g = x
+            g = x
         else:
-            # dx/dlog ls_d = -2 q_d (se/rq) or -q_d / x (matern), q_d = (dx_d / ls_d)^2;
-            # q_d is 0 wherever x is; only a matern's -q_d / x reads x, so only its q_d takes a new array
+            # g = q_d (se/rq) or q_d / x (matern), q_d = (dx_d / ls_d)^2;
+            # q_d is 0 wherever x is; only a matern's q_d / x reads x, so only its q_d takes a new array
             g = np.divide(self.absdiff(param.index), spec.lengthscales[param.index], out=x if power == 2 else None)
             g *= g
-            if power == 2:
-                g *= -2.0
-            else:
+            if power == 1:
                 np.divide(g, x, out=g, where=x > 0)
-                np.negative(g, out=g)
-        g *= dlog
+        if isinstance(dlog, float):
+            # the exponential shapes' -1: one multiply by -power * dlog, exact as x(-1) is, or none
+            if -power * dlog != 1.0:
+                g *= -power * dlog
+        else:
+            g *= -power
+            g *= dlog
         return g
 
 

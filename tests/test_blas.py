@@ -1,8 +1,12 @@
-"""Every dense product in pvgp goes through scipy's BLAS.
+"""Every dense product in pvgp goes through scipy's BLAS, and every factorisation and solve straight to LAPACK.
 
 numpy and scipy each load their own OpenBLAS, each with its own thread
 pool.  The factorisation and solves run on scipy's, so a product through
 numpy's wakes a second pool that competes with the first for the cores.
+scipy's ``cholesky`` and ``cho_factor`` zero the factor's other triangle in
+a column-strided pass that nothing in pvgp needs, and they and
+``cho_solve`` and ``solve_triangular`` only wrap the LAPACK routines
+``dpotrf``, ``dpotrs`` and ``dtrtrs``, which pvgp calls directly.
 """
 
 import ast
@@ -12,6 +16,8 @@ import pvgp
 
 # numpy functions that run on numpy's BLAS
 NUMPY_PRODUCTS = {"dot", "matmul", "vdot", "inner", "tensordot"}
+# scipy.linalg wrappers of the LAPACK routines pvgp calls directly
+SCIPY_WRAPPERS = {"cholesky", "cho_factor", "cho_solve", "solve_triangular"}
 
 
 def numpy_blas_uses(tree: ast.Module) -> list[tuple[int, str]]:
@@ -47,6 +53,17 @@ def numpy_blas_uses(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(uses)
 
 
+def scipy_wrapper_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, what) for each import or attribute use of a :data:`SCIPY_WRAPPERS` name in ``tree``."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            uses += [(node.lineno, f"from {node.module} import {a.name}") for a in node.names if a.name in SCIPY_WRAPPERS]
+        elif isinstance(node, ast.Attribute) and node.attr in SCIPY_WRAPPERS:
+            uses.append((node.lineno, f".{node.attr}"))
+    return sorted(uses)
+
+
 def test_no_product_goes_through_numpy_blas():
     package = Path(pvgp.__file__).parent
     found = [
@@ -55,6 +72,16 @@ def test_no_product_goes_through_numpy_blas():
         for line, what in numpy_blas_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"use scipy.linalg.blas / scipy.linalg instead: {found}"
+
+
+def test_no_factorisation_or_solve_goes_through_a_scipy_wrapper():
+    package = Path(pvgp.__file__).parent
+    found = [
+        f"{path.name}:{line} {what}"
+        for path in sorted(package.glob("*.py"))
+        for line, what in scipy_wrapper_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"call scipy.linalg.lapack (dpotrf, dpotrs, dtrtrs) instead: {found}"
 
 
 def test_the_guard_sees_each_form():
@@ -71,6 +98,12 @@ np.tensordot(a, b)
 np.linalg.inv(a)
 scipy.linalg.cholesky(a)
 blas.ddot(a, b)
+from scipy.linalg import cho_factor, lapack
+from scipy.linalg._decomp_cholesky import cho_solve
+linalg.solve_triangular(a, b)
+lapack.dpotrf(a)
 """
     lines = [line for line, _ in numpy_blas_uses(ast.parse(source))]
     assert lines == [3, 4, 5, 6, 7, 8, 9, 10, 11]
+    lines = [line for line, _ in scipy_wrapper_uses(ast.parse(source))]
+    assert lines == [12, 14, 15, 16]

@@ -418,6 +418,17 @@ def test_synth_past_the_calendar_exits_two_naming_days_before_any_output(tmp_pat
         ex.generate_synthetic("clear-sky", 8, system, seed=0, start_utc=start)
 
 
+@pytest.mark.parametrize("start_date", ["2021-06-01T23:00:00-05:00", "2021-06-01T00:00:00", "2021-06-01 12:00"])
+def test_synth_start_date_with_a_time_or_offset_exits_two_naming_it(tmp_path, capsys, start_date):
+    # a datetime's time and offset would be dropped, moving the bundle silently
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", synth={"start_date": start_date})
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'synth.start_date'" in err and repr(start_date) in err, err
+    assert not out.exists()
+
+
 def test_optimize_period_config_key_exits_two_naming_it(tmp_path, capsys):
     # the period is a constant of the kernel: no fit frees it, so the key is gone
     paths = make_bundle(tmp_path)

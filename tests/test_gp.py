@@ -416,20 +416,16 @@ def test_non_finite_gram_raises_value_error_naming_the_kernel():
 
 
 def _record_cholesky_attempts(monkeypatch) -> list[str]:
-    """Wrap ``scipy.linalg.cholesky`` and record each call's outcome, as a tracer would."""
+    """Wrap ``scipy.linalg.lapack.dpotrf`` and record each call's outcome, as a tracer would."""
     attempts: list[str] = []
-    cholesky = scipy.linalg.cholesky
+    dpotrf = scipy.linalg.lapack.dpotrf
 
     def recorded(*args, **kwargs):
-        try:
-            factor = cholesky(*args, **kwargs)
-        except scipy.linalg.LinAlgError:
-            attempts.append("failed")
-            raise
-        attempts.append("ok")
-        return factor
+        factor, info = dpotrf(*args, **kwargs)
+        attempts.append("failed" if info > 0 else "ok")
+        return factor, info
 
-    monkeypatch.setattr(scipy.linalg, "cholesky", recorded)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recorded)
     return attempts
 
 
@@ -457,14 +453,72 @@ def test_cholesky_retry_refills_the_buffer_and_escalates_jitter(monkeypatch):
     attempts = _record_cholesky_attempts(monkeypatch)
     L = gp._cholesky_with_jitter(build, spec)
     monkeypatch.undo()
-    # the failures at eps 1e-10 and 1e-9 raise through scipy.linalg.cholesky,
+    # the failures at eps 1e-10 and 1e-9 return info > 0 from dpotrf,
     # and each failed attempt's wiped buffer is rebuilt
     assert attempts == ["failed", "failed", "ok"]
     assert len(builds) == 3
     K = _lowered_duplicate_row_gram(spec, 3e-9)[0]()  # a fresh buffer: L is a view of build's
     eps = gp.JITTER_INITIAL * 10.0 * 10.0
     want = scipy.linalg.cholesky(K + eps * np.mean(np.diag(K)) * np.eye(K.shape[0]), lower=True)
-    assert np.array_equal(L, want)
+    assert np.array_equal(np.tril(L), want)
+
+
+def _fill_unread_triangle(monkeypatch, value: float) -> None:
+    """Set each factorised Gram's strictly lower triangle, which the factorisation does not read, to ``value`` once built."""
+    gram_builder, covariance = gp._gram_builder, gp.LmlGradient.covariance
+
+    def fill(K):
+        K[np.tril_indices(K.shape[0], -1)] = value
+        return K
+
+    def filled_builder(X, spec, s2):
+        build = gram_builder(X, spec, s2)
+        return lambda: fill(build())
+
+    monkeypatch.setattr(gp, "_gram_builder", filled_builder)
+    monkeypatch.setattr(gp.LmlGradient, "covariance", lambda self, spec, s2: fill(covariance(self, spec, s2)))
+
+
+def test_cholesky_leaves_the_unread_triangle_as_built(monkeypatch):
+    spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,))
+    _fill_unread_triangle(monkeypatch, np.nan)
+    build, builds = _lowered_duplicate_row_gram(spec, 3e-9)
+    L = gp._cholesky_with_jitter(build, spec)
+    monkeypatch.undo()
+    assert len(builds) == 3  # two failed attempts, each rebuilt
+    assert np.isnan(L[np.triu_indices(L.shape[0], 1)]).all()
+    K = _lowered_duplicate_row_gram(spec, 3e-9)[0]()
+    eps = gp.JITTER_INITIAL * 10.0 * 10.0
+    assert np.array_equal(np.tril(L), scipy.linalg.cholesky(K + eps * np.mean(np.diag(K)) * np.eye(K.shape[0]), lower=True))
+
+
+def test_factor_readers_do_not_read_the_unread_triangle(monkeypatch):
+    # NaN where the factorisation does not read changes no posterior, likelihood,
+    # gradient or prior draw by a bit; the gradient zeroes that triangle itself
+    rng = np.random.default_rng(47)
+    n = 300  # several row blocks
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    train = TrainingSet.from_arrays(X, rng.normal(5.0, 3.0, n))
+    query = np.column_stack([np.arange(n, n + 30.0), rng.uniform(0, 1, 30)])
+
+    def results(spec):
+        pred = gp.posterior(train, query, spec)
+        out = [pred.mean, pred.cov, gp.posterior(train, query, spec, covariance=False).mean]
+        out += [np.array(gp.log_marginal_likelihood(train, spec)), gp.sample_prior(query, spec, 3, seed=5)]
+        for params in (spec.hyperparameters(), gp._free_parameters(train, spec)[0]):
+            gradient = gp.LmlGradient(train, params)
+            out.append(np.array([gp.log_marginal_likelihood(train, spec, gradient), *gradient.value]))
+        return out
+
+    for spec in family_specs(2):
+        with monkeypatch.context() as patched:
+            _fill_unread_triangle(patched, 0.0)
+            want = results(spec)
+        with monkeypatch.context() as patched:
+            _fill_unread_triangle(patched, np.nan)
+            got = results(spec)
+        for w, g in zip(want, got):
+            assert w.tobytes() == g.tobytes(), spec.to_text()
 
 
 def test_cholesky_failure_at_max_jitter_names_the_kernel(monkeypatch):
