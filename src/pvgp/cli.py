@@ -88,8 +88,6 @@ DEFAULT_CONFIG = {
     "hrv": {
         "sensor_max": pipeline.HRV_SENSOR_MAX,
         "patch_px": 6,
-        # geometry for the CSV fallback container, which has no header
-        "csv_geometry": None,
     },
     "kernel": ex.default_kernel().to_text(),
     "fit": _keyword_defaults(ex.FitOptions),
@@ -127,9 +125,7 @@ def _merge(defaults, user, path=""):
         example = _EXAMPLE.get(name, default)
         if example is None or (value is None and default is None):
             merged[key] = copy.deepcopy(value)
-        elif isinstance(example, dict) and example:
-            if example is not default and not (isinstance(value, dict) and value.keys() == example.keys()):
-                raise ConfigError(f"config key {name!r} must be an object with keys {', '.join(example)}, got {value!r}")
+        elif isinstance(example, dict):
             merged[key] = _merge(example, value, path=f"{name}.")
         elif _same_type(value, example):
             if isinstance(example, list):
@@ -141,11 +137,10 @@ def _merge(defaults, user, path=""):
     return merged
 
 
-# a value of the JSON type of each key whose default is null or an empty list (an
-# object: all its keys); null stays allowed, and invocation, with none, takes any value
+# a value of the JSON type of each key whose default is null or an empty list; null
+# stays allowed, and invocation, with none, takes any value
 _EXAMPLE = {
     **dict.fromkeys(["paths.metadata", "paths.power", "paths.hrv"], ""),
-    "hrv.csv_geometry": dict(origin_easting=0.0, origin_northing=0.0, pixel_size=0.0, width=0, height=0),
     "experiment.systems": [0],
     "experiment.forecast_start_index": 0,
     "experiment.custom.kernels": [""],
@@ -219,14 +214,7 @@ def _load_bundle(cfg: dict):
     projection = TransverseMercator.from_mapping(cfg["projection"])
     meta = pipeline.load_metadata(_require_path(cfg, "metadata"), projection)
     power = pipeline.load_power(_require_path(cfg, "power"))
-    hrv_path = _require_path(cfg, "hrv")
-    if hrv_path.suffix == ".csv":
-        geometry = cfg["hrv"].get("csv_geometry")
-        if not geometry:
-            raise ConfigError("hrv.csv_geometry must be set to read a CSV raster fallback")
-        stack = pipeline.read_hrv_csv(hrv_path, power.epoch_utc, **geometry)
-    else:
-        stack = pipeline.read_hrv(hrv_path, power.epoch_utc)
+    stack = pipeline.read_hrv(_require_path(cfg, "hrv"), power.epoch_utc)
     boundary = BoundaryBox(**cfg["boundary"])
     filters = cfg["filters"]
     result = pipeline.filter_systems(
@@ -370,7 +358,7 @@ def cmd_forecast(cfg: dict, args) -> int:
 def read_forecast_csv(path):
     """Read a forecast CSV back into (time_index, mean_w, sd_w) arrays."""
     times, means, sds = [], [], []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["time_index", "timestamp_utc", "mean_w", "sd_w"]:
             raise ValueError(f"{path}: unexpected forecast header {reader.fieldnames}")
@@ -386,6 +374,9 @@ def _build_grid(cfg: dict, kept_ids: list[int]):
     systems = e["systems"] or kept_ids
     if not systems:
         raise ConfigError("no systems available for the experiment grid")
+    unknown = [sid for sid in systems if sid not in kept_ids]
+    if unknown:
+        raise ConfigError(f"config key 'experiment.systems' lists system {unknown[0]}, which is unknown or filtered")
     protocol = e["protocol"]
     if protocol not in _PROTOCOLS:
         raise ConfigError(f"unknown experiment.protocol {protocol!r}")
@@ -402,15 +393,16 @@ def _build_grid(cfg: dict, kept_ids: list[int]):
 
 def cmd_experiment(cfg: dict, args) -> int:
     meta, power, stack, result = _load_bundle(cfg)
-    kept_ids = sorted(s.system_id for s in result.kept)
-    configs = _build_grid(cfg, kept_ids)
+    configs = _build_grid(cfg, sorted(s.system_id for s in result.kept))
     if not configs:
         raise ConfigError("experiment grid is empty")
 
-    patches = sorted({c.patch_px for c in configs})
+    # only the systems and patch sizes the grid runs
+    used = {sid for c in configs for sid in c.system_ids}
+    systems = [s for s in result.kept if s.system_id in used]
     datasets = {}
-    for patch in patches:
-        datasets.update(_assemble_kept(cfg, power, stack, result.kept, patch))
+    for patch in sorted({c.patch_px for c in configs}):
+        datasets.update(_assemble_kept(cfg, power, stack, systems, patch))
 
     fit_options = ex.FitOptions(**cfg["fit"])
     outdir = _write_effective_config(cfg)

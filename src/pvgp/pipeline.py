@@ -24,11 +24,11 @@ File formats
   seconds followed by the row-major f32 grid.  ``frames[t][row][col]``
   covers the ground square with south-west corner
   ``(origin_easting + col * pixel_size, origin_northing + row * pixel_size)``.
-  A CSV fallback (``t,px,py,value`` with t in epoch seconds) is accepted
-  for tests; its geometry is supplied by the caller since the format
-  carries no header.
+  It is the one raster format: rasters from any other source become an
+  :class:`HrvRasterStack` saved with :func:`write_hrv`.
 
-Missing data is dropped and counted, never interpolated.
+Both CSVs are UTF-8, with or without a byte-order mark.  Missing data is
+dropped and counted, never interpolated.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "assemble",
     "write_hrv",
     "read_hrv",
-    "read_hrv_csv",
 ]
 
 HRV_MAGIC = b"HRV1"
@@ -294,7 +293,7 @@ def load_metadata(path, projection: TransverseMercator = BRITISH_NATIONAL_GRID) 
     systems: list[PvSystem] = []
     skipped: list[tuple[int, str]] = []
     first_line: dict[int, int] = {}  # system id -> the file line it was read from
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh, restval="")
         required = {"system_id", "latitude", "longitude", "capacity_w"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -342,7 +341,7 @@ def load_power(path) -> PowerData:
     chunks = []  # per chunk: file lines, POSIX microseconds, system codes, watts of the rows read
     skipped: list[tuple[int, str]] = []
     systems: dict[int, int] = {}  # system id -> code, in order of first sight
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         required = {"timestamp_utc", "system_id", "power_w"}
@@ -593,48 +592,6 @@ def read_hrv(path, epoch: dt.datetime) -> HrvRasterStack:
         epoch_utc=epoch,
         frame_indices=offsets // geotime.STEP_SECONDS,
         frames=records["grid"],
-    )
-
-
-def read_hrv_csv(path, epoch, origin_easting, origin_northing, pixel_size, width, height) -> HrvRasterStack:
-    """CSV fallback reader (``t,px,py,value``; t in POSIX epoch seconds).
-
-    The format carries no geometry header, so geometry is passed in.
-    Cells absent from the file default to 0.  A short or malformed row, and
-    a pixel outside ``width`` x ``height``, raise ``ValueError`` naming the
-    file and line.
-    """
-    path = Path(path)
-    grids: dict[int, np.ndarray] = {}
-    epoch_s = int(epoch.timestamp())
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None or not {"t", "px", "py", "value"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: HRV CSV header must be t,px,py,value")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            try:
-                t_s, px, py, value = int(row["t"]), int(row["px"]), int(row["py"]), float(row["value"])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            if not (0 <= px < width and 0 <= py < height):
-                raise ValueError(f"{where}: pixel (px={px}, py={py}) is outside the {width} x {height} raster")
-            offset = t_s - epoch_s
-            if offset % geotime.STEP_SECONDS:
-                raise AlignmentError(f"{path}: t={t_s}s is off the 5-minute grid")
-            grid = grids.setdefault(offset // geotime.STEP_SECONDS, np.zeros((height, width), dtype=np.float32))
-            grid[py, px] = value
-    indices = np.array(sorted(grids), dtype=np.int64)
-    frames = np.stack([grids[int(t)] for t in indices]) if indices.size else np.empty((0, height, width), np.float32)
-    return HrvRasterStack(
-        origin_easting=origin_easting,
-        origin_northing=origin_northing,
-        pixel_size=pixel_size,
-        width=width,
-        height=height,
-        epoch_utc=epoch,
-        frame_indices=indices,
-        frames=frames,
     )
 
 

@@ -134,8 +134,9 @@ def test_optimizer_gradient_agrees_with_stencil():
         err = np.linalg.norm(g2 - g5) / max(np.linalg.norm(g5), 1.0)
         assert err <= 1e-4, f"trial {trial}: gradient rel err {err}"
 
-    # the analytic gradient the optimiser consumes, over every parameter the
-    # fit frees, for all families in 1-D and 2-D
+    # the plain analytic gradient, over every hyperparameter of the spec, for
+    # all families in 1-D and 2-D; the optimiser consumes the concentrated one,
+    # which test_gp's test_concentrated_gradient_matches_a_stencil_of_the_concentrated_value checks
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
     bases += [dict(base=MATERN, nu=nu) for nu in (0.5, 1.5, 2.5)]
     for trial in range(60):

@@ -29,7 +29,7 @@ DEFAULT_CONFIG = {
     },
     "boundary": {"min_easting": 0.0, "min_northing": 0.0, "max_easting": 700000.0, "max_northing": 1300000.0},
     "filters": {"night_elevation_deg": -5.0, "overnight_power_fraction": 0.01, "overnight_min_nights": 3},
-    "hrv": {"sensor_max": 1023.0, "patch_px": 6, "csv_geometry": None},
+    "hrv": {"sensor_max": 1023.0, "patch_px": 6},
     "kernel": KERNEL,
     "fit": {"restarts": 2, "max_iter": 200},
     "forecast": {"training_days": 1, "training_stride": 1, "refit": True},
@@ -178,20 +178,39 @@ def test_ingest_skips_repeated_rows_and_keeps_the_first(tmp_path, capsys):
     assert (tmp_path / "dup" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
-def test_ingest_of_a_csv_raster_with_a_pixel_outside_it_exits_two_naming_the_line(tmp_path, capsys):
+def test_bom_prefixed_csvs_load_as_plain_ones(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    paths = make_bundle(tmp_path)
+    projection = geotime.TransverseMercator()
+    plain = (pipeline.load_metadata(paths["metadata"], projection), pipeline.load_power(paths["power"]))
+    for name in ("metadata", "power"):
+        bom = tmp_path / "data" / f"bom_{name}.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "data" / f"{name}.csv").read_bytes())
+        paths[name] = str(bom)
+    meta = pipeline.load_metadata(paths["metadata"], projection)
+    power = pipeline.load_power(paths["power"])
+    assert [(s.system_id, s.location, s.capacity_w) for s in meta.systems] == [
+        (s.system_id, s.location, s.capacity_w) for s in plain[0].systems
+    ]
+    assert meta.skipped == plain[0].skipped == []
+    assert power.epoch_utc == plain[1].epoch_utc and power.skipped == plain[1].skipped
+    assert power.series.keys() == plain[1].series.keys()
+    for sid, (index, watts) in power.series.items():
+        assert np.array_equal(index, plain[1].series[sid][0]) and np.array_equal(watts, plain[1].series[sid][1])
+    cfg = write_config(tmp_path / "i.json", paths={**paths, "output_dir": str(tmp_path / "out")})
+    assert main(["ingest", "--config", cfg]) == 0
+    assert "kept 1 system(s)" in capsys.readouterr().out
+
+
+def test_a_csv_raster_exits_two_naming_the_file_before_any_output(tmp_path, capsys):
+    # rasters are read as HRV1 only, whatever the file's suffix
     paths = make_bundle(tmp_path)
     hrv = tmp_path / "data" / "hrv.csv"
-    t0 = int(dt.datetime(2021, 6, 1, tzinfo=dt.timezone.utc).timestamp())
-    hrv.write_text(f"t,px,py,value\n{t0},0,0,1.0\n{t0},16,0,1.0\n")
-    geometry = {"origin_easting": 0.0, "origin_northing": 0.0, "pixel_size": 1000.0, "width": 16, "height": 16}
-    cfg = write_config(
-        tmp_path / "i.json",
-        paths={**paths, "hrv": str(hrv), "output_dir": str(tmp_path / "out")},
-        hrv={"csv_geometry": geometry},
-    )
+    hrv.write_text("t,px,py,value\n" + "".join(f"1622505600,{px},0,1.0\n" for px in range(16)))
+    cfg = write_config(tmp_path / "i.json", paths={**paths, "hrv": str(hrv), "output_dir": str(tmp_path / "out")})
     assert main(["ingest", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{hrv}: line 3:" in err and "outside the 16 x 16 raster" in err, err
+    assert err.startswith("error:") and f"{hrv}: bad magic" in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -281,15 +300,10 @@ def test_config_list_entry_of_the_wrong_type_exits_two_naming_its_key(tmp_path, 
 
 def test_config_key_with_a_null_default_exits_two_naming_its_key_on_a_value_of_the_wrong_type(tmp_path, capsys):
     out = str(tmp_path / "out")
-    geometry = {"origin_easting": 0.0, "origin_northing": 0.0, "pixel_size": 1000.0, "width": 16, "height": 16}
     cases = [
         ({"paths": {"metadata": 5}}, "'paths.metadata'"),
         ({"paths": {"power": ["p.csv"]}}, "'paths.power'"),
         ({"paths": {"hrv": {"file": "h.csv"}}}, "'paths.hrv'"),
-        ({"paths": {"hrv": "h.csv"}, "hrv": {"csv_geometry": {"foo": 1}}}, "'hrv.csv_geometry'"),
-        ({"hrv": {"csv_geometry": {k: v for k, v in geometry.items() if k != "height"}}}, "'hrv.csv_geometry'"),
-        ({"hrv": {"csv_geometry": {**geometry, "width": "16"}}}, "'hrv.csv_geometry.width'"),
-        ({"hrv": {"csv_geometry": 5}}, "'hrv.csv_geometry'"),
         ({"experiment": {"forecast_start_index": "x"}}, "'experiment.forecast_start_index'"),
         ({"experiment": {"forecast_start_index": 2.7}}, "'experiment.forecast_start_index'"),
     ]
@@ -300,9 +314,9 @@ def test_config_key_with_a_null_default_exits_two_naming_its_key_on_a_value_of_t
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, err
     assert not (tmp_path / "out").exists()
-    # null stays allowed, and a full geometry loads
-    cfg = write_config(tmp_path / "c.json", paths={"metadata": None}, hrv={"csv_geometry": geometry})
-    assert cli.load_config(cfg)["hrv"]["csv_geometry"] == geometry
+    # null stays allowed
+    cfg = write_config(tmp_path / "c.json", paths={"metadata": None})
+    assert cli.load_config(cfg)["paths"]["metadata"] is None
 
 
 def test_empty_training_days_exits_two_naming_its_key(tmp_path, capsys):
@@ -441,6 +455,21 @@ def test_optimize_period_config_key_exits_two_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "geometry", [None, {"origin_easting": 0.0, "origin_northing": 0.0, "pixel_size": 1000.0, "width": 16, "height": 16}]
+)
+def test_csv_geometry_config_key_exits_two_naming_it(tmp_path, capsys, geometry):
+    # rasters are HRV1 only, so the CSV raster's geometry is gone, null included
+    paths = make_bundle(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", paths={**paths, "output_dir": str(out)}, hrv={"csv_geometry": geometry})
+    for args in (["ingest"], ["fit", "--system", "1"], ["experiment"]):
+        assert main([*args, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'hrv.csv_geometry'" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sensor_max", [0, -1023.0])
 def test_sensor_max_that_is_not_positive_exits_two_naming_it_before_any_output(tmp_path, capsys, sensor_max):
     # a patch mean is divided by it: 0 gives a cloud-blind forecast with every hrv_mean 1.0
@@ -483,6 +512,26 @@ def test_repeated_experiment_system_exits_two_naming_it(tmp_path, capsys):
     assert main(["experiment", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "system 1 more than once" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_prepares_only_the_systems_it_runs(tmp_path, capsys):
+    # system 2 has a metadata row and no power rows: a grid of system 1 alone never assembles it
+    paths = make_bundle(tmp_path)
+    with open(paths["metadata"], "a") as fh:
+        fh.write("2,51.6,-0.1,3000.0\n")
+    cfg = experiment_config(tmp_path, paths, systems=[1])
+    assert main(["experiment", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(list(row["per_system"]), row["failures"]) for row in report["rows"]] == [(["1"], {})] * 2
+
+
+def test_unknown_experiment_system_exits_two_naming_it(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    cfg = experiment_config(tmp_path, paths, systems=[1, 9])
+    assert main(["experiment", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'experiment.systems'" in err and "system 9" in err, err
     assert not (tmp_path / "out").exists()
 
 

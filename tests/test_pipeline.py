@@ -21,7 +21,6 @@ from pvgp.pipeline import (
     load_metadata,
     load_power,
     read_hrv,
-    read_hrv_csv,
     write_hrv,
 )
 
@@ -588,41 +587,6 @@ def test_hrv_binary_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 100)
     with pytest.raises(ValueError):
         read_hrv(path, EPOCH)
-
-
-def test_hrv_csv_fallback(tmp_path):
-    path = tmp_path / "stack.csv"
-    t0 = int(EPOCH.timestamp())
-    path.write_text(
-        "t,px,py,value\n"
-        f"{t0},0,0,100.0\n"
-        f"{t0},1,0,200.0\n"
-        f"{t0 + 300},0,1,300.0\n"
-    )
-    stack = read_hrv_csv(path, EPOCH, origin_easting=0.0, origin_northing=0.0, pixel_size=1000.0, width=2, height=2)
-    assert stack.frame_indices.tolist() == [0, 1]
-    assert stack.frames[0, 0, 0] == 100.0
-    assert stack.frames[0, 0, 1] == 200.0
-    assert stack.frames[1, 1, 0] == 300.0
-
-
-@pytest.mark.parametrize(
-    "row, reason",
-    [
-        ("{t0},-1,0,5.0", "outside the 2 x 2 raster"),
-        ("{t0},2,0,5.0", "outside the 2 x 2 raster"),
-        ("{t0},0,2,5.0", "outside the 2 x 2 raster"),
-        ("{t0},0,1", "could not convert"),
-        ("{t0},x,1,5.0", "invalid literal"),
-    ],
-)
-def test_hrv_csv_rejects_a_row_it_cannot_place_naming_file_and_line(tmp_path, row, reason):
-    path = tmp_path / "stack.csv"
-    t0 = int(EPOCH.timestamp())
-    path.write_text("t,px,py,value\n" f"{t0},0,0,100.0\n\n" + row.format(t0=t0) + "\n")
-    with pytest.raises(ValueError, match=reason) as info:
-        read_hrv_csv(path, EPOCH, origin_easting=0.0, origin_northing=0.0, pixel_size=1000.0, width=2, height=2)
-    assert f"{path}: line 4:" in str(info.value)
 
 
 def random_stack(seed=3):
