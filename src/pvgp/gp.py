@@ -49,14 +49,14 @@ The fitter's objective costs one factorisation per evaluation: the same
 factor gives the likelihood and, through :class:`LmlGradient`, its exact
 gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
 every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
-Its weights live in ``K^-1``'s buffer and its amplitude and noise terms
-are closed forms; a 2-D periodic fit holds 5 n x n arrays.  The amplitude
-is not among the free ones: the objective is the likelihood maximised over
-it in closed form, a concentrated likelihood (Roustant, Ginsbourger &
-Deville 2012), so the optimiser moves only the shape parameters and the
-noise ratio ``lambda = sigma^2 / h^2``.  They are the template's
-``hyperparameters()`` but ``h``, bounded by one per-field table, set from
-the optimiser's vector in one ``replace``.
+Its weights live in ``K^-1``'s buffer and its noise term is a closed form;
+a 2-D periodic fit holds 5 n x n arrays.  The amplitude is never
+differentiated: the objective is the likelihood maximised over it in
+closed form, a concentrated likelihood (Roustant, Ginsbourger & Deville
+2012), so the optimiser moves only the shape parameters and the noise
+ratio ``lambda = sigma^2 / h^2``.  They are the template's
+``hyperparameters()``, bounded by one per-field table, set from the
+optimiser's vector in one ``replace``.
 """
 
 from __future__ import annotations
@@ -376,45 +376,47 @@ def _zero_below_diagonal(K: np.ndarray, below: np.ndarray) -> None:
 
 
 class LmlGradient:
-    """Log-marginal-likelihood gradient over one training set's cached geometry.
+    """Concentrated log-marginal-likelihood gradient over one training set's cached geometry.
 
     Built once per training set for a list of free
-    :class:`~pvgp.kernels.Hyperparameter`.  Passed to
-    :func:`log_marginal_likelihood`, it builds the training Gram from its
-    :class:`~pvgp.kernels.GramEvaluator` into one reused buffer, where the
-    Gram is factorised and then inverted in place, and fills :attr:`value`
-    with ``d LML / d log theta`` from the same Cholesky factor as the
-    likelihood itself:
+    :class:`~pvgp.kernels.Hyperparameter` (a spec's ``hyperparameters()``);
+    a field with no :data:`_BOUNDS` row raises ``ValueError`` naming it.
+    Passed to :func:`log_marginal_likelihood`, it builds the training Gram
+    from its :class:`~pvgp.kernels.GramEvaluator` into one reused buffer,
+    where the Gram is factorised and then inverted in place, and fills
+    :attr:`value` with ``d LML / d log theta`` from the same Cholesky factor
+    as the likelihood itself:
     ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` (Rasmussen & Williams
     2006, section 5.4.1).  The weights ``alpha alpha^T - K^-1`` are formed in
-    ``K^-1``'s buffer and the amplitude and noise terms are closed forms, so a
-    2-D periodic fit holds 5 n x n arrays: this buffer and the evaluator's
-    Gram, cloud-axis ``|dx|``, chord and scratch.  The jitter is treated as a constant.
+    ``K^-1``'s buffer and the noise term is a closed form, so a 2-D periodic
+    fit holds 5 n x n arrays: this buffer and the evaluator's Gram,
+    cloud-axis ``|dx|``, chord and scratch.  The jitter is treated as a constant.
 
-    Params without the amplitude make it :attr:`concentrated`: the amplitude
-    is solved in closed form rather than differentiated, its best ``c``
-    (``h^2`` in units of the target variance) is left in :attr:`scale` by
-    each evaluation, and the noise entry is the derivative by
-    ``log lambda``, ``lambda = sigma^2 / h^2`` (see
+    The amplitude is solved in closed form rather than differentiated: its
+    best ``c`` (``h^2`` in units of the target variance) is left in
+    :attr:`scale` by each evaluation, and the noise entry is the derivative
+    by ``log lambda``, ``lambda = sigma^2 / h^2`` (see
     :func:`log_marginal_likelihood`).
     """
 
     def __init__(self, train: TrainingSet, params):
         self.params = list(params)
+        for p in self.params:
+            if p.field not in _BOUNDS:
+                raise ValueError(f"the likelihood gradient has no derivative by {p.field!r}")
         self.value = np.zeros(len(self.params))
-        self.concentrated = all(p.field != "amplitude" for p in self.params)
         self.scale = 1.0
         self._evaluator = kernels.GramEvaluator(train.inputs, train.inputs, same_samples=True)
         self._K = np.empty((train.n, train.n))
         self._below = _below_diagonal(train.n)
 
-    def covariance(self, spec: KernelSpec, s2: float) -> np.ndarray:
-        """Scaled training covariance ``(K_main + sigma^2 I) / s2``, in a reused buffer, :func:`_finish`-ed whole."""
+    def covariance(self, spec: KernelSpec) -> np.ndarray:
+        """Training covariance ``(K_main + sigma^2 I) / h^2``, in a reused buffer, :func:`_finish`-ed whole."""
         np.copyto(self._K, self._evaluator.gram(spec))
-        _finish(self._K, spec, s2, spec.noise_variance)
+        _finish(self._K, spec, spec.amplitude**2, spec.noise_variance)
         return self._K
 
-    def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray, s2: float) -> None:
+    def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray) -> None:
         """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``.
 
         L is overwritten with the trace weights.  They are summed over the
@@ -432,32 +434,30 @@ class LmlGradient:
         W = blas.dsyr(-1.0, alpha, lower=1, a=inv, overwrite_a=1).T  # C-ordered, like K_main
         _diagonal(W)[...] *= 0.5
         trace = float(np.trace(W))
-        W *= self._evaluator.K  # dK/dlog theta = K_main * log_derivative(theta) / s2
+        W *= self._evaluator.K  # dK/dlog theta = K_main * log_derivative(theta) / h^2
         for k, p in enumerate(self.params):
-            if p.field == "amplitude":
-                self.value[k] = 2.0 * W.sum()  # d log K_main / d log h = 2 everywhere
-            elif p.field == "noise_variance":
-                self.value[k] = spec.noise_variance * trace  # dK/dlog sigma^2 = sigma^2 I / s2
+            if p.field == "noise_variance":
+                self.value[k] = spec.noise_variance * trace  # dK/dlog sigma^2 = sigma^2 I / h^2
             else:
                 self.value[k] = np.einsum("ij,ij->", W, self._evaluator.log_derivative(spec, p))
-        self.value *= -1.0 / s2  # the -2 of W, times the 1/2 of the trace, over s2
+        self.value *= -1.0 / spec.amplitude**2  # the -2 of W, times the 1/2 of the trace, over h^2
 
 
 def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlGradient | None = None) -> float:
     """Exact-GP log marginal likelihood of the centred/scaled targets.
 
+    Without ``gradient``, the plain likelihood at ``spec``:
     ``-1/2 y^T K^-1 y - 1/2 log|K| - (n/2) log 2pi`` with K the training
-    Gram including the noise term.  With ``gradient`` (an
-    :class:`LmlGradient` built for ``train``), the Gram comes from its cached
-    geometry and ``gradient.value`` is filled from the same factorisation.
+    Gram including the noise term, over the target variance ``s2``.
 
-    A ``gradient.concentrated`` gradient concentrates the amplitude out.
-    The Gram over the spec's own ``h^2`` is ``A = R + lambda I``, with R of
-    unit amplitude, so the spec's h is not read.  From A's factor,
-    ``q = y^T A^-1 y`` and ``c = q / n``, clamped so that ``h = sqrt(c s2)``
-    stays in the amplitude's :data:`_BOUNDS` box (``c = 1`` with no rows).
-    The value returned is the plain likelihood at ``h^2 = c s2`` and
-    ``sigma^2 = lambda c s2``,
+    With ``gradient`` (an :class:`LmlGradient` built for ``train``), the
+    amplitude is concentrated out, and ``gradient.value`` is filled from
+    the same factorisation.  The Gram, from the gradient's cached geometry,
+    is over the spec's own ``h^2``: ``A = R + lambda I``, with R of unit
+    amplitude, so the spec's h is not read.  From A's factor,
+    ``q = y^T A^-1 y`` and ``c = q / n``, clamped to :data:`_SCALE_BOX`
+    (``c = 1`` with no rows).  The value returned is the plain likelihood
+    at ``h^2 = c s2`` and ``sigma^2 = lambda c s2``,
     ``-q / 2c - (n/2) log c - 1/2 log|A| - (n/2) log 2pi``; its gradient is
     the plain one's weights with ``alpha / sqrt(c)`` in place of alpha,
     ``1/2 tr((beta beta^T / c - A^-1) dA/dlog theta)``, ``beta = A^-1 y``.
@@ -468,26 +468,22 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
         if gradient is not None:
             gradient.value[:] = 0.0
         return 0.0
-    concentrated = gradient is not None and gradient.concentrated
-    # concentrated, the Gram over the spec's own h^2 is A = R + lambda I
-    s2 = spec.amplitude**2 if concentrated else train.target_scale**2
     if gradient is None:
-        build = _gram_builder(train.inputs, spec, s2)
+        build = _gram_builder(train.inputs, spec, train.target_scale**2)
     else:
-        build = functools.partial(gradient.covariance, spec, s2)
+        build = functools.partial(gradient.covariance, spec)
     L = _cholesky_with_jitter(build, spec)
     y = train.scaled_targets()
     # the Gram was checked finite as it was built, so its factor is not rescanned
     alpha, _ = lapack.dpotrs(L, y, lower=1)
     q, c = blas.ddot(y, alpha), 1.0
-    if concentrated:
-        lo, hi, margin = _BOUNDS["amplitude"](1.0, None)
-        c = gradient.scale = min(max(q / train.n, (lo / margin) ** 2), (hi * margin) ** 2)
+    if gradient is not None:
+        c = gradient.scale = min(max(q / train.n, _SCALE_BOX[0]), _SCALE_BOX[1])
     value = -0.5 * q / c - 0.5 * train.n * math.log(c)
     value = float(value - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
     if gradient is not None:
         # with K = c A, alpha alpha^T - K^-1 times dK is (beta beta^T / c - A^-1) dA, beta = A^-1 y
-        gradient.fill(spec, L, alpha / math.sqrt(c), s2)
+        gradient.fill(spec, L, alpha / math.sqrt(c))
     return value
 
 
@@ -507,29 +503,28 @@ def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray
 # -- hyperparameter fitting -------------------------------------------------
 
 
-# (lo, hi, margin) per hyperparameter field, from the target scale s and the
-# range r of the field's input axis: restarts after the first draw
-# log-uniformly from [lo, hi], and the box is [lo/margin, hi*margin].  w scales
-# a warped distance in [0, 2].  The amplitude is solved in closed form within
-# its box.  The noise row bounds lambda = sigma^2 / h^2; its box floor is the
+# (lo, hi, margin) per hyperparameter field, from the range r of the field's
+# input axis: restarts after the first draw log-uniformly from [lo, hi], and
+# the box is [lo/margin, hi*margin].  w scales a warped distance in [0, 2].
+# The noise row bounds lambda = sigma^2 / h^2; its box floor is the
 # factorisation's first jitter, 1e-10 of A's mean diagonal of about 1, below
 # which lambda means nothing.
 _BOUNDS = {
-    "amplitude": lambda s, r: (0.01 * s, 10.0 * s, 100.0),
-    "roughness": lambda s, r: (0.1, 10.0, 100.0),
-    "lengthscales": lambda s, r: (1.0, max(10.0 * r, 2.0), 100.0),
-    "alpha": lambda s, r: (0.1, 100.0, 100.0),
-    "noise_variance": lambda s, r: (1e-6, 1.0, 1e4),
+    "roughness": lambda r: (0.1, 10.0, 100.0),
+    "lengthscales": lambda r: (1.0, max(10.0 * r, 2.0), 100.0),
+    "alpha": lambda r: (0.1, 100.0, 100.0),
+    "noise_variance": lambda r: (1e-6, 1.0, 1e4),
 }
+
+# the box of the amplitude's c = h^2 / s2, solved in closed form: h in [1e-4 s, 1e3 s]
+_SCALE_BOX = ((0.01 / 100.0) ** 2, (10.0 * 100.0) ** 2)
 
 
 def _free_parameters(train: TrainingSet, spec: KernelSpec):
-    """``spec``'s free hyperparameters but the amplitude, with the logs of their :data:`_BOUNDS` init range and box."""
-    params = [p for p in spec.hyperparameters() if p.field != "amplitude"]
+    """``spec``'s free hyperparameters, with the logs of their :data:`_BOUNDS` init range and box."""
+    params = spec.hyperparameters()
     ranges = np.ptp(train.inputs, axis=0) if train.n else np.ones(train.ndim)
-    bounds = [
-        _BOUNDS[p.field](train.target_scale, None if p.index is None else float(ranges[p.index])) for p in params
-    ]
+    bounds = [_BOUNDS[p.field](None if p.index is None else float(ranges[p.index])) for p in params]
     lo, hi, margin = np.log(bounds).T
     return params, (lo, hi), (lo - margin, hi + margin)
 
@@ -544,9 +539,9 @@ def fit_hyperparameters(
     """Maximise the log marginal likelihood over positive hyperparameters.
 
     The objective is the likelihood maximised over the amplitude in closed
-    form (:func:`log_marginal_likelihood` with a concentrated
-    :class:`LmlGradient`).  L-BFGS-B works in log space on the rest of the
-    template's :meth:`~pvgp.kernels.KernelSpec.hyperparameters`: the shape
+    form (:func:`log_marginal_likelihood` with an :class:`LmlGradient`).
+    L-BFGS-B works in log space on the template's
+    :meth:`~pvgp.kernels.KernelSpec.hyperparameters`: the shape
     parameters and the noise ratio ``lambda = sigma^2 / h^2``.  Each
     objective evaluation is one Cholesky factorisation, which yields the
     likelihood, the amplitude's best ``c`` and the analytic gradient; the

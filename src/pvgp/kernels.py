@@ -22,11 +22,12 @@ matern12) multiply as one ``exp`` of the summed distance variables, so a
 periodic se or matern12 Gram costs one ``exp`` per entry; the warp's
 variable is built negated for it, and a unit amplitude is not multiplied
 in.  A spec is
-flat: :meth:`KernelSpec.hyperparameters` lists the scalars a fit sets
-(every one it reads but the constants ``T`` and ``nu``; the fit solves
-``h`` in closed form and frees the rest), each a :class:`Hyperparameter`
-addressing one by field, and :func:`with_hyperparameters` sets any of
-them in one ``replace``.  Five families are supported:
+flat: :meth:`KernelSpec.hyperparameters` lists the scalars a fit frees
+(every one it reads but the amplitude ``h``, which the fit solves in
+closed form, and the constants ``T`` and ``nu``), each a
+:class:`Hyperparameter` addressing one by field, and
+:func:`with_hyperparameters` sets any of them in one ``replace``.  Five
+families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
 * ``se``           -- squared exponential, ``h^2 * exp(-r2)``
@@ -179,12 +180,13 @@ class KernelSpec:
         self.validate()
 
     def hyperparameters(self) -> tuple[Hyperparameter, ...]:
-        """Every scalar a fit sets, in order: ``h``, ``w``, lengthscales, ``alpha``, ``sigma^2``.
+        """Every scalar a fit frees, in order: ``w``, lengthscales, ``alpha``, ``sigma^2``.
 
-        The fit solves ``h`` in closed form and frees the rest.  The
-        lengthscales start at axis 1 on a periodic spec and are none on
-        ``whitenoise``; any other field is listed unless construction
-        cleared it.  The period ``T``, like ``nu``, is a constant of the kernel.
+        The amplitude ``h`` is not among them: the fit solves it in closed
+        form.  The lengthscales start at axis 1 on a periodic spec and are
+        none on ``whitenoise``; any other field is listed unless
+        construction cleared it.  The period ``T``, like ``nu``, is a
+        constant of the kernel.
         """
 
         def read(*names):
@@ -192,7 +194,7 @@ class KernelSpec:
 
         first = len(self.lengthscales) if self.family == WHITE_NOISE else int(self.family == PERIODIC)
         lengthscales = [Hyperparameter("lengthscales", d) for d in range(first, len(self.lengthscales))]
-        return (*read("amplitude", "roughness"), *lengthscales, *read("alpha", "noise_variance"))
+        return (*read("roughness"), *lengthscales, *read("alpha", "noise_variance"))
 
     @property
     def shape(self) -> str | None:

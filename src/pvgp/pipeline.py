@@ -84,6 +84,7 @@ OVERNIGHT_MIN_NIGHTS = 3
 
 REASON_OUT_OF_BOUNDS = "out-of-bounds"
 REASON_MISSING_METADATA = "missing-metadata"
+REASON_NO_POWER = "no-power"
 REASON_OVERNIGHT = "overnight-generation"
 
 
@@ -469,7 +470,8 @@ def filter_systems(
 
     Removal reasons, first match wins: ``missing-metadata`` (no usable
     capacity or location), ``out-of-bounds`` (projected location outside
-    ``boundary``), ``overnight-generation`` (power above
+    ``boundary``), ``no-power`` (no power rows, so nothing to assemble),
+    ``overnight-generation`` (power above
     ``overnight_fraction`` of capacity while the sun is below
     ``night_threshold_deg`` on at least ``min_nights`` distinct nights).
     """
@@ -494,6 +496,9 @@ def filter_systems(
                 )
             )
             continue
+        if system.system_id not in power.series:
+            removed.append(Removal(system, REASON_NO_POWER, "no power rows"))
+            continue
         nights = _overnight_nights(system, power, night_threshold_deg, overnight_fraction)
         if nights >= min_nights:
             removed.append(Removal(system, REASON_OVERNIGHT, f"{nights} nights with overnight power"))
@@ -503,10 +508,7 @@ def filter_systems(
 
 
 def _overnight_nights(system, power, night_threshold_deg, overnight_fraction) -> int:
-    data = power.series.get(system.system_id)
-    if data is None or data[0].size == 0:
-        return 0
-    idx, watts = data
+    idx, watts = power.series[system.system_id]
     suspicious = watts > overnight_fraction * system.capacity_w
     if not suspicious.any():
         return 0

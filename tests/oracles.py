@@ -142,8 +142,8 @@ def lml_gradient_full_w(train, spec, params):
     ``1/2 sum(W * dK/dlog theta)`` with ``W = alpha alpha^T - K^-1`` held
     whole (``K^-1`` by ``dpotri`` from the jittered factor, mirrored to
     both triangles) and every derivative block written out in full:
-    ``2 K_main / s2`` for the amplitude, ``sigma^2 I / s2`` for the noise,
-    and ``K_main * log_derivative / s2`` for a shape hyperparameter.
+    ``sigma^2 I / s2`` for the noise and ``K_main * log_derivative / s2``
+    for a shape hyperparameter.
     """
     s2 = train.target_scale**2
     n = train.n
@@ -157,9 +157,7 @@ def lml_gradient_full_w(train, spec, params):
     K_main = evaluator.gram(spec).copy()
     grad = []
     for p in params:
-        if p.field == "amplitude":
-            dK = 2.0 * K_main / s2
-        elif p.field == "noise_variance":
+        if p.field == "noise_variance":
             dK = spec.noise_variance * np.eye(n) / s2
         else:
             dK = K_main * evaluator.log_derivative(spec, p) / s2

@@ -134,9 +134,9 @@ def test_optimizer_gradient_agrees_with_stencil():
         err = np.linalg.norm(g2 - g5) / max(np.linalg.norm(g5), 1.0)
         assert err <= 1e-4, f"trial {trial}: gradient rel err {err}"
 
-    # the plain analytic gradient, over every hyperparameter of the spec, for
-    # all families in 1-D and 2-D; the optimiser consumes the concentrated one,
-    # which test_gp's test_concentrated_gradient_matches_a_stencil_of_the_concentrated_value checks
+    # the analytic gradient the optimiser consumes, with the amplitude solved
+    # in closed form, against a stencil of the concentrated value, over every
+    # hyperparameter the fit frees, for all families in 1-D and 2-D
     bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
     bases += [dict(base=MATERN, nu=nu) for nu in (0.5, 1.5, 2.5)]
     for trial in range(60):
@@ -150,13 +150,16 @@ def test_optimizer_gradient_agrees_with_stencil():
         X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
         train = TrainingSet.from_arrays(X, rng.normal(0.0, 1.0, size=n))
         params = spec.hyperparameters()
+        # at h = 1 the noise variance is lambda = sigma^2 / h^2
+        unit = replace(spec, amplitude=1.0, noise_variance=spec.noise_variance / spec.amplitude**2)
 
         def objective(x):
-            return -gp.log_marginal_likelihood(train, kernels.with_hyperparameters(spec, params, np.exp(x)))
+            spec_x = kernels.with_hyperparameters(unit, params, np.exp(x))
+            return -gp.log_marginal_likelihood(train, spec_x, gp.LmlGradient(train, params))
 
         gradient = gp.LmlGradient(train, params)
-        gp.log_marginal_likelihood(train, spec, gradient)
-        g5 = stencil_gradient(objective, np.log([p.get(spec) for p in params]))
+        gp.log_marginal_likelihood(train, unit, gradient)
+        g5 = stencil_gradient(objective, np.log([p.get(unit) for p in params]))
         err = np.linalg.norm(-gradient.value - g5) / max(np.linalg.norm(g5), 1.0)
         assert err <= 1e-4, f"analytic trial {trial} ({spec.to_text()}): gradient rel err {err}"
 

@@ -526,6 +526,27 @@ def test_experiment_prepares_only_the_systems_it_runs(tmp_path, capsys):
     assert [(list(row["per_system"]), row["failures"]) for row in report["rows"]] == [(["1"], {})] * 2
 
 
+def test_ingest_removes_a_system_with_no_power_rows(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    with open(paths["metadata"], "a") as fh:
+        fh.write("2,51.6,-0.1,3000.0\n")
+    cfg = write_config(tmp_path / "i.json", paths={**paths, "output_dir": str(tmp_path / "out")})
+    assert main(["ingest", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "kept 1 system(s)" in out and "  system 2: no-power (no power rows)" in out, out
+    assert sorted(p.name for p in (tmp_path / "out").glob("assembled_*")) == ["assembled_1_6px.csv"]
+
+
+def test_experiment_of_every_kept_system_leaves_out_one_with_no_power_rows(tmp_path, capsys):
+    paths = make_bundle(tmp_path)
+    with open(paths["metadata"], "a") as fh:
+        fh.write("2,51.6,-0.1,3000.0\n")
+    cfg = experiment_config(tmp_path, paths, systems=[])
+    assert main(["experiment", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(list(row["per_system"]), row["failures"]) for row in report["rows"]] == [(["1"], {})] * 2
+
+
 def test_unknown_experiment_system_exits_two_naming_it(tmp_path, capsys):
     paths = make_bundle(tmp_path)
     cfg = experiment_config(tmp_path, paths, systems=[1, 9])

@@ -395,9 +395,10 @@ def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
             want = gp.build_covariance(X, X, spec, with_noise=True) / s2
             assert np.array_equal(K[upper], want[upper]), spec.to_text()
             assert np.isnan(K[-1, 0]), spec.to_text()  # below every row block: never written
-            # the gradient's Gram, built whole, is finished the same way
-            whole = gp.LmlGradient(train, []).covariance(spec, s2)
-            assert np.array_equal(whole[upper], K[upper]), spec.to_text()
+            # the gradient's Gram, built whole over the spec's own h^2, is finished the same way
+            whole = gp.LmlGradient(train, []).covariance(spec)
+            want = gp._gram_builder(X, spec, spec.amplitude**2)()
+            assert np.array_equal(whole[upper], want[upper]), spec.to_text()
 
 
 def test_non_finite_gram_raises_value_error_naming_the_kernel():
@@ -410,7 +411,7 @@ def test_non_finite_gram_raises_value_error_naming_the_kernel():
             gp.posterior(train, [[250.0]], spec)
         with pytest.raises(ValueError, match=match):
             gp.log_marginal_likelihood(train, spec)
-        gradient = gp.LmlGradient(train, [kernels.Hyperparameter("amplitude")])
+        gradient = gp.LmlGradient(train, spec.hyperparameters())
         with pytest.raises(ValueError, match=match):
             gp.log_marginal_likelihood(train, spec, gradient)
 
@@ -476,7 +477,7 @@ def _fill_unread_triangle(monkeypatch, value: float) -> None:
         return lambda: fill(build())
 
     monkeypatch.setattr(gp, "_gram_builder", filled_builder)
-    monkeypatch.setattr(gp.LmlGradient, "covariance", lambda self, spec, s2: fill(covariance(self, spec, s2)))
+    monkeypatch.setattr(gp.LmlGradient, "covariance", lambda self, spec: fill(covariance(self, spec)))
 
 
 def test_cholesky_leaves_the_unread_triangle_as_built(monkeypatch):
@@ -505,9 +506,8 @@ def test_factor_readers_do_not_read_the_unread_triangle(monkeypatch):
         pred = gp.posterior(train, query, spec)
         out = [pred.mean, pred.cov, gp.posterior(train, query, spec, covariance=False).mean]
         out += [np.array(gp.log_marginal_likelihood(train, spec)), gp.sample_prior(query, spec, 3, seed=5)]
-        for params in (spec.hyperparameters(), gp._free_parameters(train, spec)[0]):
-            gradient = gp.LmlGradient(train, params)
-            out.append(np.array([gp.log_marginal_likelihood(train, spec, gradient), *gradient.value]))
+        gradient = gp.LmlGradient(train, spec.hyperparameters())
+        out.append(np.array([gp.log_marginal_likelihood(train, spec, gradient), *gradient.value, gradient.scale]))
         return out
 
     for spec in family_specs(2):
@@ -573,14 +573,13 @@ def test_lml_increases_with_noise_on_pure_noise_data():
 
 
 def test_concentrated_lml_is_the_lml_at_its_best_amplitude():
-    # without the amplitude among its parameters, the gradient concentrates it
-    # out: the value is the plain LML at h^2 = c s2 and sigma^2 = lambda c s2
+    # with a gradient the amplitude is concentrated out: the value is the
+    # plain LML at h^2 = c s2 and sigma^2 = lambda c s2
     rng = np.random.default_rng(48)
     for ndim in (1, 2):
         for spec in family_specs(ndim):
             train = random_train(rng, 60, ndim)
-            # the parameters a fit frees: all but the amplitude
-            gradient = gp.LmlGradient(train, gp._free_parameters(train, spec)[0])
+            gradient = gp.LmlGradient(train, spec.hyperparameters())
             value = gp.log_marginal_likelihood(train, spec, gradient)
             h2 = gradient.scale * train.target_scale**2
             ratio = spec.noise_variance / spec.amplitude**2
@@ -633,6 +632,7 @@ def test_fit_from_a_template_whose_h_squared_underflows_starts_on_the_noise_rati
     # h^2 = 0 in floating point: lambda = sigma^2 / h^2 is inf, and restart 0 starts at the box's ceiling
     train, truth = make_se_data(3, n=20)
     fitted = gp.fit_hyperparameters(train, replace(truth, amplitude=1e-170), restarts=1, seed=0)
+    assert math.isfinite(fitted.amplitude) and fitted.amplitude > 0
     assert all(math.isfinite(p.get(fitted)) and p.get(fitted) > 0 for p in fitted.hyperparameters())
 
 
@@ -649,7 +649,10 @@ def test_fit_on_no_rows_returns_a_finite_spec():
 
 def test_lml_gradient_matches_full_weight_matrix_oracle():
     # every hyperparameter free, alpha included, for each family and each
-    # periodic base in 1-D and 2-D
+    # periodic base in 1-D and 2-D; at the best amplitude the plain gradient
+    # by log sigma^2 and the shape parameters is the concentrated one (the
+    # envelope theorem), and whitenoise's h and sigma form one variance, so
+    # its gradient is about 0
     rng = np.random.default_rng(45)
     for ndim in (1, 2):
         for spec in [KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.4), *family_specs(ndim)]:
@@ -657,33 +660,41 @@ def test_lml_gradient_matches_full_weight_matrix_oracle():
             params = spec.hyperparameters()
             gradient = gp.LmlGradient(train, params)
             value = gp.log_marginal_likelihood(train, spec, gradient)
-            assert value == gp.log_marginal_likelihood(train, spec), spec.to_text()
-            want = lml_gradient_full_w(train, spec, params)
-            assert np.linalg.norm(gradient.value - want) <= 1e-12 * np.linalg.norm(want), spec.to_text()
+            h2 = gradient.scale * train.target_scale**2
+            best = replace(spec, amplitude=math.sqrt(h2), noise_variance=spec.noise_variance / spec.amplitude**2 * h2)
+            assert value == pytest.approx(gp.log_marginal_likelihood(train, best), rel=1e-10), spec.to_text()
+            want = lml_gradient_full_w(train, best, params)
+            err = np.linalg.norm(gradient.value - want)
+            assert err <= 1e-12 * max(np.linalg.norm(want), 1.0), spec.to_text()
 
 
 def test_lml_gradient_holds_at_most_five_grams_between_evaluations():
     # K^-1's buffer carries the trace weights; the rest is the evaluator's
     # Gram, its geometry (one |dx| and the chord) and its one scratch buffer,
-    # where each distance variable is rebuilt; on the plain parameter list and
-    # on the concentrated one that the fit runs, without the amplitude
+    # where each distance variable is rebuilt
     n = 1000
     rng = np.random.default_rng(46)
     X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
     train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
     spec = kernels.parse("periodic(matern12; h=85.0, ls=[1.0, 8.0], w=10.0, T=288.0) + whitenoise(sigma2=400.0)")
-    for concentrated, params in ((False, spec.hyperparameters()), (True, gp._free_parameters(train, spec)[0])):
-        tracemalloc.start()
-        try:
-            gradient = gp.LmlGradient(train, params)
-            for h in (85.0, 90.0):
-                gp.log_marginal_likelihood(train, replace(spec, amplitude=h), gradient)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert gradient.concentrated == concentrated
-        assert held <= 5.05 * 8 * n * n, params
-        assert peak <= 5.2 * 8 * n * n, params
+    tracemalloc.start()
+    try:
+        gradient = gp.LmlGradient(train, spec.hyperparameters())
+        for h in (85.0, 90.0):
+            gp.log_marginal_likelihood(train, replace(spec, amplitude=h), gradient)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 5.05 * 8 * n * n
+    assert peak <= 5.2 * 8 * n * n
+
+
+@pytest.mark.parametrize("field", ["amplitude", "period", "nu"])
+def test_lml_gradient_rejects_a_field_it_cannot_differentiate(field):
+    # the amplitude is solved in closed form, and T and nu are constants of the kernel
+    train = random_train(np.random.default_rng(51), 10, 1)
+    with pytest.raises(ValueError, match=repr(field)):
+        gp.LmlGradient(train, [kernels.Hyperparameter("roughness"), kernels.Hyperparameter(field)])
 
 
 def test_fd_gradient_agrees_with_higher_order_stencil():
@@ -767,8 +778,7 @@ def test_fit_constant_zero_targets_drives_noise_down():
     fitted = gp.fit_hyperparameters(train, template, restarts=2, seed=0)
     assert fitted.noise_variance < 1e-4 * train.target_scale**2
     # y^T A^-1 y = 0, so c sits on the floor of the amplitude's box
-    lo, _, margin = gp._BOUNDS["amplitude"](train.target_scale, None)
-    assert fitted.amplitude == pytest.approx(lo / margin, rel=1e-12)
+    assert fitted.amplitude == pytest.approx(math.sqrt(gp._SCALE_BOX[0]) * train.target_scale, rel=1e-12)
     assert all(math.isfinite(p.get(fitted)) and p.get(fitted) > 0 for p in fitted.hyperparameters())
 
 

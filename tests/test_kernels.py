@@ -310,9 +310,8 @@ def test_gram_evaluator_log_derivatives_match_finite_differences():
         KernelSpec(PERIODIC, amplitude=1.2, lengthscales=(1.0, 0.7), roughness=0.8, period=23.3, **b) for b in bases
     ]
     for spec in specs:
-        # the noise variance is not a main-kernel hyperparameter, and the
-        # amplitude's log-derivative is 2 everywhere, taken in closed form by pvgp.gp
-        params = [p for p in spec.hyperparameters() if p.field not in ("noise_variance", "amplitude")]
+        # the noise variance is not a main-kernel hyperparameter
+        params = [p for p in spec.hyperparameters() if p.field != "noise_variance"]
         ev = kernels.GramEvaluator(X, X, same_samples=True)
         K = ev.gram(spec).copy()
         for p in params:
@@ -343,7 +342,7 @@ def test_gram_evaluator_log_derivatives_do_not_depend_on_call_order():
         specs += [KernelSpec(MATERN, amplitude=1.1, lengthscales=ls, nu=nu) for nu in MATERN_NUS]
         specs += [KernelSpec(PERIODIC, amplitude=1.2, lengthscales=ls, roughness=0.8, period=23.3, **b) for b in bases]
         for spec in specs:
-            params = [p for p in spec.hyperparameters() if p.field not in ("noise_variance", "amplitude")]
+            params = [p for p in spec.hyperparameters() if p.field != "noise_variance"]
             # each block from a fresh evaluator that never ran gram
             want = [kernels.GramEvaluator(X, X, same_samples=True).log_derivative(spec, p).copy() for p in params]
             ev = kernels.GramEvaluator(X, X, same_samples=True)
@@ -397,7 +396,8 @@ def test_hyperparameters_name_every_scalar_a_fit_frees():
             spec = KernelSpec(PERIODIC, lengthscales=ls, roughness=0.8, period=23.3, **b)
             cases.append((spec, [("roughness", None)] + middle))
         for spec, middle in cases:
-            expected = [("amplitude", None)] + middle + [("noise_variance", None)]
+            # the amplitude is solved in closed form, never freed
+            expected = middle + [("noise_variance", None)]
             assert [(p.field, p.index) for p in spec.hyperparameters()] == expected, spec.to_text()
 
 
@@ -407,7 +407,7 @@ def test_with_hyperparameters_is_one_replace_equal_to_one_replace_per_field(monk
     one_replace = kernels.replace
     monkeypatch.setattr(kernels, "replace", lambda *a, **k: calls.append(k) or one_replace(*a, **k))
     for spec in family_specs(ndim=2) + [spec_periodic(RATIONAL_QUADRATIC, nu=None, alpha=2.0, ls=(1.0, 0.3))]:
-        params = spec.hyperparameters()
+        params = [kernels.Hyperparameter("amplitude"), *spec.hyperparameters()]
         values = [math.exp(v) for v in rng.normal(0.0, 1.0, len(params))]
         expected = spec
         for p, v in zip(params, values):

@@ -368,7 +368,9 @@ def test_filter_is_idempotent_and_lossless():
     power = make_power([120], [500.0], system_id=1)
     result = filter_systems(systems, power)
     assert len(result.kept) + len(result.removed) == len(systems)
-    assert [r.reason for r in result.removed] == [pipeline.REASON_OUT_OF_BOUNDS, pipeline.REASON_MISSING_METADATA]
+    # system 4 has no readings
+    reasons = [pipeline.REASON_OUT_OF_BOUNDS, pipeline.REASON_MISSING_METADATA, pipeline.REASON_NO_POWER]
+    assert [r.reason for r in result.removed] == reasons
     again = filter_systems(result.kept, power)
     assert again.kept == result.kept and not again.removed
 
