@@ -8,34 +8,36 @@ kernel hyperparameters stay in target units (watts), so specs written by
 hand and specs returned by the fitter are directly comparable.
 
 Linear algebra goes through a Cholesky factorisation of the jittered Gram
-matrix; only the likelihood gradient forms ``K^-1``, from that factor,
-because its trace terms need every entry.  The factorisation and the
-solves call LAPACK (``dpotrf``, ``dpotrs``, ``dtrtrs``) directly: the
-factor's other triangle is left as the build wrote it, since a solve, a
-log determinant and a prior draw read one triangle only, and only the
-gradient, which reads the whole square, zeroes it.  Jitter starts at
-``1e-10 * mean(diag)`` and escalates tenfold up to ``1e-4`` before a
+matrix, which LAPACK computes in place (the package calls it directly);
+only the likelihood gradient forms ``K^-1``, from that factor, because
+its trace terms need every entry.  Jitter starts at ``1e-10 *
+mean(diag)`` and escalates tenfold up to ``1e-4`` before a
 :class:`ConditioningError` is raised naming the kernel.  Noise and jitter
-are added on the diagonal only, and one n x n buffer carries each
-factorisation: the Gram is built into it, factorised in place, and the
-factor is solved against (and, for the gradient, inverted) in that same
-memory, so a posterior peaks near one n x n array.  For a posterior, a
-likelihood without gradient and a prior draw only the triangle the
-factorisation reads is built (row i from column i on).  One finish puts
-the noise on the diagonal, divides by the target variance and checks the
-entries finite: each row block of those Grams and of a posterior's cross
-block gets it while in cache, and the gradient's Gram, built whole, gets
-it whole.  A non-finite Gram raises ``ValueError`` naming the kernel.
-Because every Gram is checked as it is built, its factor is never
-rescanned: after the factorisation a posterior makes one triangular
-solve, against the cross block and the targets together, which gives its
-mean and its covariance.  A posterior asked for its mean alone
-(``covariance=False``, as every grid cell is, since a cell is scored by
-the MAE of its mean) stops there and builds no m x m array.  Otherwise
-its prior block ``K(X*, X*)`` is built after the solve as one triangle
-too, the solve's product is subtracted from that triangle in place by one
-``dsyrk``, and the triangle is mirrored to the other side: no
-symmetrising pass, and the covariance is exactly symmetric.
+are added on the diagonal only.  A Gram that is only factorised and
+solved against -- a posterior's, a likelihood's without gradient, a
+prior draw's -- keeps one triangle, n(n+1)/2 entries, in rectangular full
+packed (RFP) storage (Gustavson, Wasniewski, Dongarra & Langou 2010): it
+is built into that array as three blocks, factorised there by
+``dpftrf`` and solved against there by ``dtfsm`` (a posterior) or
+``dpftrs`` (a likelihood), so a posterior peaks near half an n x n
+array.  The gradient's Gram is a full square, because its trace sums run
+over the whole square: ``dpotrf`` factorises it in place, ``dpotrs``
+solves against it, and the factor's other triangle is left as built
+until the gradient zeroes it.  One finish puts the noise on the
+diagonal, divides by the target variance and checks the entries finite:
+each row block of an RFP Gram and of a posterior's cross block gets it
+while in cache, and the gradient's Gram, built whole, gets it whole.  A
+non-finite Gram raises ``ValueError`` naming the kernel.  Because every
+Gram is checked as it is built, its factor is never rescanned: after the
+factorisation a posterior makes one triangular solve, against the cross
+block and the targets together, which gives its mean and its
+covariance.  A posterior asked for its mean alone (``covariance=False``,
+as every grid cell is, since a cell is scored by the MAE of its mean)
+stops there and builds no m x m array.  Otherwise its prior block
+``K(X*, X*)`` is built after the solve as one triangle, the solve's
+product is subtracted from that triangle in place by one ``dsyrk``, and
+the triangle is mirrored to the other side: no symmetrising pass, and the
+covariance is exactly symmetric.
 
 Every dense product goes through :mod:`scipy.linalg.blas`, the BLAS that
 the factorisations and solves already run on; nothing calls numpy's
@@ -214,53 +216,99 @@ def _finish(block: np.ndarray, spec: KernelSpec, s2: float, noise: float) -> Non
         raise ValueError(f"covariance has non-finite entries for kernel {spec.to_text()}")
 
 
-def _gram_builder(X: np.ndarray, spec: KernelSpec, s2: float):
-    """``build()`` for :func:`_cholesky_with_jitter`: ``(K(X, X) + sigma^2 I) / s2`` in one n x n buffer.
+def _rfp_layout(n: int) -> tuple[int, int, int]:
+    """``(n1, n2, width)`` of an order-n Gram in RFP storage: its C-ordered view is n1 x width (see :func:`_rfp_builder`)."""
+    n2 = n // 2
+    return n - n2, n2, n + 1 - n % 2
 
-    Only the triangle the factorisation reads is built, row i from column i
-    on (``kernels.main_matrix(..., upper=True)``); below the diagonal only
-    the few entries inside a row block are written.  Each row block is
-    :func:`_finish`-ed while it is in cache, so no pass over the whole
-    matrix follows the build.
+
+def _rfp_builder(X: np.ndarray, spec: KernelSpec, s2: float):
+    """``build()`` for :func:`_cholesky_with_jitter`: ``(K(X, X) + sigma^2 I) / s2`` in rectangular full packed storage.
+
+    Rectangular full packed (RFP) storage (Gustavson, Wasniewski, Dongarra
+    & Langou 2010; LAPACK's ``transr='N'``, ``uplo='L'``) holds the lower
+    triangle's n(n+1)/2 entries in one dense array, which ``dpftrf``
+    factorises in place.  With ``n1 = n - n // 2`` and ``n2 = n // 2``, its
+    C-ordered view R is n1 x (n + e), e = 1 for even n and 0 for odd, row j
+    being column j of LAPACK's Fortran array (:func:`_rfp_layout`).  ``R[:, e:]`` holds the first
+    n1 rows of the Gram from their diagonal on: A11's upper triangle and the
+    n1 x n2 block ``K(X[:n1], X[n1:])``, A21's transpose.  ``R[n1 - n2:,
+    :n2]`` holds A22's lower triangle, which reversed on both axes is the
+    upper triangle of the last n2 rows taken in reverse order.  So three
+    :func:`kernels.main_matrix` calls fill the array, the two diagonal
+    blocks as exact upper triangles, and each row block is
+    :func:`_finish`-ed while it is in cache.
     """
-    buffer = np.empty((X.shape[0], X.shape[0]))
+    n = X.shape[0]
+    n1, n2, width = _rfp_layout(n)
+    e = width - n
+    arf = np.empty(n * (n + 1) // 2)
+    R = arf.reshape(n1, width)
     finish = functools.partial(_finish, spec=spec, s2=s2, noise=spec.noise_variance)
+    cross = functools.partial(_finish, spec=spec, s2=s2, noise=0.0)
+    head, rest = X[:n1], X[n1:]
 
     def build() -> np.ndarray:
-        return kernels.main_matrix(spec, X, X, same_samples=True, out=buffer, upper=True, finish=finish)
+        kernels.main_matrix(spec, head, head, same_samples=True, out=R[:, e : e + n1], upper=True, finish=finish)
+        kernels.main_matrix(spec, head, rest, out=R[:, e + n1 :], finish=cross)
+        A22 = R[n1 - n2 :, :n2][::-1, ::-1]
+        kernels.main_matrix(spec, rest[::-1], rest[::-1], same_samples=True, out=A22, upper=True, finish=finish)
+        return arf
 
     return build
+
+
+def _diagonal_runs(K: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Writable views of the diagonal of a Gram or of its factor, in order.
+
+    A square (or its Fortran view) has one; an RFP array (see
+    :func:`_rfp_builder`) has two strided runs, A11's then A22's.
+    """
+    if K.ndim == 2:
+        return (_diagonal(K),)
+    n = (math.isqrt(8 * K.size + 1) - 1) // 2
+    n1, n2, width = _rfp_layout(n)
+    return K[width - n :: width + 1][:n1], K[(n1 - n2) * width :: width + 1][:n2]
 
 
 def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
     """Lower Cholesky factor of a symmetric Gram plus escalating jitter, in the Gram's buffer.
 
-    ``build()`` fills a C-ordered n x n buffer with the symmetric Gram, at
-    least row i from column i on, checks that what it filled is finite, and
-    returns it.  Its transpose ``K.T`` is a Fortran-ordered view of the
-    same matrix whose lower triangle is that filled part, which each
-    attempt factorises in place with LAPACK ``dpotrf`` after putting the
-    jitter on its diagonal; the factor returned is that view, so the
-    buffer that held the Gram holds the factor and no second n x n array
-    is made.  Its upper triangle is left as the build wrote it, not
-    zeroed: every reader of the factor but :meth:`LmlGradient.fill` reads
-    the lower triangle only, and ``fill`` zeroes the other itself.  The
-    factorisation reads only the filled triangle, so it does not check
-    finiteness itself.  A failed attempt (``info > 0``: a leading minor is
-    not positive definite) has overwritten the buffer, so ``build()``
-    refills it before the next one.  The jitter is ``eps * mean(diag)`` of
-    the Gram as first built.
+    ``build()`` fills a buffer with the symmetric Gram, checks that what it
+    filled is finite, and returns it, in one of two storages.  A 1-D array
+    is the Gram's lower triangle in rectangular full packed storage
+    (:func:`_rfp_builder`, for a posterior, a likelihood without gradient
+    and a prior draw), which LAPACK ``dpftrf`` factorises in place; the
+    factor returned is that array, in the same storage.  A C-ordered n x n
+    buffer (the gradient's :meth:`LmlGradient.covariance`) is filled at
+    least row i from column i on; its transpose ``K.T`` is a
+    Fortran-ordered view of the same matrix whose lower triangle is that
+    filled part, which ``dpotrf`` factorises in place, and the factor
+    returned is that view, its upper triangle left as the build wrote it:
+    :meth:`LmlGradient.fill` zeroes it itself.  Either way no second array
+    of the Gram's size is made.  Each attempt puts the jitter on the
+    diagonal (two strided runs in RFP storage) first.  The factorisation
+    reads only what was filled, so it does not check finiteness itself.  A
+    failed attempt (``info > 0``: a leading minor is not positive definite)
+    has overwritten the buffer, so ``build()`` refills it before the next
+    one.  The jitter is ``eps * mean(diag)`` of the Gram as first built.
     """
     K = build()
-    n = K.shape[0]
-    diag = K.diagonal().copy()
+    diag = np.concatenate(_diagonal_runs(K))
+    n = diag.size
     scale = float(np.mean(diag)) if n else 1.0
     if scale <= 0 or not math.isfinite(scale):
         scale = 1.0
     eps = JITTER_INITIAL
     while True:
-        _diagonal(K)[...] = diag + eps * scale
-        L, info = lapack.dpotrf(K.T, lower=1, overwrite_a=1, clean=0)
+        jittered, start = diag + eps * scale, 0
+        for run in _diagonal_runs(K):
+            run[...] = jittered[start : start + run.size]
+            start += run.size
+        if K.ndim == 1:
+            L, info = lapack.dpftrf(n, K, transr="N", uplo="L", overwrite_a=1)
+        else:
+            L, info = lapack.dpotrf(K.T, lower=1, overwrite_a=1, clean=0)
         if info == 0:
             return L
         eps *= 10.0  # info > 0: a leading minor is not positive definite
@@ -269,6 +317,13 @@ def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
                 f"covariance factorisation failed at jitter {JITTER_MAX:g} for kernel {spec.to_text()}"
             )
         K = build()
+
+
+def _check_query(query_X: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first query row with a non-finite input."""
+    bad = np.flatnonzero(~np.isfinite(query_X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"query row {bad[0]} has non-finite inputs {query_X[bad[0]].tolist()}")
 
 
 def posterior(train: TrainingSet, query_X, spec: KernelSpec, covariance: bool = True) -> PosteriorPrediction:
@@ -281,12 +336,16 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec, covariance: bool = 
     An empty query returns a mean of shape (0,) and a (0, 0) covariance
     before anything is factorised.
 
-    After the factorisation ``K = L L^T``, one triangular solve gives both:
+    The training Gram is built in RFP storage (:func:`_rfp_builder`), one
+    triangle, and factorised there by ``dpftrf``: ``K = L L^T``.  Then one
+    triangular solve, ``dtfsm`` on the RFP factor, gives both:
     ``[V | z] = L^-1 [K(X*,X)^T | y]``, so ``m* = mu + V^T z`` and
     ``C* = K(X*,X*) - V^T V`` (Rasmussen & Williams 2006, algorithm 2.1).
     The cross block is built straight into that Fortran-ordered right-hand
     side, each row block scaled and checked finite while in cache, and the
-    solve overwrites it; the factor is read once and never rescanned.
+    solve overwrites it; the factor is read once and never rescanned.  The
+    n(n+1)/2-entry factor and the n x (m + 1) right-hand side are the
+    posterior's only arrays that grow with n.
 
     With ``covariance=False`` the posterior returns after the mean, with
     ``cov=None``: no ``K(X*,X*)``, no m x m array.  A forecast scored by the
@@ -304,9 +363,7 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec, covariance: bool = 
     query_X = np.array(query_X, dtype=float, ndmin=2)
     if query_X.shape[1] != train.ndim:
         raise ValueError(f"query has {query_X.shape[1]} columns, training has {train.ndim}")
-    bad = np.flatnonzero(~np.isfinite(query_X).all(axis=1))
-    if bad.size:
-        raise ValueError(f"query row {bad[0]} has non-finite inputs {query_X[bad[0]].tolist()}")
+    _check_query(query_X)
     spec.validate(ndim=train.ndim)
 
     m = query_X.shape[0]
@@ -315,13 +372,13 @@ def posterior(train: TrainingSet, query_X, spec: KernelSpec, covariance: bool = 
         return PosteriorPrediction(mean=np.full(m, train.target_mean), cov=cov)
 
     s2 = train.target_scale**2
-    L = _cholesky_with_jitter(_gram_builder(train.inputs, spec, s2), spec)
+    L = _cholesky_with_jitter(_rfp_builder(train.inputs, spec, s2), spec)
     rhs = np.empty((train.n, m + 1), order="F")
     # rhs[:, :m].T is a C-ordered (m, n) view: the cross block K(X*, X) / s2
     finish = functools.partial(_finish, spec=spec, s2=s2, noise=0.0)
     kernels.main_matrix(spec, query_X, train.inputs, out=rhs[:, :m].T, finish=finish)
     rhs[:, m] = train.scaled_targets()
-    lapack.dtrtrs(L, rhs, lower=1, overwrite_b=1)
+    lapack.dtfsm(1.0, L, rhs, transr="N", side="L", uplo="L", trans="N", overwrite_b=1)
     V, z = rhs[:, :m], rhs[:, m]
     mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
     if not covariance:
@@ -338,30 +395,10 @@ def _prior_block(query_X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return _mirror_upper(kernels.main_matrix(spec, query_X, query_X, same_samples=True, upper=True))
 
 
-def _below_diagonal(m: int) -> np.ndarray:
-    """Read-only (m, m) mask, true where column j < row i, as a view of one 2m-entry array.
-
-    Row i is ``flags[m - i : 2m - i]``, true in its first i entries: no
-    m x m array is made, and the mask costs about as much as one row.
-    """
-    flags = np.zeros(2 * m, dtype=bool)
-    flags[:m] = True
-    below = np.ndarray((m, m), dtype=bool, buffer=flags, offset=m, strides=(-1, 1))
-    below.flags.writeable = False
-    return below
-
-
-def _row_blocks(m: int):
-    """``(start, stop)`` of the row blocks of a square m x m matrix, each about :data:`kernels._BLOCK_ELEMENTS` entries."""
-    rows = max(1, kernels._BLOCK_ELEMENTS // max(m, 1))
-    for start in range(0, m, rows):
-        yield start, min(start + rows, m)
-
-
 def _mirror_upper(K: np.ndarray) -> np.ndarray:
     """Copy square K's upper triangle onto its lower one in place, a row block at a time, and clip its diagonal at 0."""
-    below = _below_diagonal(K.shape[0])
-    for start, stop in _row_blocks(K.shape[0]):
+    below = kernels._below_diagonal(K.shape[0])
+    for start, stop in kernels._row_blocks(*K.shape):
         # K[i, :i] = K[:i, i] for the block's rows i
         np.copyto(K[start:stop, :stop], K[:stop, start:stop].T, where=below[start:stop, :stop])
     diagonal = _diagonal(K)
@@ -370,8 +407,8 @@ def _mirror_upper(K: np.ndarray) -> np.ndarray:
 
 
 def _zero_below_diagonal(K: np.ndarray, below: np.ndarray) -> None:
-    """Zero square K's strictly lower triangle in place, a row block at a time; ``below`` is its :func:`_below_diagonal`."""
-    for start, stop in _row_blocks(K.shape[0]):
+    """Zero square K's strictly lower triangle in place, a row block at a time; ``below`` is its ``kernels._below_diagonal``."""
+    for start, stop in kernels._row_blocks(*K.shape):
         np.copyto(K[start:stop, :stop], 0.0, where=below[start:stop, :stop])
 
 
@@ -408,7 +445,7 @@ class LmlGradient:
         self.scale = 1.0
         self._evaluator = kernels.GramEvaluator(train.inputs, train.inputs, same_samples=True)
         self._K = np.empty((train.n, train.n))
-        self._below = _below_diagonal(train.n)
+        self._below = kernels._below_diagonal(train.n)
 
     def covariance(self, spec: KernelSpec) -> np.ndarray:
         """Training covariance ``(K_main + sigma^2 I) / h^2``, in a reused buffer, :func:`_finish`-ed whole."""
@@ -468,19 +505,20 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
         if gradient is not None:
             gradient.value[:] = 0.0
         return 0.0
-    if gradient is None:
-        build = _gram_builder(train.inputs, spec, train.target_scale**2)
-    else:
-        build = functools.partial(gradient.covariance, spec)
-    L = _cholesky_with_jitter(build, spec)
     y = train.scaled_targets()
-    # the Gram was checked finite as it was built, so its factor is not rescanned
-    alpha, _ = lapack.dpotrs(L, y, lower=1)
+    # the Gram is checked finite as it is built, so its factor is not rescanned
+    if gradient is None:
+        L = _cholesky_with_jitter(_rfp_builder(train.inputs, spec, train.target_scale**2), spec)
+        alpha, _ = lapack.dpftrs(train.n, L, y, transr="N", uplo="L")
+    else:
+        L = _cholesky_with_jitter(functools.partial(gradient.covariance, spec), spec)
+        alpha, _ = lapack.dpotrs(L, y, lower=1)
     q, c = blas.ddot(y, alpha), 1.0
     if gradient is not None:
         c = gradient.scale = min(max(q / train.n, _SCALE_BOX[0]), _SCALE_BOX[1])
     value = -0.5 * q / c - 0.5 * train.n * math.log(c)
-    value = float(value - np.log(np.diag(L)).sum() - 0.5 * train.n * math.log(2 * math.pi))
+    log_det = sum(np.log(run).sum() for run in _diagonal_runs(L))  # half of log|K|
+    value = float(value - log_det - 0.5 * train.n * math.log(2 * math.pi))
     if gradient is not None:
         # with K = c A, alpha alpha^T - K^-1 times dK is (beta beta^T / c - A^-1) dA, beta = A^-1 y
         gradient.fill(spec, L, alpha / math.sqrt(c))
@@ -490,13 +528,19 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
 def sample_prior(query_X, spec: KernelSpec, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` functions from ``N(0, K(X, X))`` at the query inputs.
 
-    Returns a (count, m) array, deterministic per seed.
+    Returns a (count, m) array, deterministic per seed.  The Gram is
+    factorised in RFP storage, like a posterior's, and the factor is
+    expanded to a square (``dtfttr``) for the product ``L z`` (``dtrmm``):
+    draws are made at query size.  A non-finite query row raises
+    ``ValueError`` naming the row.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     query_X = np.atleast_2d(np.asarray(query_X, dtype=float))
-    L = _cholesky_with_jitter(_gram_builder(query_X, spec, 1.0), spec)
-    z = np.random.default_rng(seed).standard_normal((query_X.shape[0], count))
+    _check_query(query_X)
+    m = query_X.shape[0]
+    L, _ = lapack.dtfttr(m, _cholesky_with_jitter(_rfp_builder(query_X, spec, 1.0), spec), transr="N", uplo="L")
+    z = np.random.default_rng(seed).standard_normal((m, count))
     return blas.dtrmm(1.0, L, z, lower=1).T
 
 

@@ -12,12 +12,18 @@ scratch buffer: the distance variables are rebuilt where they are read.
 evaluator over row blocks written straight into the result, which may be
 a buffer the caller owns (``out``), so that :mod:`pvgp.gp` can factorise
 the Gram in the memory it was built in.  For a factorisation it fills
-only the triangle the factorisation reads (``upper``: row i from column i
-on) and hands each row block to the caller's ``finish`` while it is in
-cache, where :mod:`pvgp.gp` adds the noise, scales and checks finiteness;
-the ``sin`` and ``cos`` of B's time column that the chord is built from
-are computed once per call and sliced to each row block, and each row
-block computes those of its own rows.  Shapes that are ``exp(-x)`` (se,
+exactly the triangle the factorisation reads (``upper``: row i from
+column i on, nothing below the diagonal changed), so that
+:mod:`pvgp.gp` can build a Gram's two diagonal blocks into one
+rectangular full packed array, and hands each row block to the caller's
+``finish`` while it is in cache, where :mod:`pvgp.gp` adds the noise,
+scales and checks finiteness; the ``sin`` and ``cos`` of B's time column
+that the chord is built from are computed once per call and sliced to
+each row block, and each row block computes those of its own rows.  The
+non-exponential shapes' expressions (rq, matern32, matern52, and every
+shape's derivatives) are evaluated a row block at a time too, so that
+their temporaries are block-sized and a fit holds and peaks near the
+same number of n x n arrays.  Shapes that are ``exp(-x)`` (se,
 matern12) multiply as one ``exp`` of the summed distance variables, so a
 periodic se or matern12 Gram costs one ``exp`` per entry; the warp's
 variable is built negated for it, and a unit amplitude is not multiplied
@@ -374,8 +380,28 @@ def _require_float(args: dict[str, object], key: str, term: str) -> float:
 # (d log shape / dx) * (dx / d log theta), so every derivative block is K_main
 # times an element-wise factor.
 
-# elements per row block of main_matrix: bounds its temporaries
+# elements per row block of main_matrix and of the shapes' expressions: bounds their temporaries
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(rows: int, cols: int):
+    """``(start, stop)`` of the row blocks of a rows x cols array, each about :data:`_BLOCK_ELEMENTS` entries."""
+    step = max(1, _BLOCK_ELEMENTS // max(cols, 1))
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
+def _below_diagonal(m: int) -> np.ndarray:
+    """Read-only (m, m) mask, true where column j < row i, as a view of one 2m-entry array.
+
+    Row i is ``flags[m - i : 2m - i]``, true in its first i entries: no
+    m x m array is made, and the mask costs about as much as one row.
+    """
+    flags = np.zeros(2 * m, dtype=bool)
+    flags[:m] = True
+    below = np.ndarray((m, m), dtype=bool, buffer=flags, offset=m, strides=(-1, 1))
+    below.flags.writeable = False
+    return below
 
 
 def _distance_power(spec: KernelSpec) -> int:
@@ -460,7 +486,8 @@ class GramEvaluator:
     rebuilt only when T changes -- ``K`` and one scratch buffer; all but
     ``K`` are allocated on first use.  :meth:`gram` writes ``K_main`` into
     ``K`` (``out``, when given), and :meth:`log_derivative` writes one shape
-    hyperparameter's ``d log K_main / d log theta`` into the scratch, so
+    hyperparameter's ``d log K_main / d log theta`` into the scratch (or,
+    for two of them, into one array of its own), so
     ``dK_main / d log theta = K_main * log_derivative``.  Each distance
     variable is rebuilt from the geometry where it is read, so no derivative
     depends on which blocks or Grams were asked for before it.
@@ -553,11 +580,14 @@ class GramEvaluator:
         axes = range(spec.family == PERIODIC, self.A.shape[1])
         squared = _distance_power(spec) == 2 or len(axes) > 1
         for k, axis in enumerate(axes):
-            r = np.divide(self.absdiff(axis), spec.lengthscales[axis], out=out if k == 0 else None)
-            if squared:
-                r *= r
-            if k:
-                out += r
+            d = self.absdiff(axis)
+            # a row block at a time, so that a later axis's term is block-sized
+            for start, stop in _row_blocks(*out.shape):
+                r = np.divide(d[start:stop], spec.lengthscales[axis], out=out[start:stop] if k == 0 else None)
+                if squared:
+                    r *= r
+                if k:
+                    out[start:stop] += r
         if squared and _distance_power(spec) == 1:
             np.sqrt(out, out=out)
         if negated:
@@ -587,39 +617,61 @@ class GramEvaluator:
         else:
             K.fill(h2)
             for variable in (first, *rest):
-                K *= _shape_value(spec, variable(spec, self.scratch))
+                x = variable(spec, self.scratch)
+                # a row block at a time, so that the shape's temporaries are block-sized
+                for start, stop in _row_blocks(*K.shape):
+                    K[start:stop] *= _shape_value(spec, x[start:stop])
         return K
 
     def log_derivative(self, spec: KernelSpec, param: Hyperparameter) -> np.ndarray:
-        """``d log K_main / d log value`` of the shape hyperparameter ``param`` at ``spec``."""
+        """``d log K_main / d log value`` of the shape hyperparameter ``param`` at ``spec``.
+
+        The distance variable is built whole into the scratch; the shape's
+        expressions are then evaluated a row block at a time, so that their
+        temporaries are block-sized.  The result is the scratch, except for
+        rq's ``alpha`` with two factors (their sum) and a matern's multi-axis
+        lengthscale (``q_d / x``), which take one array of their own.
+        """
         scratch = self.scratch
         if param.field == "alpha":
             # the rq factors' terms, summed, each variable rebuilt into the scratch in turn
-            return sum(_shape_dlog_alpha(spec.alpha, variable(spec, scratch)) for variable in self._variables(spec))
+            variables = self._variables(spec)
+            total = scratch if len(variables) == 1 else np.empty(scratch.shape)
+            for k, variable in enumerate(variables):
+                x = variable(spec, scratch)
+                for start, stop in _row_blocks(*x.shape):
+                    term = _shape_dlog_alpha(spec.alpha, x[start:stop])
+                    if k:
+                        total[start:stop] += term
+                    else:
+                        total[start:stop] = term
+            return total
         # the variable that param scales; x becomes dx/dlog value in place once d log shape / dx is taken
         lengthscale = param.field == "lengthscales"
         x = (self._stationary_variable if lengthscale else self._warp_variable)(spec, scratch)
-        dlog = _shape_dlog(spec, x)
         power = _distance_power(spec)
-        # dx/dlog theta = -power * g
-        if not lengthscale or self.A.shape[1] - (spec.family == PERIODIC) == 1:
-            # x scales as w^-power, as a single stationary axis's x does as ls^-power: g = x
-            g = x
-        else:
-            # g = q_d (se/rq) or q_d / x (matern), q_d = (dx_d / ls_d)^2;
-            # q_d is 0 wherever x is; only a matern's q_d / x reads x, so only its q_d takes a new array
-            g = np.divide(self.absdiff(param.index), spec.lengthscales[param.index], out=x if power == 2 else None)
-            g *= g
-            if power == 1:
-                np.divide(g, x, out=g, where=x > 0)
-        if isinstance(dlog, float):
-            # the exponential shapes' -1: one multiply by -power * dlog, exact as x(-1) is, or none
-            if -power * dlog != 1.0:
-                g *= -power * dlog
-        else:
-            g *= -power
-            g *= dlog
-        return g
+        # dx/dlog theta = -power * g; x scales as w^-power, as a single stationary axis's x does as ls^-power: g = x
+        whole = not lengthscale or self.A.shape[1] - (spec.family == PERIODIC) == 1
+        # otherwise g = q_d (se/rq) or q_d / x (matern), q_d = (dx_d / ls_d)^2;
+        # q_d is 0 wherever x is; only a matern's q_d / x reads x, so only its q_d takes an array of its own
+        out = x if whole or power == 2 else np.empty(x.shape)
+        for start, stop in _row_blocks(*x.shape):
+            xb = x[start:stop]
+            dlog = _shape_dlog(spec, xb)
+            g = out[start:stop]
+            if not whole:
+                np.divide(self.absdiff(param.index)[start:stop], spec.lengthscales[param.index], out=g)
+                g *= g
+                if power == 1:
+                    np.divide(g, xb, out=g, where=xb > 0)
+            if isinstance(dlog, float):
+                # the exponential shapes' -1: one multiply by -power * dlog, exact as x(-1) is, or none
+                if -power * dlog != 1.0:
+                    g *= -power * dlog
+            else:
+                g *= -power
+                g *= dlog
+        return out
 
 
 def main_matrix(
@@ -638,10 +690,13 @@ def main_matrix(
     ``upper`` narrows each row block of a square block to the columns from
     its first row on, so row i is filled from column i to the end -- the
     triangle that the Fortran view ``K.T`` of a symmetric Gram is
-    factorised from with ``lower=True`` -- and the entries below the
-    diagonal outside the row blocks are left as they were.  ``finish``,
-    when given, is called on each row block (the view of the result just
-    filled) while it is in cache.
+    factorised from with ``lower=True`` -- and nothing below the diagonal
+    is changed: the few entries a row block evaluates there, in its leading
+    square, are put back as they were.  So two triangles can be built into
+    one array, as :mod:`pvgp.gp` builds a Gram in rectangular full packed
+    storage.  ``finish``, when given, is called on each row block (the view
+    of the result just filled, its diagonal from column 0 under ``upper``)
+    while it is in cache.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -656,15 +711,19 @@ def main_matrix(
     K = np.empty(shape) if out is None else out
     # the chord's sin/cos of B's time column once for the whole block, not once per row block
     sin_b, cos_b = _phases(B[:, 0], spec.period) if spec.family == PERIODIC else (None, None)
-    rows = max(1, _BLOCK_ELEMENTS // max(B.shape[0], 1))
-    for start in range(0, A.shape[0], rows):
-        stop = start + rows
+    below = _below_diagonal(shape[0]) if upper else None
+    for start, stop in _row_blocks(*shape):
         first = start if upper else 0
         block = K[start:stop, first:]
+        if upper:
+            square = block[:, : stop - start]
+            kept = square.copy()
         b_phases = None if sin_b is None else (spec.period, sin_b[first:], cos_b[first:])
         GramEvaluator(
             A[start:stop], B[first:], same_samples, row_offset=start - first, out=block, b_phases=b_phases
         ).gram(spec)
         if finish is not None:
             finish(block)
+        if upper:
+            np.copyto(square, kept, where=below[: stop - start, : stop - start])
     return K

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from pvgp import geotime
 from pvgp.gp import build_covariance
@@ -90,15 +90,21 @@ def posterior_oracle(train, Q, spec):
     return mean, cov
 
 
-def jittered_factor_out_of_place(K):
-    """Lower Cholesky factor of a fresh ``K + eps * mean(diag) * I``, escalating eps tenfold."""
+def jittered_rfp_factor_out_of_place(K):
+    """RFP (``transr='N'``, ``uplo='L'``) Cholesky factor of ``K + eps * mean(diag) * I``, eps escalating tenfold.
+
+    Each attempt packs a fresh jittered square with ``dtrttf`` and factorises
+    a copy of it with ``dpftrf``, so nothing is overwritten in place.
+    """
     shift = float(np.mean(np.diag(K))) * np.eye(K.shape[0])
     eps = JITTER0
     while True:
-        try:
-            return scipy.linalg.cholesky(K + eps * shift, lower=True)
-        except scipy.linalg.LinAlgError:
-            eps *= 10.0
+        arf, info = lapack.dtrttf(np.asfortranarray(K + eps * shift), transr="N", uplo="L")
+        assert info == 0
+        L, info = lapack.dpftrf(K.shape[0], arf, transr="N", uplo="L", overwrite_a=0)
+        if info == 0:
+            return L
+        eps *= 10.0
 
 
 def posterior_out_of_place(train, Q, spec):
@@ -106,16 +112,17 @@ def posterior_out_of_place(train, Q, spec):
 
     The reference for the library's in-place linear algebra.  The Gram
     blocks come from the library's own builder, and the arithmetic is the
-    library's step for step, so the two must agree bit for bit; only where
-    the factor and the solve are stored differs.
+    library's step for step (pack to RFP, ``dpftrf``, ``dtfsm``), so the two
+    must agree bit for bit; only where the factor and the solve are stored
+    differs.
     """
     Q = np.array(Q, dtype=float, ndmin=2)
     s2 = train.target_scale**2
     Kss = build_covariance(Q, Q, spec)
-    L = jittered_factor_out_of_place(build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2)
+    L = jittered_rfp_factor_out_of_place(build_covariance(train.inputs, train.inputs, spec, with_noise=True) / s2)
     Ks = build_covariance(Q, train.inputs, spec) / s2
     # one solve against [Ks^T | y] gives V = L^-1 Ks^T and z = L^-1 y
-    Vz = scipy.linalg.solve_triangular(L, np.column_stack([Ks.T, train.scaled_targets()]), lower=True)
+    Vz = lapack.dtfsm(1.0, L, np.column_stack([Ks.T, train.scaled_targets()]), transr="N", side="L", uplo="L")
     V, z = Vz[:, :-1], Vz[:, -1]
     mean = train.target_mean + train.target_scale * blas.dgemv(1.0, V, z, trans=1)
     # Kss - s2 V^T V on Kss's upper triangle (the lower one of Kss.T), into a new array

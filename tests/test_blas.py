@@ -6,7 +6,9 @@ numpy's wakes a second pool that competes with the first for the cores.
 scipy's ``cholesky`` and ``cho_factor`` zero the factor's other triangle in
 a column-strided pass that nothing in pvgp needs, and they and
 ``cho_solve`` and ``solve_triangular`` only wrap the LAPACK routines
-``dpotrf``, ``dpotrs`` and ``dtrtrs``, which pvgp calls directly.
+``dpotrf``, ``dpotrs`` and ``dtrtrs``.  pvgp calls LAPACK directly:
+``dpotrf`` and ``dpotrs`` on the fit's square Gram, and ``dpftrf``,
+``dtfsm`` and ``dpftrs`` on a Gram in rectangular full packed storage.
 """
 
 import ast
@@ -81,7 +83,7 @@ def test_no_factorisation_or_solve_goes_through_a_scipy_wrapper():
         for path in sorted(package.glob("*.py"))
         for line, what in scipy_wrapper_uses(ast.parse(path.read_text(), str(path)))
     ]
-    assert not found, f"call scipy.linalg.lapack (dpotrf, dpotrs, dtrtrs) instead: {found}"
+    assert not found, f"call scipy.linalg.lapack (dpotrf, dpotrs, dpftrf, dtfsm, dpftrs) instead: {found}"
 
 
 def test_the_guard_sees_each_form():

@@ -504,7 +504,8 @@ def test_grid_cell_mae_equals_a_forecast_48h_replay():
 
 
 def test_grid_launch_builds_no_query_block(monkeypatch):
-    # a daylight launch builds the Gram and the cross block; a forecast also builds K(X*, X*)
+    # a daylight launch builds the Gram (three blocks in RFP storage) and the cross block;
+    # a forecast also builds K(X*, X*)
     _, series = scattered_series()
     cfg = make_config(horizon_steps=STEPS_48H, forecast_start=2 * STEPS_PER_DAY, training_stride=3, refit=False)
     calls = []
@@ -516,10 +517,10 @@ def test_grid_launch_builds_no_query_block(monkeypatch):
 
     monkeypatch.setattr(kernels, "main_matrix", spy)
     report = run_grid([cfg], {(1, 6): series})
-    assert not report.rows[0].failures and len(calls) == 2
+    assert not report.rows[0].failures and len(calls) == 4
     del calls[:]
     result = forecast_48h(series, cfg)
-    assert len(calls) == 3 and calls[2] == int(ex.daylight(series, result.time_index).sum())
+    assert len(calls) == 5 and calls[4] == int(ex.daylight(series, result.time_index).sum())
 
 
 def test_grid_rejects_empty():

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from pvgp.kernels import MATERN, MATERN_NUS, PERIODIC, RATIONAL_QUADRATIC, SQUAR
 from oracles import (
     fd_gradient,
     gram_oracle,
+    jittered_rfp_factor_out_of_place,
     lml_gradient_full_w,
     lml_oracle,
     posterior_oracle,
@@ -242,7 +244,8 @@ def test_posterior_peak_memory_is_at_most_four_grams():
 
 
 def test_posterior_peak_memory_is_near_one_gram():
-    # the Gram is factorised and solved against in the buffer it is built in
+    # the Gram is one triangle in RFP storage, factorised and solved against
+    # in the array it is built in: about half an n x n array
     n = 1000
     rng = np.random.default_rng(22)
     X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
@@ -255,7 +258,7 @@ def test_posterior_peak_memory_is_near_one_gram():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * n * n
+    assert peak <= 0.8 * 8 * n * n
 
 
 def test_posterior_bitwise_equals_out_of_place_factorisation():
@@ -369,36 +372,39 @@ def test_posterior_names_a_non_finite_query_row():
 
 
 def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
-    # the Gram posterior/LML/prior draws factorise is built over row i's
-    # columns i and above only, with noise and 1/s2 applied block by block
-    n, s2 = 600, 2.7  # several row blocks
+    # the Gram posterior/LML/prior draws factorise is one triangle of the full
+    # Gram in RFP storage, bitwise what dtrttf packs from the square, with
+    # noise and 1/s2 applied block by block; odd and even n lay it out differently
+    s2 = 2.7
     rng = np.random.default_rng(41)
-    upper = np.triu_indices(n)
-    for ndim in (1, 2):
-        t = np.arange(float(n))
-        X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
-        ls = (2.0, 0.5)[:ndim]
-        bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7), dict(base=MATERN, nu=0.5)]
-        specs = [
-            KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.2),  # the diagonal of every block
-            KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=ls, noise_variance=0.2),
-            KernelSpec(RATIONAL_QUADRATIC, amplitude=1.3, lengthscales=ls, alpha=1.7, noise_variance=0.2),
-            *[KernelSpec(MATERN, amplitude=1.3, lengthscales=ls, nu=nu, noise_variance=0.2) for nu in MATERN_NUS],
-            *[KernelSpec(PERIODIC, amplitude=1.3, lengthscales=ls, roughness=0.9, period=24.0, **b, noise_variance=0.2)
-              for b in bases],
-        ]
-        train = gp.TrainingSet.from_arrays(X, np.zeros(n))
-        for spec in specs:
-            build = gp._gram_builder(X, spec, s2)
-            build()[np.tril_indices(n, -1)] = np.nan
-            K = build()  # refilled in the same buffer, the NaNs below the diagonal unread
-            want = gp.build_covariance(X, X, spec, with_noise=True) / s2
-            assert np.array_equal(K[upper], want[upper]), spec.to_text()
-            assert np.isnan(K[-1, 0]), spec.to_text()  # below every row block: never written
-            # the gradient's Gram, built whole over the spec's own h^2, is finished the same way
-            whole = gp.LmlGradient(train, []).covariance(spec)
-            want = gp._gram_builder(X, spec, spec.amplitude**2)()
-            assert np.array_equal(whole[upper], want[upper]), spec.to_text()
+    for n in (1, 2, 3, 4, 5, 127, 128, 600):  # 600: several row blocks
+        for ndim in (1, 2):
+            t = np.arange(float(n))
+            X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, n)])
+            ls = (2.0, 0.5)[:ndim]
+            bases = [dict(base=SQUARED_EXPONENTIAL), dict(base=RATIONAL_QUADRATIC, alpha=1.7)]
+            bases += [dict(base=MATERN, nu=nu) for nu in MATERN_NUS]
+            specs = [
+                KernelSpec(WHITE_NOISE, amplitude=1.3, noise_variance=0.2),  # the diagonal only
+                KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=ls, noise_variance=0.2),
+                KernelSpec(RATIONAL_QUADRATIC, amplitude=1.3, lengthscales=ls, alpha=1.7, noise_variance=0.2),
+                *[KernelSpec(MATERN, amplitude=1.3, lengthscales=ls, nu=nu, noise_variance=0.2) for nu in MATERN_NUS],
+                *[KernelSpec(PERIODIC, amplitude=1.3, lengthscales=ls, roughness=0.9, period=24.0, **b, noise_variance=0.2)
+                  for b in bases],
+            ]
+            train = gp.TrainingSet.from_arrays(X, np.zeros(n))
+            for spec in specs:
+                build = gp._rfp_builder(X, spec, s2)
+                build()[...] = np.nan
+                arf = build()  # refilled in the same buffer: every entry is written
+                full = gp.build_covariance(X, X, spec, with_noise=True) / s2
+                want, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(full), transr="N", uplo="L")
+                assert info == 0 and arf.tobytes() == want.tobytes(), (n, spec.to_text())
+                assert np.array_equal(np.concatenate(gp._diagonal_runs(arf)), np.diag(full)), (n, spec.to_text())
+                # the gradient's Gram, built whole over the spec's own h^2, is finished the same way
+                whole = gp.LmlGradient(train, []).covariance(spec)
+                want = gp.build_covariance(X, X, spec, with_noise=True) / spec.amplitude**2
+                assert np.array_equal(whole, want), (n, spec.to_text())
 
 
 def test_non_finite_gram_raises_value_error_naming_the_kernel():
@@ -416,31 +422,60 @@ def test_non_finite_gram_raises_value_error_naming_the_kernel():
             gp.log_marginal_likelihood(train, spec, gradient)
 
 
-def _record_cholesky_attempts(monkeypatch) -> list[str]:
-    """Wrap ``scipy.linalg.lapack.dpotrf`` and record each call's outcome, as a tracer would."""
+def _record_cholesky_attempts(monkeypatch, routine: str) -> list[str]:
+    """Wrap ``scipy.linalg.lapack``'s ``routine`` (``dpftrf`` or ``dpotrf``) and record each call's outcome, as a tracer would."""
     attempts: list[str] = []
-    dpotrf = scipy.linalg.lapack.dpotrf
+    factorise = getattr(scipy.linalg.lapack, routine)
 
     def recorded(*args, **kwargs):
-        factor, info = dpotrf(*args, **kwargs)
+        factor, info = factorise(*args, **kwargs)
         attempts.append("failed" if info > 0 else "ok")
         return factor, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recorded)
+    monkeypatch.setattr(scipy.linalg.lapack, routine, recorded)
     return attempts
 
 
-def _lowered_duplicate_row_gram(spec: KernelSpec, shift: float):
-    """``build()`` of the zero-noise Gram of duplicated rows, diagonal lowered by ``shift * mean(diag)``.
+def _duplicate_rows(n: int) -> np.ndarray:
+    """n time rows, each value twice (the last once for odd n): a Gram with duplicate rows."""
+    return np.repeat(np.arange(float((n + 1) // 2)), 2)[:n, None]
+
+
+def _lowered_duplicate_row_gram(spec: KernelSpec, shift: float, n: int = 20):
+    """``build()`` of the zero-noise RFP Gram of duplicated rows, diagonal lowered by ``shift * mean(diag)``.
 
     The Gram itself factorises at the first jitter; the lowered diagonal
     makes it indefinite until the jitter exceeds ``shift``.
     """
-    gram = gp._gram_builder(np.repeat(np.arange(10.0), 2)[:, None], spec, 1.0)
+    gram = gp._rfp_builder(_duplicate_rows(n), spec, 1.0)
     builds: list[int] = []
 
     def build():
-        K = gram()
+        arf = gram()
+        runs = gp._diagonal_runs(arf)
+        mean = np.mean(np.concatenate(runs))
+        for run in runs:
+            run -= shift * mean
+        builds.append(1)
+        return arf
+
+    return build, builds
+
+
+def _lowered_near_duplicate_square(spec: KernelSpec, shift: float, n: int = 20):
+    """``build()`` of the fit's square Gram (:meth:`gp.LmlGradient.covariance`) of times 0 to n - 1, diagonal lowered.
+
+    A training set cannot repeat a time, so rows far inside ``spec``'s
+    lengthscale stand in for duplicates: the Gram is numerically singular,
+    and lowering its diagonal by ``shift * mean(diag)`` makes it indefinite
+    until the jitter exceeds ``shift``.
+    """
+    train = TrainingSet.from_arrays(np.arange(float(n))[:, None], np.zeros(n))
+    gradient = gp.LmlGradient(train, [])
+    builds: list[int] = []
+
+    def build():
+        K = gradient.covariance(spec)
         K[np.diag_indices_from(K)] -= shift * np.mean(np.diag(K))
         builds.append(1)
         return K
@@ -450,65 +485,63 @@ def _lowered_duplicate_row_gram(spec: KernelSpec, shift: float):
 
 def test_cholesky_retry_refills_the_buffer_and_escalates_jitter(monkeypatch):
     spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,))
-    build, builds = _lowered_duplicate_row_gram(spec, 3e-9)
-    attempts = _record_cholesky_attempts(monkeypatch)
-    L = gp._cholesky_with_jitter(build, spec)
-    monkeypatch.undo()
-    # the failures at eps 1e-10 and 1e-9 return info > 0 from dpotrf,
-    # and each failed attempt's wiped buffer is rebuilt
-    assert attempts == ["failed", "failed", "ok"]
-    assert len(builds) == 3
-    K = _lowered_duplicate_row_gram(spec, 3e-9)[0]()  # a fresh buffer: L is a view of build's
-    eps = gp.JITTER_INITIAL * 10.0 * 10.0
-    want = scipy.linalg.cholesky(K + eps * np.mean(np.diag(K)) * np.eye(K.shape[0]), lower=True)
-    assert np.array_equal(np.tril(L), want)
+    for n in (20, 21):  # RFP lays out even and odd n differently
+        build, builds = _lowered_duplicate_row_gram(spec, 3e-9, n)
+        with monkeypatch.context() as patched:
+            attempts = _record_cholesky_attempts(patched, "dpftrf")
+            L = gp._cholesky_with_jitter(build, spec)
+        # the failures at eps 1e-10 and 1e-9 return info > 0 from dpftrf,
+        # and each failed attempt's wiped buffer is rebuilt
+        assert attempts == ["failed", "failed", "ok"], n
+        assert len(builds) == 3, n
+        K = gp.build_covariance(_duplicate_rows(n), _duplicate_rows(n), spec)
+        K[np.diag_indices_from(K)] -= 3e-9 * np.mean(np.diag(K))
+        # packed and factorised out of place, from the same jitter up: bit for bit the same factor
+        assert L.tobytes() == jittered_rfp_factor_out_of_place(K).tobytes(), n
+        # and a factor of the Gram at the third jitter
+        full = np.tril(scipy.linalg.lapack.dtfttr(n, L, transr="N", uplo="L")[0])
+        eps = gp.JITTER_INITIAL * 10.0 * 10.0
+        assert np.abs(full @ full.T - (K + eps * np.mean(np.diag(K)) * np.eye(n))).max() <= 1e-14, n
 
 
 def _fill_unread_triangle(monkeypatch, value: float) -> None:
-    """Set each factorised Gram's strictly lower triangle, which the factorisation does not read, to ``value`` once built."""
-    gram_builder, covariance = gp._gram_builder, gp.LmlGradient.covariance
+    """Set the fit's square Gram's strictly lower triangle, which the factorisation does not read, to ``value`` once built."""
+    covariance = gp.LmlGradient.covariance
 
     def fill(K):
         K[np.tril_indices(K.shape[0], -1)] = value
         return K
 
-    def filled_builder(X, spec, s2):
-        build = gram_builder(X, spec, s2)
-        return lambda: fill(build())
-
-    monkeypatch.setattr(gp, "_gram_builder", filled_builder)
     monkeypatch.setattr(gp.LmlGradient, "covariance", lambda self, spec: fill(covariance(self, spec)))
 
 
 def test_cholesky_leaves_the_unread_triangle_as_built(monkeypatch):
-    spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,))
+    # the fit's square: dpotrf on the Fortran view, its other triangle left as built
+    spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(1e5,))
     _fill_unread_triangle(monkeypatch, np.nan)
-    build, builds = _lowered_duplicate_row_gram(spec, 3e-9)
+    build, builds = _lowered_near_duplicate_square(spec, 3e-9)
+    attempts = _record_cholesky_attempts(monkeypatch, "dpotrf")
     L = gp._cholesky_with_jitter(build, spec)
     monkeypatch.undo()
+    assert attempts == ["failed", "failed", "ok"]
     assert len(builds) == 3  # two failed attempts, each rebuilt
     assert np.isnan(L[np.triu_indices(L.shape[0], 1)]).all()
-    K = _lowered_duplicate_row_gram(spec, 3e-9)[0]()
+    K = _lowered_near_duplicate_square(spec, 3e-9)[0]()
     eps = gp.JITTER_INITIAL * 10.0 * 10.0
     assert np.array_equal(np.tril(L), scipy.linalg.cholesky(K + eps * np.mean(np.diag(K)) * np.eye(K.shape[0]), lower=True))
 
 
 def test_factor_readers_do_not_read_the_unread_triangle(monkeypatch):
-    # NaN where the factorisation does not read changes no posterior, likelihood,
-    # gradient or prior draw by a bit; the gradient zeroes that triangle itself
+    # NaN where the fit's square factorisation does not read changes no
+    # likelihood, gradient or amplitude by a bit; the gradient zeroes that triangle itself
     rng = np.random.default_rng(47)
     n = 300  # several row blocks
     X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
     train = TrainingSet.from_arrays(X, rng.normal(5.0, 3.0, n))
-    query = np.column_stack([np.arange(n, n + 30.0), rng.uniform(0, 1, 30)])
 
     def results(spec):
-        pred = gp.posterior(train, query, spec)
-        out = [pred.mean, pred.cov, gp.posterior(train, query, spec, covariance=False).mean]
-        out += [np.array(gp.log_marginal_likelihood(train, spec)), gp.sample_prior(query, spec, 3, seed=5)]
         gradient = gp.LmlGradient(train, spec.hyperparameters())
-        out.append(np.array([gp.log_marginal_likelihood(train, spec, gradient), *gradient.value, gradient.scale]))
-        return out
+        return np.array([gp.log_marginal_likelihood(train, spec, gradient), *gradient.value, gradient.scale])
 
     for spec in family_specs(2):
         with monkeypatch.context() as patched:
@@ -517,17 +550,18 @@ def test_factor_readers_do_not_read_the_unread_triangle(monkeypatch):
         with monkeypatch.context() as patched:
             _fill_unread_triangle(patched, np.nan)
             got = results(spec)
-        for w, g in zip(want, got):
-            assert w.tobytes() == g.tobytes(), spec.to_text()
+        assert want.tobytes() == got.tobytes(), spec.to_text()
 
 
 def test_cholesky_failure_at_max_jitter_names_the_kernel(monkeypatch):
     spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,))
-    build, _ = _lowered_duplicate_row_gram(spec, 1e-2)
-    attempts = _record_cholesky_attempts(monkeypatch)
-    with pytest.raises(gp.ConditioningError, match=re.escape(spec.to_text())):
-        gp._cholesky_with_jitter(build, spec)
-    assert attempts == ["failed"] * 7  # eps = 1e-10, 1e-9, ..., 1e-4
+    for n in (20, 21):
+        build, _ = _lowered_duplicate_row_gram(spec, 1e-2, n)
+        with monkeypatch.context() as patched:
+            attempts = _record_cholesky_attempts(patched, "dpftrf")
+            with pytest.raises(gp.ConditioningError, match=re.escape(spec.to_text())):
+                gp._cholesky_with_jitter(build, spec)
+        assert attempts == ["failed"] * 7, n  # eps = 1e-10, 1e-9, ..., 1e-4
 
 
 def test_training_set_validation():
@@ -687,6 +721,29 @@ def test_lml_gradient_holds_at_most_five_grams_between_evaluations():
         tracemalloc.stop()
     assert held <= 5.05 * 8 * n * n
     assert peak <= 5.2 * 8 * n * n
+
+
+@pytest.mark.parametrize("shape", ["se", "rq", "matern12", "matern32", "matern52"])
+def test_lml_gradient_peaks_at_most_one_gram_and_some_row_blocks_above_what_it_holds(shape):
+    # the shapes' expressions are evaluated a row block at a time; only rq's
+    # alpha term with two factors and a matern's multi-axis lengthscale term
+    # take one n x n array of their own
+    n = 1000
+    rng = np.random.default_rng(48)
+    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+    train = TrainingSet.from_arrays(X, rng.normal(500.0, 100.0, n))
+    alpha = ", alpha=1.5" if shape == "rq" else ""
+    for text in (f"periodic({shape}; h=85.0, ls=[1.0, 8.0]{alpha}, w=10.0, T=288.0)", f"{shape}(h=85.0, ls=[10.0, 8.0]{alpha})"):
+        spec = kernels.parse(text + " + whitenoise(sigma2=400.0)")
+        tracemalloc.start()
+        try:
+            gradient = gp.LmlGradient(train, spec.hyperparameters())
+            gp.log_marginal_likelihood(train, spec, gradient)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 5.05 * 8 * n * n, text
+        assert peak <= 6.5 * 8 * n * n, text
 
 
 @pytest.mark.parametrize("field", ["amplitude", "period", "nu"])
@@ -859,6 +916,17 @@ def test_sample_prior_deterministic():
     spec = KernelSpec(MATERN, nu=0.5)
     X = np.arange(4.0)[:, None]
     assert np.array_equal(gp.sample_prior(X, spec, 5, seed=7), gp.sample_prior(X, spec, 5, seed=7))
+
+
+def test_sample_prior_names_a_non_finite_query_row():
+    # the query is checked before any kernel is evaluated: no warning, and the row is named, not the kernel
+    spec = kernels.parse("periodic(matern12; h=1.0, ls=[1.0, 0.3], w=1.0, T=288.0)")
+    for bad in (np.nan, np.inf, -np.inf):
+        for query, row in (([[1.0, bad], [2.0, 0.3]], 0), ([[1.0, 0.2], [bad, 0.3]], 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=rf"query row {row} has non-finite inputs"):
+                    gp.sample_prior(query, spec, 2, seed=1)
 
 
 def test_sample_prior_degenerate_duplicate_rows():

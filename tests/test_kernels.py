@@ -289,6 +289,21 @@ def test_main_matrix_peak_memory_is_at_most_three_grams():
     assert peak <= 3 * 8 * n * n
 
 
+def test_main_matrix_upper_leaves_below_the_diagonal_as_it_was():
+    # each row block evaluates a few entries below the diagonal, in its leading
+    # square, and puts them back: two triangles can share one array
+    rng = np.random.default_rng(10)
+    for n in (5, 600):  # one row block, and several
+        X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+        below = np.tril_indices(n, -1)
+        for spec in family_specs(ndim=2) + [PERIODIC_2D]:
+            K = np.full((n, n), np.nan)
+            kernels.main_matrix(spec, X, X, same_samples=True, out=K, upper=True)
+            assert np.isnan(K[below]).all(), (n, spec.to_text())
+            whole = kernels.main_matrix(spec, X, X, same_samples=True)
+            assert np.array_equal(np.triu(K), np.triu(whole)), (n, spec.to_text())
+
+
 def test_main_matrix_row_blocks_match_one_block():
     rng = np.random.default_rng(9)
     n = 700  # several row blocks
