@@ -13,31 +13,27 @@ only the likelihood gradient forms ``K^-1``, from that factor, because
 its trace terms need every entry.  Jitter starts at ``1e-10 *
 mean(diag)`` and escalates tenfold up to ``1e-4`` before a
 :class:`ConditioningError` is raised naming the kernel.  Noise and jitter
-are added on the diagonal only.  A Gram that is only factorised and
-solved against -- a posterior's, a likelihood's without gradient, a
-prior draw's -- keeps one triangle, n(n+1)/2 entries, in rectangular full
-packed (RFP) storage (Gustavson, Wasniewski, Dongarra & Langou 2010): it
-is built into that array as three blocks, factorised there by
-``dpftrf`` and solved against there by ``dtfsm`` (a posterior) or
-``dpftrs`` (a likelihood), so a posterior peaks near half an n x n
-array.  The gradient's Gram is a full square, because its trace sums run
-over the whole square: ``dpotrf`` factorises it in place, ``dpotrs``
-solves against it, and the factor's other triangle is left as built
-until the gradient zeroes it.  One finish puts the noise on the
-diagonal, divides by the target variance and checks the entries finite:
-each row block of an RFP Gram and of a posterior's cross block gets it
-while in cache, and the gradient's Gram, built whole, gets it whole.  A
-non-finite Gram raises ``ValueError`` naming the kernel.  Because every
-Gram is checked as it is built, its factor is never rescanned: after the
-factorisation a posterior makes one triangular solve, against the cross
-block and the targets together, which gives its mean and its
-covariance.  A posterior asked for its mean alone (``covariance=False``,
-as every grid cell is, since a cell is scored by the MAE of its mean)
-stops there and builds no m x m array.  Otherwise its prior block
-``K(X*, X*)`` is built after the solve as one triangle, the solve's
-product is subtracted from that triangle in place by one ``dsyrk``, and
-the triangle is mirrored to the other side: no symmetrising pass, and the
-covariance is exactly symmetric.
+are added on the diagonal only.  Every Gram -- a posterior's, a
+likelihood's, a prior draw's and the fit's -- keeps one triangle, n(n+1)/2
+entries, in rectangular full packed (RFP) storage (Gustavson, Wasniewski,
+Dongarra & Langou 2010; :func:`kernels._rfp_layout`): ``dpftrf``
+factorises it in place, ``dtfsm`` (a posterior) or ``dpftrs`` (a
+likelihood) solves against it and ``dpftri`` inverts it (the gradient), so
+a posterior peaks near half an n x n array.  One finish puts the noise on
+the diagonal, divides by the target variance and checks the entries
+finite: each row block of a posterior's Gram and of its cross block gets
+it while in cache, and the fit's Gram, copied from its evaluator, gets it
+whole.  A non-finite Gram raises ``ValueError`` naming the kernel.
+Because every Gram is checked as it is built, its factor is never
+rescanned: after the factorisation a posterior makes one triangular solve,
+against the cross block and the targets together, which gives its mean
+and its covariance.  A posterior asked for its mean alone
+(``covariance=False``, as every grid cell is, since a cell is scored by
+the MAE of its mean) stops there and builds no m x m array.  Otherwise its
+prior block ``K(X*, X*)`` is built after the solve as one triangle, the
+solve's product is subtracted from that triangle in place by one
+``dsyrk``, and the triangle is mirrored to the other side: no
+symmetrising pass, and the covariance is exactly symmetric.
 
 Every dense product goes through :mod:`scipy.linalg.blas`, the BLAS that
 the factorisations and solves already run on; nothing calls numpy's
@@ -52,7 +48,7 @@ factor gives the likelihood and, through :class:`LmlGradient`, its exact
 gradient ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` with respect to
 every free log-hyperparameter (Rasmussen & Williams 2006, section 5.4.1).
 Its weights live in ``K^-1``'s buffer and its noise term is a closed form;
-a 2-D periodic fit holds 5 n x n arrays.  The amplitude is never
+a 2-D periodic fit holds 2.5 n x n arrays.  The amplitude is never
 differentiated: the objective is the likelihood maximised over it in
 closed form, a concentrated likelihood (Roustant, Ginsbourger & Deville
 2012), so the optimiser moves only the shape parameters and the noise
@@ -216,31 +212,17 @@ def _finish(block: np.ndarray, spec: KernelSpec, s2: float, noise: float) -> Non
         raise ValueError(f"covariance has non-finite entries for kernel {spec.to_text()}")
 
 
-def _rfp_layout(n: int) -> tuple[int, int, int]:
-    """``(n1, n2, width)`` of an order-n Gram in RFP storage: its C-ordered view is n1 x width (see :func:`_rfp_builder`)."""
-    n2 = n // 2
-    return n - n2, n2, n + 1 - n % 2
-
-
 def _rfp_builder(X: np.ndarray, spec: KernelSpec, s2: float):
     """``build()`` for :func:`_cholesky_with_jitter`: ``(K(X, X) + sigma^2 I) / s2`` in rectangular full packed storage.
 
-    Rectangular full packed (RFP) storage (Gustavson, Wasniewski, Dongarra
-    & Langou 2010; LAPACK's ``transr='N'``, ``uplo='L'``) holds the lower
-    triangle's n(n+1)/2 entries in one dense array, which ``dpftrf``
-    factorises in place.  With ``n1 = n - n // 2`` and ``n2 = n // 2``, its
-    C-ordered view R is n1 x (n + e), e = 1 for even n and 0 for odd, row j
-    being column j of LAPACK's Fortran array (:func:`_rfp_layout`).  ``R[:, e:]`` holds the first
-    n1 rows of the Gram from their diagonal on: A11's upper triangle and the
-    n1 x n2 block ``K(X[:n1], X[n1:])``, A21's transpose.  ``R[n1 - n2:,
-    :n2]`` holds A22's lower triangle, which reversed on both axes is the
-    upper triangle of the last n2 rows taken in reverse order.  So three
-    :func:`kernels.main_matrix` calls fill the array, the two diagonal
-    blocks as exact upper triangles, and each row block is
-    :func:`_finish`-ed while it is in cache.
+    Three :func:`kernels.main_matrix` calls fill the array's n1 x width
+    view (:func:`kernels._rfp_layout`): A11 and A22 as exact upper
+    triangles, the second over the last n2 rows in reverse order, and the
+    n1 x n2 block between them; each row block is :func:`_finish`-ed while
+    it is in cache.
     """
     n = X.shape[0]
-    n1, n2, width = _rfp_layout(n)
+    n1, n2, width = kernels._rfp_layout(n)
     e = width - n
     arf = np.empty(n * (n + 1) // 2)
     R = arf.reshape(n1, width)
@@ -258,43 +240,23 @@ def _rfp_builder(X: np.ndarray, spec: KernelSpec, s2: float):
     return build
 
 
-def _diagonal_runs(K: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Writable views of the diagonal of a Gram or of its factor, in order.
-
-    A square (or its Fortran view) has one; an RFP array (see
-    :func:`_rfp_builder`) has two strided runs, A11's then A22's.
-    """
-    if K.ndim == 2:
-        return (_diagonal(K),)
-    n = (math.isqrt(8 * K.size + 1) - 1) // 2
-    n1, n2, width = _rfp_layout(n)
-    return K[width - n :: width + 1][:n1], K[(n1 - n2) * width :: width + 1][:n2]
-
-
 def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
     """Lower Cholesky factor of a symmetric Gram plus escalating jitter, in the Gram's buffer.
 
-    ``build()`` fills a buffer with the symmetric Gram, checks that what it
-    filled is finite, and returns it, in one of two storages.  A 1-D array
-    is the Gram's lower triangle in rectangular full packed storage
-    (:func:`_rfp_builder`, for a posterior, a likelihood without gradient
-    and a prior draw), which LAPACK ``dpftrf`` factorises in place; the
-    factor returned is that array, in the same storage.  A C-ordered n x n
-    buffer (the gradient's :meth:`LmlGradient.covariance`) is filled at
-    least row i from column i on; its transpose ``K.T`` is a
-    Fortran-ordered view of the same matrix whose lower triangle is that
-    filled part, which ``dpotrf`` factorises in place, and the factor
-    returned is that view, its upper triangle left as the build wrote it:
-    :meth:`LmlGradient.fill` zeroes it itself.  Either way no second array
-    of the Gram's size is made.  Each attempt puts the jitter on the
-    diagonal (two strided runs in RFP storage) first.  The factorisation
-    reads only what was filled, so it does not check finiteness itself.  A
+    ``build()`` fills a 1-D buffer with the Gram's lower triangle in
+    rectangular full packed storage (:func:`kernels._rfp_layout`), checks
+    that it is finite, and returns it: :func:`_rfp_builder` for a
+    posterior, a likelihood without gradient and a prior draw, and
+    :meth:`LmlGradient.covariance` for the fit.  LAPACK ``dpftrf``
+    factorises it in place, so no second array of the Gram's size is made,
+    and the factor returned is that array, in the same storage.  Each
+    attempt puts the jitter on the diagonal, two strided runs, first.  A
     failed attempt (``info > 0``: a leading minor is not positive definite)
     has overwritten the buffer, so ``build()`` refills it before the next
     one.  The jitter is ``eps * mean(diag)`` of the Gram as first built.
     """
     K = build()
-    diag = np.concatenate(_diagonal_runs(K))
+    diag = np.concatenate(kernels._diagonal_runs(K))
     n = diag.size
     scale = float(np.mean(diag)) if n else 1.0
     if scale <= 0 or not math.isfinite(scale):
@@ -302,13 +264,10 @@ def _cholesky_with_jitter(build, spec: KernelSpec) -> np.ndarray:
     eps = JITTER_INITIAL
     while True:
         jittered, start = diag + eps * scale, 0
-        for run in _diagonal_runs(K):
+        for run in kernels._diagonal_runs(K):
             run[...] = jittered[start : start + run.size]
             start += run.size
-        if K.ndim == 1:
-            L, info = lapack.dpftrf(n, K, transr="N", uplo="L", overwrite_a=1)
-        else:
-            L, info = lapack.dpotrf(K.T, lower=1, overwrite_a=1, clean=0)
+        L, info = lapack.dpftrf(n, K, transr="N", uplo="L", overwrite_a=1)
         if info == 0:
             return L
         eps *= 10.0  # info > 0: a leading minor is not positive definite
@@ -406,12 +365,6 @@ def _mirror_upper(K: np.ndarray) -> np.ndarray:
     return K
 
 
-def _zero_below_diagonal(K: np.ndarray, below: np.ndarray) -> None:
-    """Zero square K's strictly lower triangle in place, a row block at a time; ``below`` is its ``kernels._below_diagonal``."""
-    for start, stop in kernels._row_blocks(*K.shape):
-        np.copyto(K[start:stop, :stop], 0.0, where=below[start:stop, :stop])
-
-
 class LmlGradient:
     """Concentrated log-marginal-likelihood gradient over one training set's cached geometry.
 
@@ -424,10 +377,15 @@ class LmlGradient:
     :attr:`value` with ``d LML / d log theta`` from the same Cholesky factor
     as the likelihood itself:
     ``1/2 tr((alpha alpha^T - K^-1) dK/dlog theta)`` (Rasmussen & Williams
-    2006, section 5.4.1).  The weights ``alpha alpha^T - K^-1`` are formed in
-    ``K^-1``'s buffer and the noise term is a closed form, so a 2-D periodic
-    fit holds 5 n x n arrays: this buffer and the evaluator's Gram,
-    cloud-axis ``|dx|``, chord and scratch.  The jitter is treated as a constant.
+    2006, section 5.4.1).  The jitter is treated as a constant.
+
+    Every n x n array of the fit is one triangle in RFP storage: the
+    buffer, which ``dpftrf`` factorises, ``dpftri`` inverts and one
+    ``dsfrk`` turns into the weights ``alpha alpha^T - K^-1``, and the
+    packed evaluator's Gram, cloud-axis ``|dx|``, chord and scratch.  So
+    a 2-D periodic fit holds 2.5 n x n arrays, and since every derivative
+    block is symmetric, each trace is a flat sum over the triangle with
+    its diagonal halved; the noise term is a closed form.
 
     The amplitude is solved in closed form rather than differentiated: its
     best ``c`` (``h^2`` in units of the target variance) is left in
@@ -443,34 +401,34 @@ class LmlGradient:
                 raise ValueError(f"the likelihood gradient has no derivative by {p.field!r}")
         self.value = np.zeros(len(self.params))
         self.scale = 1.0
-        self._evaluator = kernels.GramEvaluator(train.inputs, train.inputs, same_samples=True)
-        self._K = np.empty((train.n, train.n))
-        self._below = kernels._below_diagonal(train.n)
+        self._evaluator = kernels.GramEvaluator(train.inputs)
+        self._K = np.empty(self._evaluator.K.size)
 
     def covariance(self, spec: KernelSpec) -> np.ndarray:
-        """Training covariance ``(K_main + sigma^2 I) / h^2``, in a reused buffer, :func:`_finish`-ed whole."""
-        np.copyto(self._K, self._evaluator.gram(spec))
-        _finish(self._K, spec, spec.amplitude**2, spec.noise_variance)
-        return self._K
+        """Training covariance ``(K_main + sigma^2 I) / h^2`` in RFP storage, in a reused buffer, :func:`_finish`-ed whole."""
+        K = self._K
+        np.copyto(K, self._evaluator.gram(spec).reshape(-1))
+        if spec.noise_variance > 0:
+            for run in kernels._diagonal_runs(K):
+                run += spec.noise_variance
+        _finish(K, spec, spec.amplitude**2, noise=0.0)
+        return K
 
     def fill(self, spec: KernelSpec, L: np.ndarray, alpha: np.ndarray) -> None:
-        """Set :attr:`value` from the factor L of :meth:`covariance` and ``alpha = K^-1 y``.
-
-        L is overwritten with the trace weights.  They are summed over the
-        whole square, so the triangle the factorisation left as built is
-        zeroed first, a row block at a time.
-        """
-        # K^-1 in the lower triangle; the upper one still holds what covariance() left there
-        inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
+        """Set :attr:`value` from the RFP factor L of :meth:`covariance` and ``alpha = K^-1 y``; L is overwritten."""
+        n = alpha.size
+        inv, info = lapack.dpftri(n, L, transr="N", uplo="L", overwrite_a=1)
         if info:
             raise ConditioningError(f"covariance inverse failed (info {info}) for kernel {spec.to_text()}")
-        _zero_below_diagonal(inv.T, self._below)
-        # every derivative block G is symmetric, so tr((alpha alpha^T - K^-1) G)
-        # = sum(W * G) with W = 2 tril(alpha alpha^T - K^-1) - diag(alpha alpha^T - K^-1);
+        # every derivative block G is symmetric, so tr((alpha alpha^T - K^-1) G) = sum(W * G) over
+        # the stored triangle, W being twice alpha alpha^T - K^-1 off the diagonal and once on it;
         # W is held as -W / 2, from K^-1 in place, and the exact factor -2 comes back in the last scaling
-        W = blas.dsyr(-1.0, alpha, lower=1, a=inv, overwrite_a=1).T  # C-ordered, like K_main
-        _diagonal(W)[...] *= 0.5
-        trace = float(np.trace(W))
+        W = lapack.dsfrk(n, 1, -1.0, alpha[:, None], 1.0, inv, transr="N", uplo="L", trans="N", overwrite_c=1)
+        runs = kernels._diagonal_runs(W)
+        for run in runs:
+            run *= 0.5
+        trace = float(sum(run.sum() for run in runs))
+        W = W.reshape(self._evaluator.K.shape)
         W *= self._evaluator.K  # dK/dlog theta = K_main * log_derivative(theta) / h^2
         for k, p in enumerate(self.params):
             if p.field == "noise_variance":
@@ -508,16 +466,16 @@ def log_marginal_likelihood(train: TrainingSet, spec: KernelSpec, gradient: LmlG
     y = train.scaled_targets()
     # the Gram is checked finite as it is built, so its factor is not rescanned
     if gradient is None:
-        L = _cholesky_with_jitter(_rfp_builder(train.inputs, spec, train.target_scale**2), spec)
-        alpha, _ = lapack.dpftrs(train.n, L, y, transr="N", uplo="L")
+        build = _rfp_builder(train.inputs, spec, train.target_scale**2)
     else:
-        L = _cholesky_with_jitter(functools.partial(gradient.covariance, spec), spec)
-        alpha, _ = lapack.dpotrs(L, y, lower=1)
+        build = functools.partial(gradient.covariance, spec)
+    L = _cholesky_with_jitter(build, spec)
+    alpha, _ = lapack.dpftrs(train.n, L, y, transr="N", uplo="L")
     q, c = blas.ddot(y, alpha), 1.0
     if gradient is not None:
         c = gradient.scale = min(max(q / train.n, _SCALE_BOX[0]), _SCALE_BOX[1])
     value = -0.5 * q / c - 0.5 * train.n * math.log(c)
-    log_det = sum(np.log(run).sum() for run in _diagonal_runs(L))  # half of log|K|
+    log_det = sum(np.log(run).sum() for run in kernels._diagonal_runs(L))  # half of log|K|
     value = float(value - log_det - 0.5 * train.n * math.log(2 * math.pi))
     if gradient is not None:
         # with K = c A, alpha alpha^T - K^-1 times dK is (beta beta^T / c - A^-1) dA, beta = A^-1 y

@@ -3,37 +3,35 @@
 A kernel is described declaratively by :class:`KernelSpec` and evaluated
 as a Gram block by one evaluator, :class:`GramEvaluator`: it computes the
 input geometry of a block once -- the per-axis distances ``|x_d - x'_d|``
-and the periodic half chord ``|sin(pi*dt/T)|``, rebuilt only when T
-changes -- and evaluates ``K_main`` and each shape hyperparameter's
-``d log K_main / d log theta`` (roughness, lengthscales, alpha)
-element-wise from it for the fitter in :mod:`pvgp.gp`, into ``K`` and one
-scratch buffer: the distance variables are rebuilt where they are read.
+and the periodic half chord ``|sin(pi*dt/T)|``, at the kernel's one T --
+and evaluates ``K_main`` and each shape hyperparameter's ``d log K_main /
+d log theta`` (roughness, lengthscales, alpha) element-wise from it for
+the fitter in :mod:`pvgp.gp`, into ``K`` and one scratch buffer: the
+distance variables are rebuilt where they are read.  The fitter's
+evaluator, of the training inputs against themselves, keeps each of these
+arrays as one triangle in rectangular full packed storage
+(:func:`_rfp_layout`), the layout :mod:`pvgp.gp` factorises in.
 ``main_matrix`` is the one-shot form used for posteriors: it runs the
 evaluator over row blocks written straight into the result, which may be
-a buffer the caller owns (``out``), so that :mod:`pvgp.gp` can factorise
-the Gram in the memory it was built in.  For a factorisation it fills
-exactly the triangle the factorisation reads (``upper``: row i from
-column i on, nothing below the diagonal changed), so that
-:mod:`pvgp.gp` can build a Gram's two diagonal blocks into one
-rectangular full packed array, and hands each row block to the caller's
-``finish`` while it is in cache, where :mod:`pvgp.gp` adds the noise,
-scales and checks finiteness; the ``sin`` and ``cos`` of B's time column
-that the chord is built from are computed once per call and sliced to
-each row block, and each row block computes those of its own rows.  The
-non-exponential shapes' expressions (rq, matern32, matern52, and every
-shape's derivatives) are evaluated a row block at a time too, so that
-their temporaries are block-sized and a fit holds and peaks near the
-same number of n x n arrays.  Shapes that are ``exp(-x)`` (se,
-matern12) multiply as one ``exp`` of the summed distance variables, so a
-periodic se or matern12 Gram costs one ``exp`` per entry; the warp's
-variable is built negated for it, and a unit amplitude is not multiplied
-in.  A spec is
-flat: :meth:`KernelSpec.hyperparameters` lists the scalars a fit frees
-(every one it reads but the amplitude ``h``, which the fit solves in
-closed form, and the constants ``T`` and ``nu``), each a
-:class:`Hyperparameter` addressing one by field, and
-:func:`with_hyperparameters` sets any of them in one ``replace``.  Five
-families are supported:
+a buffer the caller owns (``out``).  For a factorisation it fills exactly
+the triangle the factorisation reads (``upper``: row i from column i on,
+nothing below the diagonal changed), so that :mod:`pvgp.gp` can build a
+Gram's two diagonal blocks into one packed array, and hands each row
+block to the caller's ``finish`` while it is in cache, where
+:mod:`pvgp.gp` adds the noise, scales and checks finiteness; the ``sin``
+and ``cos`` of B's time column that the chord is built from are computed
+once per call and sliced to each row block.  The non-exponential shapes'
+expressions (rq, matern32, matern52, and every shape's derivatives) are
+evaluated a row block at a time too, so that their temporaries are
+block-sized.  Shapes that are ``exp(-x)`` (se, matern12) multiply as one
+``exp`` of the summed distance variables, so a periodic se or matern12
+Gram costs one ``exp`` per entry; the warp's variable is built negated
+for it, and a unit amplitude is not multiplied in.  A spec is flat:
+:meth:`KernelSpec.hyperparameters` lists the scalars a fit frees (every
+one it reads but the amplitude ``h``, which the fit solves in closed form,
+and the constants ``T`` and ``nu``), each a :class:`Hyperparameter`
+addressing one by field, and :func:`with_hyperparameters` sets any of them
+in one ``replace``.  Five families are supported:
 
 * ``whitenoise``   -- index-keyed noise, ``h^2`` on the diagonal only
 * ``se``           -- squared exponential, ``h^2 * exp(-r2)``
@@ -85,6 +83,7 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "WHITE_NOISE",
@@ -404,6 +403,30 @@ def _below_diagonal(m: int) -> np.ndarray:
     return below
 
 
+def _rfp_layout(n: int) -> tuple[int, int, int]:
+    """``(n1, n2, width)`` of an order-n symmetric matrix in rectangular full packed storage.
+
+    Rectangular full packed (RFP) storage (Gustavson, Wasniewski, Dongarra
+    & Langou 2010; LAPACK's ``transr='N'``, ``uplo='L'``) holds one
+    triangle's n(n+1)/2 entries in one dense array.  With ``n1 = n - n //
+    2`` and ``n2 = n // 2``, its C-ordered view R is n1 x width, ``width =
+    n + e``, e = 1 for even n and 0 for odd, row j being column j of
+    LAPACK's Fortran array.  ``R[:, e:]`` holds the first n1 rows of the
+    matrix from their diagonal on, and ``R[n1 - n2:, :n2]`` reversed on
+    both axes the upper triangle of the last n2 rows in reverse order.
+    """
+    n2 = n // 2
+    return n - n2, n2, n + 1 - n % 2
+
+
+def _diagonal_runs(arf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Writable views of the diagonal of an RFP array (flat, or its n1 x width view): A11's run, then A22's, in order."""
+    flat = arf.reshape(-1)
+    n = (math.isqrt(8 * flat.size + 1) - 1) // 2
+    n1, n2, width = _rfp_layout(n)
+    return flat[width - n :: width + 1][:n1], flat[(n1 - n2) * width :: width + 1][:n2]
+
+
 def _distance_power(spec: KernelSpec) -> int:
     """How the distance variable of ``spec``'s shape scales with distance: 2 for se/rq, 1 for matern."""
     return 1 if spec.shape == MATERN else 2
@@ -415,14 +438,12 @@ def _is_exponential(spec: KernelSpec) -> bool:
 
 
 def _shape_value(spec: KernelSpec, x):
-    """Unit-amplitude shape of ``spec`` at distance variable ``x``.
+    """Unit-amplitude shape of ``spec``, a non-exponential one, at distance variable ``x``.
 
-    se and matern12: ``exp(-x)``; rq: ``(1 + x/alpha)^-alpha``; matern32:
-    ``(1 + sqrt(3) x) exp(-sqrt(3) x)``; matern52:
-    ``(1 + sqrt(5) x + 5 x^2/3) exp(-sqrt(5) x)``.
+    rq: ``(1 + x/alpha)^-alpha``; matern32: ``(1 + sqrt(3) x)
+    exp(-sqrt(3) x)``; matern52: ``(1 + sqrt(5) x + 5 x^2/3) exp(-sqrt(5) x)``.
+    :meth:`GramEvaluator.gram` evaluates se and matern12 as one ``exp``.
     """
-    if _is_exponential(spec):
-        return np.exp(-x)
     if spec.shape == RATIONAL_QUADRATIC:
         return (1.0 + x / spec.alpha) ** (-spec.alpha)
     if spec.nu == 1.5:
@@ -482,36 +503,46 @@ class GramEvaluator:
     """Main-kernel block ``K_main(A, B)`` and its log-hyperparameter derivatives.
 
     It keeps the block's input geometry -- the per-axis distances
-    ``|x_d - x'_d|`` and the periodic half chord ``|sin(pi*dt/T)|``,
-    rebuilt only when T changes -- ``K`` and one scratch buffer; all but
-    ``K`` are allocated on first use.  :meth:`gram` writes ``K_main`` into
-    ``K`` (``out``, when given), and :meth:`log_derivative` writes one shape
+    ``|x_d - x'_d|`` and the periodic half chord ``|sin(pi*dt/T)|`` at the
+    first T asked -- ``K`` and one scratch buffer; all but ``K`` are
+    allocated on first use.  :meth:`gram` writes ``K_main`` into ``K``
+    (``out``, when given), and :meth:`log_derivative` writes one shape
     hyperparameter's ``d log K_main / d log theta`` into the scratch (or,
     for two of them, into one array of its own), so
     ``dK_main / d log theta = K_main * log_derivative``.  Each distance
     variable is rebuilt from the geometry where it is read, so no derivative
-    depends on which blocks or Grams were asked for before it.
+    depends on which blocks or Grams were asked for before it.  T is a
+    constant of the kernel: a spec at another T raises ``ValueError``.
+
+    With B omitted it is of the sample list A against itself, and ``K``,
+    the scratch and the geometry are each the n1 x width view of one
+    triangle in RFP storage (:func:`_rfp_layout`).  The geometry is packed
+    once by LAPACK ``dtrttf`` from the square it is built as, which is
+    bitwise symmetric (IEEE subtraction is antisymmetric and products
+    commute); every expression after it is element-wise, and only
+    ``whitenoise``'s diagonal reads the layout (:func:`_diagonal_runs`).
 
     ``same_samples`` marks A and B as the same ordered sample list, A
     starting ``row_offset`` samples in, which is what lets the index-keyed
     ``whitenoise`` family contribute its diagonal.  ``b_phases``, when given,
-    is ``(T, sin, cos)``: the period and ``_phases`` of B's time column at
-    it, from a caller that evaluates a larger block in row blocks against
-    the same B.  The chord uses them at that T only and computes B's phases
-    itself at any other; it always computes the phases of A's own rows.
+    is ``(sin, cos)``: ``_phases`` of B's time column at the period of the
+    first spec asked, from a caller that evaluates a larger block in row
+    blocks against the same B.  The chord always computes the phases of
+    A's own rows.
     """
 
     def __init__(
-        self, A: np.ndarray, B: np.ndarray, same_samples: bool = False, row_offset: int = 0, out=None, b_phases=None
+        self, A: np.ndarray, B: np.ndarray | None = None, same_samples: bool = False, row_offset: int = 0, out=None, b_phases=None
     ):
-        self.A, self.B = A, B
+        self._packed = B is None
+        self.A, self.B = A, A if B is None else B
         self.same_samples = same_samples
         self.row_offset = row_offset
-        self.K = np.empty((A.shape[0], B.shape[0])) if out is None else out
+        shape = _rfp_layout(A.shape[0])[::2] if self._packed else (A.shape[0], self.B.shape[0])
+        self.K = np.empty(shape) if out is None else out
         self._absdiff: dict[int, np.ndarray] = {}
         self._b_phases = b_phases
-        self._chord: np.ndarray | None = None
-        self._chord_period: float | None = None
+        self._chord: tuple[float, np.ndarray] | None = None
         self._scratch: np.ndarray | None = None
 
     @property
@@ -523,34 +554,41 @@ class GramEvaluator:
 
     # -- geometry ---------------------------------------------------------
 
+    def _stored(self, square: np.ndarray) -> np.ndarray:
+        """A geometry block built as the full A x B ``square``, as ``K`` is stored: packed into RFP when the evaluator is."""
+        if not self._packed:
+            return square
+        # square.T is the Fortran view of the same symmetric matrix, so dtrttf reads it without a copy
+        arf, _ = lapack.dtrttf(square.T, transr="N", uplo="L")
+        return arf.reshape(self.K.shape)
+
     def absdiff(self, axis: int) -> np.ndarray:
         """``|A[:, axis] - B[:, axis]^T|``, computed once in its own buffer."""
         d = self._absdiff.get(axis)
         if d is None:
-            d = self._absdiff[axis] = np.subtract(self.A[:, axis : axis + 1], self.B[:, axis : axis + 1].T)
+            d = np.subtract(self.A[:, axis : axis + 1], self.B[:, axis : axis + 1].T)
             np.abs(d, out=d)
+            d = self._absdiff[axis] = self._stored(d)
         return d
 
     def chord(self, period: float) -> np.ndarray:
-        """Half the chord of the time axis on the circle, ``|sin(pi*dt/T)|``, rebuilt when T changes.
+        """Half the chord of the time axis on the circle, ``|sin(pi*dt/T)|``, built at the first T asked.
 
         Expanded as ``sin(a)cos(b) - cos(a)sin(b)`` so that only 2(n + m)
         trigonometric values are evaluated, not n*m.  The chord's factor 2
-        is put back by the warp, which divides by ``w / 2``.
+        is put back by the warp, which divides by ``w / 2``.  Another T
+        raises ``ValueError`` naming both.
         """
         if self._chord is None:
-            self._chord = np.empty(self.K.shape)
-        u = self._chord
-        if self._chord_period != period:
             sin_a, cos_a = _phases(self.A[:, 0:1], period)
-            if self._b_phases is not None and self._b_phases[0] == period:
-                _, sin_b, cos_b = self._b_phases
-            else:
-                sin_b, cos_b = _phases(self.B[:, 0], period)
-            np.multiply(sin_a, cos_b, out=u)
+            sin_b, cos_b = _phases(self.B[:, 0], period) if self._b_phases is None else self._b_phases
+            u = sin_a * cos_b
             u -= cos_a * sin_b
             np.abs(u, out=u)
-            self._chord_period = period
+            self._chord = (period, self._stored(u))
+        built, u = self._chord
+        if built != period:
+            raise ValueError(f"the chord was built at period T={built!r}, not T={period!r}: T is a constant of the kernel")
         return u
 
     # -- evaluation -------------------------------------------------------
@@ -600,7 +638,10 @@ class GramEvaluator:
         h2 = spec.amplitude**2
         if spec.family == WHITE_NOISE:
             K.fill(0.0)
-            if self.same_samples:
+            if self._packed:
+                for run in _diagonal_runs(K):
+                    run[...] = h2
+            elif self.same_samples:
                 rows = np.arange(max(0, min(K.shape[0], K.shape[1] - self.row_offset)))
                 K[rows, rows + self.row_offset] = h2
             return K
@@ -718,7 +759,7 @@ def main_matrix(
         if upper:
             square = block[:, : stop - start]
             kept = square.copy()
-        b_phases = None if sin_b is None else (spec.period, sin_b[first:], cos_b[first:])
+        b_phases = None if sin_b is None else (sin_b[first:], cos_b[first:])
         GramEvaluator(
             A[start:stop], B[first:], same_samples, row_offset=start - first, out=block, b_phases=b_phases
         ).gram(spec)

@@ -1,5 +1,6 @@
 """Exact-GP inference against brute-force oracles."""
 
+import functools
 import math
 import re
 import tracemalloc
@@ -372,9 +373,10 @@ def test_posterior_names_a_non_finite_query_row():
 
 
 def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
-    # the Gram posterior/LML/prior draws factorise is one triangle of the full
-    # Gram in RFP storage, bitwise what dtrttf packs from the square, with
-    # noise and 1/s2 applied block by block; odd and even n lay it out differently
+    # every Gram pvgp factorises -- a posterior's, a likelihood's, a prior
+    # draw's and the fit's -- is one triangle of the full Gram in RFP storage,
+    # bitwise what dtrttf packs from the square, with noise and 1/s2 applied;
+    # odd and even n lay it out differently
     s2 = 2.7
     rng = np.random.default_rng(41)
     for n in (1, 2, 3, 4, 5, 127, 128, 600):  # 600: several row blocks
@@ -400,11 +402,12 @@ def test_factorisation_gram_is_the_upper_triangle_of_the_full_gram():
                 full = gp.build_covariance(X, X, spec, with_noise=True) / s2
                 want, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(full), transr="N", uplo="L")
                 assert info == 0 and arf.tobytes() == want.tobytes(), (n, spec.to_text())
-                assert np.array_equal(np.concatenate(gp._diagonal_runs(arf)), np.diag(full)), (n, spec.to_text())
-                # the gradient's Gram, built whole over the spec's own h^2, is finished the same way
-                whole = gp.LmlGradient(train, []).covariance(spec)
-                want = gp.build_covariance(X, X, spec, with_noise=True) / spec.amplitude**2
-                assert np.array_equal(whole, want), (n, spec.to_text())
+                assert np.array_equal(np.concatenate(kernels._diagonal_runs(arf)), np.diag(full)), (n, spec.to_text())
+                # the fit's Gram, from its evaluator's packed geometry over the spec's own h^2
+                fit = gp.LmlGradient(train, []).covariance(spec)
+                full = gp.build_covariance(X, X, spec, with_noise=True) / spec.amplitude**2
+                want, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(full), transr="N", uplo="L")
+                assert info == 0 and fit.tobytes() == want.tobytes(), (n, spec.to_text())
 
 
 def test_non_finite_gram_raises_value_error_naming_the_kernel():
@@ -422,17 +425,17 @@ def test_non_finite_gram_raises_value_error_naming_the_kernel():
             gp.log_marginal_likelihood(train, spec, gradient)
 
 
-def _record_cholesky_attempts(monkeypatch, routine: str) -> list[str]:
-    """Wrap ``scipy.linalg.lapack``'s ``routine`` (``dpftrf`` or ``dpotrf``) and record each call's outcome, as a tracer would."""
+def _record_cholesky_attempts(monkeypatch) -> list[str]:
+    """Wrap ``scipy.linalg.lapack.dpftrf`` and record each call's outcome, as a tracer would."""
     attempts: list[str] = []
-    factorise = getattr(scipy.linalg.lapack, routine)
+    factorise = scipy.linalg.lapack.dpftrf
 
     def recorded(*args, **kwargs):
         factor, info = factorise(*args, **kwargs)
         attempts.append("failed" if info > 0 else "ok")
         return factor, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, routine, recorded)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", recorded)
     return attempts
 
 
@@ -441,18 +444,13 @@ def _duplicate_rows(n: int) -> np.ndarray:
     return np.repeat(np.arange(float((n + 1) // 2)), 2)[:n, None]
 
 
-def _lowered_duplicate_row_gram(spec: KernelSpec, shift: float, n: int = 20):
-    """``build()`` of the zero-noise RFP Gram of duplicated rows, diagonal lowered by ``shift * mean(diag)``.
-
-    The Gram itself factorises at the first jitter; the lowered diagonal
-    makes it indefinite until the jitter exceeds ``shift``.
-    """
-    gram = gp._rfp_builder(_duplicate_rows(n), spec, 1.0)
+def _lowered(gram, shift: float):
+    """``build()`` of the RFP Gram ``gram()`` builds, diagonal lowered by ``shift * mean(diag)``, and a list counting builds."""
     builds: list[int] = []
 
     def build():
         arf = gram()
-        runs = gp._diagonal_runs(arf)
+        runs = kernels._diagonal_runs(arf)
         mean = np.mean(np.concatenate(runs))
         for run in runs:
             run -= shift * mean
@@ -462,95 +460,54 @@ def _lowered_duplicate_row_gram(spec: KernelSpec, shift: float, n: int = 20):
     return build, builds
 
 
-def _lowered_near_duplicate_square(spec: KernelSpec, shift: float, n: int = 20):
-    """``build()`` of the fit's square Gram (:meth:`gp.LmlGradient.covariance`) of times 0 to n - 1, diagonal lowered.
+def _lowered_duplicate_row_gram(spec: KernelSpec, shift: float, n: int = 20):
+    """:func:`_lowered` on the posterior's builder of the zero-noise Gram of duplicated rows.
+
+    The Gram itself factorises at the first jitter; the lowered diagonal
+    makes it indefinite until the jitter exceeds ``shift``.
+    """
+    return _lowered(gp._rfp_builder(_duplicate_rows(n), spec, 1.0), shift)
+
+
+def _times(n: int) -> np.ndarray:
+    return np.arange(float(n))[:, None]
+
+
+def _lowered_near_duplicate_fit_gram(spec: KernelSpec, shift: float, n: int = 20):
+    """:func:`_lowered` on the fit's builder (:meth:`gp.LmlGradient.covariance`) of times 0 to n - 1.
 
     A training set cannot repeat a time, so rows far inside ``spec``'s
     lengthscale stand in for duplicates: the Gram is numerically singular,
-    and lowering its diagonal by ``shift * mean(diag)`` makes it indefinite
-    until the jitter exceeds ``shift``.
+    and lowering its diagonal makes it indefinite until the jitter exceeds
+    ``shift``.
     """
-    train = TrainingSet.from_arrays(np.arange(float(n))[:, None], np.zeros(n))
-    gradient = gp.LmlGradient(train, [])
-    builds: list[int] = []
-
-    def build():
-        K = gradient.covariance(spec)
-        K[np.diag_indices_from(K)] -= shift * np.mean(np.diag(K))
-        builds.append(1)
-        return K
-
-    return build, builds
+    gradient = gp.LmlGradient(TrainingSet.from_arrays(_times(n), np.zeros(n)), [])
+    return _lowered(functools.partial(gradient.covariance, spec), shift)
 
 
 def test_cholesky_retry_refills_the_buffer_and_escalates_jitter(monkeypatch):
-    spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,))
-    for n in (20, 21):  # RFP lays out even and odd n differently
-        build, builds = _lowered_duplicate_row_gram(spec, 3e-9, n)
-        with monkeypatch.context() as patched:
-            attempts = _record_cholesky_attempts(patched, "dpftrf")
-            L = gp._cholesky_with_jitter(build, spec)
-        # the failures at eps 1e-10 and 1e-9 return info > 0 from dpftrf,
-        # and each failed attempt's wiped buffer is rebuilt
-        assert attempts == ["failed", "failed", "ok"], n
-        assert len(builds) == 3, n
-        K = gp.build_covariance(_duplicate_rows(n), _duplicate_rows(n), spec)
-        K[np.diag_indices_from(K)] -= 3e-9 * np.mean(np.diag(K))
-        # packed and factorised out of place, from the same jitter up: bit for bit the same factor
-        assert L.tobytes() == jittered_rfp_factor_out_of_place(K).tobytes(), n
-        # and a factor of the Gram at the third jitter
-        full = np.tril(scipy.linalg.lapack.dtfttr(n, L, transr="N", uplo="L")[0])
-        eps = gp.JITTER_INITIAL * 10.0 * 10.0
-        assert np.abs(full @ full.T - (K + eps * np.mean(np.diag(K)) * np.eye(n))).max() <= 1e-14, n
-
-
-def _fill_unread_triangle(monkeypatch, value: float) -> None:
-    """Set the fit's square Gram's strictly lower triangle, which the factorisation does not read, to ``value`` once built."""
-    covariance = gp.LmlGradient.covariance
-
-    def fill(K):
-        K[np.tril_indices(K.shape[0], -1)] = value
-        return K
-
-    monkeypatch.setattr(gp.LmlGradient, "covariance", lambda self, spec: fill(covariance(self, spec)))
-
-
-def test_cholesky_leaves_the_unread_triangle_as_built(monkeypatch):
-    # the fit's square: dpotrf on the Fortran view, its other triangle left as built
-    spec = KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(1e5,))
-    _fill_unread_triangle(monkeypatch, np.nan)
-    build, builds = _lowered_near_duplicate_square(spec, 3e-9)
-    attempts = _record_cholesky_attempts(monkeypatch, "dpotrf")
-    L = gp._cholesky_with_jitter(build, spec)
-    monkeypatch.undo()
-    assert attempts == ["failed", "failed", "ok"]
-    assert len(builds) == 3  # two failed attempts, each rebuilt
-    assert np.isnan(L[np.triu_indices(L.shape[0], 1)]).all()
-    K = _lowered_near_duplicate_square(spec, 3e-9)[0]()
-    eps = gp.JITTER_INITIAL * 10.0 * 10.0
-    assert np.array_equal(np.tril(L), scipy.linalg.cholesky(K + eps * np.mean(np.diag(K)) * np.eye(K.shape[0]), lower=True))
-
-
-def test_factor_readers_do_not_read_the_unread_triangle(monkeypatch):
-    # NaN where the fit's square factorisation does not read changes no
-    # likelihood, gradient or amplitude by a bit; the gradient zeroes that triangle itself
-    rng = np.random.default_rng(47)
-    n = 300  # several row blocks
-    X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
-    train = TrainingSet.from_arrays(X, rng.normal(5.0, 3.0, n))
-
-    def results(spec):
-        gradient = gp.LmlGradient(train, spec.hyperparameters())
-        return np.array([gp.log_marginal_likelihood(train, spec, gradient), *gradient.value, gradient.scale])
-
-    for spec in family_specs(2):
-        with monkeypatch.context() as patched:
-            _fill_unread_triangle(patched, 0.0)
-            want = results(spec)
-        with monkeypatch.context() as patched:
-            _fill_unread_triangle(patched, np.nan)
-            got = results(spec)
-        assert want.tobytes() == got.tobytes(), spec.to_text()
+    cases = [
+        (KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(3.0,)), _duplicate_rows, _lowered_duplicate_row_gram),
+        (KernelSpec(SQUARED_EXPONENTIAL, lengthscales=(1e5,)), _times, _lowered_near_duplicate_fit_gram),
+    ]
+    for spec, rows, lowered in cases:
+        for n in (20, 21):  # RFP lays out even and odd n differently
+            build, builds = lowered(spec, 3e-9, n)
+            with monkeypatch.context() as patched:
+                attempts = _record_cholesky_attempts(patched)
+                L = gp._cholesky_with_jitter(build, spec)
+            # the failures at eps 1e-10 and 1e-9 return info > 0 from dpftrf,
+            # and each failed attempt's wiped buffer is rebuilt
+            assert attempts == ["failed", "failed", "ok"], (n, spec.to_text())
+            assert len(builds) == 3, (n, spec.to_text())
+            K = gp.build_covariance(rows(n), rows(n), spec)
+            K[np.diag_indices_from(K)] -= 3e-9 * np.mean(np.diag(K))
+            # packed and factorised out of place, from the same jitter up: bit for bit the same factor
+            assert L.tobytes() == jittered_rfp_factor_out_of_place(K).tobytes(), (n, spec.to_text())
+            # and a factor of the Gram at the third jitter
+            full = np.tril(scipy.linalg.lapack.dtfttr(n, L, transr="N", uplo="L")[0])
+            eps = gp.JITTER_INITIAL * 10.0 * 10.0
+            assert np.abs(full @ full.T - (K + eps * np.mean(np.diag(K)) * np.eye(n))).max() <= 1e-14, (n, spec.to_text())
 
 
 def test_cholesky_failure_at_max_jitter_names_the_kernel(monkeypatch):
@@ -558,7 +515,7 @@ def test_cholesky_failure_at_max_jitter_names_the_kernel(monkeypatch):
     for n in (20, 21):
         build, _ = _lowered_duplicate_row_gram(spec, 1e-2, n)
         with monkeypatch.context() as patched:
-            attempts = _record_cholesky_attempts(patched, "dpftrf")
+            attempts = _record_cholesky_attempts(patched)
             with pytest.raises(gp.ConditioningError, match=re.escape(spec.to_text())):
                 gp._cholesky_with_jitter(build, spec)
         assert attempts == ["failed"] * 7, n  # eps = 1e-10, 1e-9, ..., 1e-4
@@ -705,7 +662,8 @@ def test_lml_gradient_matches_full_weight_matrix_oracle():
 def test_lml_gradient_holds_at_most_five_grams_between_evaluations():
     # K^-1's buffer carries the trace weights; the rest is the evaluator's
     # Gram, its geometry (one |dx| and the chord) and its one scratch buffer,
-    # where each distance variable is rebuilt
+    # where each distance variable is rebuilt: five Grams, each one packed
+    # triangle, half an n x n array
     n = 1000
     rng = np.random.default_rng(46)
     X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
@@ -719,15 +677,16 @@ def test_lml_gradient_holds_at_most_five_grams_between_evaluations():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held <= 5.05 * 8 * n * n
-    assert peak <= 5.2 * 8 * n * n
+    assert held <= 2.55 * 8 * n * n
+    assert peak <= 3.6 * 8 * n * n
 
 
 @pytest.mark.parametrize("shape", ["se", "rq", "matern12", "matern32", "matern52"])
 def test_lml_gradient_peaks_at_most_one_gram_and_some_row_blocks_above_what_it_holds(shape):
     # the shapes' expressions are evaluated a row block at a time; only rq's
     # alpha term with two factors and a matern's multi-axis lengthscale term
-    # take one n x n array of their own
+    # take one packed array of their own, and the first evaluation builds each
+    # geometry array as a square before it packs it
     n = 1000
     rng = np.random.default_rng(48)
     X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
@@ -742,8 +701,8 @@ def test_lml_gradient_peaks_at_most_one_gram_and_some_row_blocks_above_what_it_h
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held <= 5.05 * 8 * n * n, text
-        assert peak <= 6.5 * 8 * n * n, text
+        assert held <= 2.55 * 8 * n * n, text
+        assert peak <= 3.6 * 8 * n * n, text
 
 
 @pytest.mark.parametrize("field", ["amplitude", "period", "nu"])

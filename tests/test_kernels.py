@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from pvgp import gp, kernels
@@ -351,7 +352,7 @@ def test_gram_evaluator_log_derivatives_do_not_depend_on_call_order():
         t = np.sort(rng.uniform(0, 60, 40))
         X = t[:, None] if ndim == 1 else np.column_stack([t, rng.uniform(0, 1, 40)])
         ls = (2.0, 0.5)[:ndim]
-        other = KernelSpec(PERIODIC, amplitude=0.6, lengthscales=ls, roughness=2.1, period=17.0, base=MATERN, nu=1.5)
+        other = KernelSpec(PERIODIC, amplitude=0.6, lengthscales=ls, roughness=2.1, period=23.3, base=MATERN, nu=1.5)
         specs = [KernelSpec(SQUARED_EXPONENTIAL, amplitude=1.3, lengthscales=ls)]
         specs += [KernelSpec(RATIONAL_QUADRATIC, amplitude=1.3, lengthscales=ls, alpha=1.7)]
         specs += [KernelSpec(MATERN, amplitude=1.1, lengthscales=ls, nu=nu) for nu in MATERN_NUS]
@@ -365,10 +366,38 @@ def test_gram_evaluator_log_derivatives_do_not_depend_on_call_order():
             for k in [*reversed(range(len(params))), *range(len(params)), *rng.integers(0, len(params), 6)]:
                 assert np.array_equal(ev.log_derivative(spec, params[k]), want[k]), (spec.to_text(), params[k])
             assert np.array_equal(ev.K, kernels.main_matrix(spec, X, X, same_samples=True)), spec.to_text()
-            # after a Gram at another period and roughness
+            # after a Gram at another roughness and shape
             ev.gram(other)
             for p, block in zip(params, want):
                 assert np.array_equal(ev.log_derivative(spec, p), block), (spec.to_text(), p)
+            # the chord is built once, at the first T asked: T is a constant of the kernel
+            with pytest.raises(ValueError, match=r"T=23\.3.*T=17\.0"):
+                ev.gram(replace(other, period=17.0))
+
+
+def test_packed_gram_evaluator_is_the_square_one_packed():
+    # an evaluator of one sample list against itself keeps one RFP triangle;
+    # its geometry is packed from the square, and every expression after it is
+    # element-wise, so its Gram and every derivative block are bitwise the
+    # square evaluator's, packed by dtrttf; odd and even n lay it out differently
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 5, 8, 300):  # 300: several row blocks
+        X = np.column_stack([np.arange(float(n)), rng.uniform(0, 1, n)])
+        rq = spec_periodic(RATIONAL_QUADRATIC, alpha=1.3, ls=(1.0, 0.7), w=0.8, T=23.3)  # alpha over two factors
+        for spec in family_specs(ndim=2) + [PERIODIC_2D, rq, KernelSpec(MATERN, lengthscales=(2.0, 0.5), nu=2.5)]:
+            packed = kernels.GramEvaluator(X)
+            square = kernels.GramEvaluator(X, X, same_samples=True)
+
+            def pack(block):
+                arf, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(block), transr="N", uplo="L")
+                assert info == 0
+                return arf.tobytes()
+
+            assert packed.gram(spec).tobytes() == pack(square.gram(spec)), (n, spec.to_text())
+            for p in spec.hyperparameters():
+                if p.field != "noise_variance":
+                    got = packed.log_derivative(spec, p).tobytes()
+                    assert got == pack(square.log_derivative(spec, p)), (n, spec.to_text(), p)
 
 
 def test_main_matrix_cross_row_blocks_match_one_periodic_block():
@@ -385,13 +414,12 @@ def test_main_matrix_cross_row_blocks_match_one_periodic_block():
 
 
 def test_gram_evaluator_uses_handed_b_phases_only_at_their_period():
-    # phases of B taken at T=288 serve a T=288 spec; at any other T the chord computes its own
+    # phases of B taken at the spec's T=288 serve its chord
     rng = np.random.default_rng(17)
     X = np.column_stack([np.sort(rng.uniform(0, 60, 10)), rng.uniform(0, 1, 10)])
-    for period in (288.0, 23.3):
-        spec = KernelSpec(PERIODIC, amplitude=1.0, lengthscales=(1.0, 0.7), roughness=0.8, period=period, base=MATERN, nu=0.5)
-        ev = kernels.GramEvaluator(X, X, b_phases=(288.0, *kernels._phases(X[:, 0], 288.0)))
-        assert np.array_equal(ev.gram(spec), kernels.main_matrix(spec, X, X)), period
+    spec = KernelSpec(PERIODIC, amplitude=1.0, lengthscales=(1.0, 0.7), roughness=0.8, period=288.0, base=MATERN, nu=0.5)
+    ev = kernels.GramEvaluator(X, X, b_phases=kernels._phases(X[:, 0], 288.0))
+    assert np.array_equal(ev.gram(spec), kernels.main_matrix(spec, X, X))
 
 
 def test_hyperparameters_name_every_scalar_a_fit_frees():
